@@ -64,7 +64,7 @@ from .symmetry import (
     fit_quadratic_log_partition,
     midpoint_residual,
 )
-from .tilting import T_MAX, TiltedView, half_line_mgf, log_partition, tilt
+from .tilting import T_MAX, TiltGrid, TiltedView, half_line_mgf, log_partition, tilt, tilt_grid
 
 __version__ = "0.1.0"
 
@@ -94,6 +94,7 @@ __all__ = [
     "T_MAX",
     "Tabulated",
     "TailViolationError",
+    "TiltGrid",
     "TiltedView",
     "UnknownDiagnosticError",
     "WindowTooNarrowError",
@@ -121,4 +122,5 @@ __all__ = [
     "scan",
     "sign_kernel_residual",
     "tilt",
+    "tilt_grid",
 ]

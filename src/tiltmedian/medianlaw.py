@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import BaseMeasure, LOG_SQRT_2PI
-from .numerics import DEFAULT_QUADRATURE, DEFAULT_X_TOL, QuadratureConfig, integrate
-from .tilting import T_MAX, tilt
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .tilting import T_MAX, tilt_grid
 
 __all__ = [
     "DIAGNOSTIC_NAMES",
@@ -71,9 +71,19 @@ class DiagnosticReport:
             raise ValueError("error estimates must be nonnegative")
 
 
-def _median_gap(m: BaseMeasure, t: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    gap = tilt(m, t, cfg).median() - t
-    return gap, DEFAULT_X_TOL
+_Evaluator = Callable[
+    [BaseMeasure, np.ndarray, QuadratureConfig], tuple[Sequence[float], Sequence[float]]
+]
+
+
+def _median_gap(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
+    grid = tilt_grid(m, ts, cfg)
+    return grid.median - ts, grid.median_error
+
+
+def _mean_median(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
+    grid = tilt_grid(m, ts, cfg)
+    return grid.median - grid.mean, grid.median_error + grid.mean_error
 
 
 def _sign_kernel(m: BaseMeasure, t: float, cfg: QuadratureConfig) -> tuple[float, float]:
@@ -83,9 +93,18 @@ def _sign_kernel(m: BaseMeasure, t: float, cfg: QuadratureConfig) -> tuple[float
         x = np.asarray(x, dtype=float)
         return np.exp(-0.5 * (t - x) ** 2 - LOG_SQRT_2PI + m.log_g(x))
 
-    lower = integrate(integrand, (-halfwidth, t), cfg)
-    upper = integrate(integrand, (t, halfwidth), cfg)
-    return lower.value - upper.value, lower.abs_error_estimate + upper.abs_error_estimate
+    # t may lie outside the window; the side beyond it then contributes 0
+    value = 0.0
+    error = 0.0
+    if t > -halfwidth:
+        lower = integrate(integrand, (-halfwidth, min(t, halfwidth)), cfg)
+        value += lower.value
+        error += lower.abs_error_estimate
+    if t < halfwidth:
+        upper = integrate(integrand, (max(t, -halfwidth), halfwidth), cfg)
+        value -= upper.value
+        error += upper.abs_error_estimate
+    return value, error
 
 
 def _convolution(m: BaseMeasure, t: float, cfg: QuadratureConfig) -> tuple[float, float]:
@@ -103,22 +122,31 @@ def _convolution(m: BaseMeasure, t: float, cfg: QuadratureConfig) -> tuple[float
     return point - smoothed.value, smoothed.abs_error_estimate
 
 
-def _mean_median(m: BaseMeasure, t: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    view = tilt(m, t, cfg)
-    return view.median() - view.mean(), DEFAULT_X_TOL + cfg.abs_tol
+def _pointwise(
+    evaluate: Callable[[BaseMeasure, float, QuadratureConfig], tuple[float, float]]
+) -> _Evaluator:
+    """Lift a one-tilt evaluator to a grid evaluator."""
+
+    def over_grid(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
+        pairs = [evaluate(m, float(t), cfg) for t in ts]
+        return [value for value, _ in pairs], [err for _, err in pairs]
+
+    return over_grid
 
 
-_EVALUATORS: dict[str, Callable[[BaseMeasure, float, QuadratureConfig], tuple[float, float]]] = {
+# each evaluator maps a tilt grid to (residuals, error estimates); the
+# median-based ones take the whole grid through one tilt-grid engine pass
+_EVALUATORS: dict[str, _Evaluator] = {
     "median_gap": _median_gap,
-    "sign_kernel": _sign_kernel,
-    "deriva": _convolution,
+    "sign_kernel": _pointwise(_sign_kernel),
+    "deriva": _pointwise(_convolution),
     "mean_median": _mean_median,
 }
 
 
 def median_gap(m: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Tilted median minus the tilt parameter; identically zero only for N(0,1)."""
-    return _median_gap(m, t, cfg)[0]
+    return float(_median_gap(m, np.array([float(t)]), cfg)[0][0])
 
 
 def sign_kernel_residual(
@@ -144,7 +172,7 @@ def mean_median_gap(
     m: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
     """Tilted median minus tilted mean; zero for every Gaussian base."""
-    return _mean_median(m, t, cfg)[0]
+    return float(_mean_median(m, np.array([float(t)]), cfg)[0][0])
 
 
 def lipschitz_bound(
@@ -158,20 +186,13 @@ def lipschitz_bound(
     Valid for all -A <= s < t <= A with A = ``halfwidth``:
     c = e^{A^2} * ( max_{|u|<=A} |dL/du| / 2 + integral of |x| e^{A|x|} dP )
     where L is the Laplace transform; the slope maximum is taken over a
-    uniform grid of u values.
+    uniform grid of u values, with dL/du = L(u) * (mean of the tilt-u law).
     """
     if not 0 < halfwidth <= T_MAX:
         raise ValueError(f"halfwidth must lie in (0, {T_MAX}]")
-    max_slope = 0.0
-    for u in np.linspace(-halfwidth, halfwidth, slope_grid_points):
-        window = m.window_halfwidth(float(u), cfg.truncation_halfwidth)
-        slope = integrate(
-            lambda x, u=float(u): np.asarray(x, dtype=float)
-            * np.exp(u * np.asarray(x, dtype=float) + m.log_pdf(x)),
-            (-window, window),
-            cfg,
-        ).value
-        max_slope = max(max_slope, abs(slope))
+    grid = tilt_grid(m, np.linspace(-halfwidth, halfwidth, slope_grid_points), cfg, median=False)
+    slopes = np.exp(grid.log_partition) * grid.mean
+    max_slope = float(np.max(np.abs(slopes), initial=0.0))
     window = m.window_halfwidth(halfwidth, cfg.truncation_halfwidth)
     weighted_abs = integrate(
         lambda x: np.exp(
@@ -228,12 +249,9 @@ def scan(
             f"unknown diagnostic {which!r}; expected one of {DIAGNOSTIC_NAMES}"
         ) from None
     ts = [float(t) for t in t_grid]
-    residuals: list[float] = []
-    errors: list[float] = []
-    for t in ts:
-        value, err = evaluator(m, t, cfg)
-        residuals.append(value)
-        errors.append(err)
+    values, errs = evaluator(m, np.array(ts), cfg)
+    residuals = [float(v) for v in values]
+    errors = [float(e) for e in errs]
     if ts:
         idx = int(np.argmax(np.abs(residuals)))
         max_abs = abs(residuals[idx])

@@ -7,6 +7,11 @@ and the panel with the largest error is bisected until the requested
 tolerance is met.  Integrands must accept a numpy array of abscissae and
 return an array of the same shape.
 
+The same 15(7) rule is also exposed panel-wise (``anchored_edges``,
+``panel_nodes``, ``kronrod_sums``) for callers that evaluate one integrand
+family on a fixed panel layout many times over, such as the tilt-grid
+engine in ``tilting``.
+
 All improper integrals elsewhere in the package are truncated to a finite
 window before reaching this module; the truncation halfwidth carried by
 ``QuadratureConfig`` is the base halfwidth those callers use.
@@ -28,10 +33,13 @@ __all__ = [
     "QuadratureResult",
     "DEFAULT_QUADRATURE",
     "DEFAULT_X_TOL",
+    "FIXED_PANEL_WIDTH",
+    "anchored_edges",
     "find_root_monotone",
     "integrate",
-    "integrate_fixed",
+    "kronrod_sums",
     "log_integrate_exp",
+    "panel_nodes",
 ]
 
 DEFAULT_X_TOL = 1e-10
@@ -73,6 +81,12 @@ _GAUSS_W[[1, 3, 5, 7, 9, 11, 13]] = [
 
 _PANEL_WIDTH = 2.0
 _MAX_INITIAL_PANELS = 128
+# width of the non-adaptive panels: narrow enough that the 15-point rule is
+# exact to rounding for integrands with unit-or-larger length scale
+FIXED_PANEL_WIDTH = 0.5
+_MAX_FIXED_PANELS = 4096
+# relative floor of a panel error estimate, so no panel ever claims exactness
+ROUNDING_FLOOR = 1.2e-16
 
 
 class NonFiniteIntegrandError(ValueError):
@@ -123,13 +137,8 @@ class QuadratureResult:
 def _initial_edges(
     a: float, b: float, stride: float = _PANEL_WIDTH, max_panels: int = _MAX_INITIAL_PANELS
 ) -> list[float]:
-    """Panel edges: absolute multiples of the stride inside (a, b).
-
-    Anchoring interior edges to fixed coordinates (instead of slicing [a, b]
-    evenly) keeps the panel layout identical when a window endpoint moves a
-    little, so quantities probed by finite differences of integrals do not
-    pick up decorrelated roundoff from wholesale panel reshuffles.
-    """
+    """Panel edges: absolute multiples of the stride inside (a, b), doubling the
+    stride until at most ``max_panels`` panels remain."""
     while (b - a) / stride > max_panels - 2:
         stride *= 2.0
     first = math.floor(a / stride) + 1
@@ -137,41 +146,42 @@ def _initial_edges(
     return [a] + [k * stride for k in range(first, last + 1)] + [b]
 
 
-def integrate_fixed(
-    f: Callable[[np.ndarray], np.ndarray],
-    window: tuple[float, float],
-    panel_width: float = 0.5,
-) -> float:
-    """Non-adaptive composite Kronrod rule on absolutely-anchored panels.
+def anchored_edges(a: float, b: float) -> np.ndarray:
+    """Edges of fixed panels on [a, b]: a, the multiples of the panel width inside, b.
 
-    For analytic integrands with unit-or-larger length scale the panels are
-    narrow enough that the rule is exact to rounding, and because the panel
-    layout is frozen in absolute coordinates the result varies smoothly when
-    a window endpoint moves.  Use this instead of :func:`integrate` when the
-    result feeds a finite-difference derivative; adaptive refinement paths
-    reshuffle under tiny endpoint changes and leave noise far above rounding
-    level in the difference.
+    Anchoring interior edges to fixed coordinates keeps the panel layout
+    identical when a window endpoint moves, so integrals probed by finite
+    differences vary smoothly and results for one tilt do not depend on the
+    window of the others it is computed with.
     """
-    a, b = float(window[0]), float(window[1])
+    a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"window must satisfy a < b, got [{a}, {b}]")
-    edges = _initial_edges(a, b, stride=panel_width, max_panels=4096)
-    return math.fsum(_panel(f, lo, hi)[0] for lo, hi in zip(edges[:-1], edges[1:]))
+    return np.array(_initial_edges(a, b, FIXED_PANEL_WIDTH, _MAX_FIXED_PANELS))
+
+
+def panel_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod abscissae (shape ``lo.shape + (15,)``) and half-widths of panels [lo, hi]."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[..., None] + half[..., None] * _NODES, half
+
+
+def kronrod_sums(values: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod and embedded Gauss panel integrals from values on ``panel_nodes``."""
+    return half * (values @ _KRONROD_W), half * (values @ _GAUSS_W)
 
 
 def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     """Kronrod value and |Kronrod - Gauss| error bound on one panel."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = center + half * _NODES
+    xs, _ = panel_nodes(a, b)
     ys = np.asarray(f(xs), dtype=float)
     if not np.all(np.isfinite(ys)):
         bad = xs[~np.isfinite(ys)][0]
         raise NonFiniteIntegrandError(f"integrand is not finite at x={bad!r}")
-    kronrod = half * float(_KRONROD_W @ ys)
-    gauss = half * float(_GAUSS_W @ ys)
-    # floor the estimate at rounding level so it never claims exactness
-    err = max(abs(kronrod - gauss), 1.2e-16 * abs(kronrod))
+    kronrod, gauss = (float(v) for v in kronrod_sums(ys, 0.5 * (b - a)))
+    err = max(abs(kronrod - gauss), ROUNDING_FLOOR * abs(kronrod))
     return kronrod, err
 
 
@@ -206,7 +216,13 @@ def integrate(
         counter += 1
 
     splits = 0
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    while True:
+        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            # panel errors can span many orders of magnitude, and then the
+            # running total drifts (even below zero): re-add it before stopping
+            total_err = math.fsum(item[5] for item in heap)
+            if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+                break
         if splits >= cfg.max_subdivisions:
             return QuadratureResult(total, total_err, evaluations, tolerance_met=False)
         neg_err, _, lo, hi, val, err = heapq.heappop(heap)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .measures import BaseMeasure
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
-from .tilting import log_partition, tilt
+from .tilting import tilt, tilt_grid
 
 __all__ = [
     "QuadraticFit",
@@ -106,7 +106,7 @@ def fit_quadratic_log_partition(
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 5:
         raise ValueError("need at least five grid points for a stable quadratic fit")
-    values = np.array([log_partition(m, float(t), cfg) for t in ts])
+    values = tilt_grid(m, ts, cfg, median=False).log_partition
     design = np.column_stack([np.ones_like(ts), ts, ts**2])
     gram = design.T @ design
     coeffs = np.linalg.solve(gram, design.T @ values)

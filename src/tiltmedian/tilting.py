@@ -6,13 +6,23 @@ computed in log domain so the family stays evaluable across the working
 range of tilt parameters; the tilted mean is computed by direct quadrature
 rather than by differentiating the log-partition, which keeps the identity
 between the two a testable property instead of a definition.
+
+Every tilted quantity comes from one engine, :func:`tilt_grid`: the base
+log-density is evaluated once on the Kronrod nodes of fixed panels anchored
+at multiples of ``FIXED_PANEL_WIDTH``, and each tilt of a grid is one shift,
+one exponential and a few panel sums on those values.  The panel sums give
+log L(t), the tilted mean and a distribution-function table at the panel
+edges; the median is a safeguarded Newton solve inside the panel where that
+table crosses 1/2.  A panel whose Kronrod-Gauss difference misses the
+tolerance is integrated adaptively instead, and so is the median solve when
+it lands in such a panel.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,22 +30,34 @@ from .measures import BaseMeasure
 from .numerics import (
     DEFAULT_QUADRATURE,
     DEFAULT_X_TOL,
+    FIXED_PANEL_WIDTH,
+    ROUNDING_FLOOR,
+    NonFiniteIntegrandError,
     QuadratureConfig,
-    find_root_monotone,
+    anchored_edges,
     integrate,
-    integrate_fixed,
-    log_integrate_exp,
+    kronrod_sums,
+    panel_nodes,
 )
 
 __all__ = [
     "T_MAX",
+    "TiltGrid",
     "TiltedView",
     "half_line_mgf",
     "log_partition",
     "tilt",
+    "tilt_grid",
 ]
 
 T_MAX = 8.0
+
+# Elements of one (tilts, panels, 15) work array: tilts are processed in
+# chunks of this many node values so memory stays flat in the grid size.
+_CHUNK_ELEMENTS = 1 << 13
+# Newton iterations before giving up; bisection alone needs ~33 to go from a
+# 0.5-wide panel to 1e-10.
+_MAX_NEWTON_STEPS = 100
 
 
 def _check_tilt(t: float) -> float:
@@ -45,17 +67,234 @@ def _check_tilt(t: float) -> float:
     return t
 
 
+@dataclass(frozen=True)
+class TiltGrid:
+    """Tilted-law summaries over a grid of tilts, one entry per tilt.
+
+    ``mean_error`` and ``median_error`` are propagated quadrature error
+    estimates; the median fields are None when medians were not requested.
+    """
+
+    t_grid: np.ndarray
+    log_partition: np.ndarray
+    mean: np.ndarray
+    mean_error: np.ndarray
+    median: np.ndarray | None = None
+    median_error: np.ndarray | None = None
+
+
+def tilt_grid(
+    measure: BaseMeasure,
+    t_grid: Sequence[float],
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    *,
+    median: bool = True,
+    x_tol: float = DEFAULT_X_TOL,
+) -> TiltGrid:
+    """log L, mean and (optionally) median of the tilt-t law for every t in the grid.
+
+    The panels cover the union of the per-tilt truncation windows, rounded
+    out to the anchored panel grid, so a tilt's result does not depend on
+    which other tilts share the call.
+    """
+    ts = np.array([_check_tilt(t) for t in t_grid], dtype=float)
+    if x_tol <= 0:
+        raise ValueError("x_tol must be positive")
+    n = ts.size
+    grid = TiltGrid(
+        t_grid=ts,
+        log_partition=np.empty(n),
+        mean=np.empty(n),
+        mean_error=np.empty(n),
+        median=np.empty(n) if median else None,
+        median_error=np.empty(n) if median else None,
+    )
+    if n == 0:
+        return grid
+    reach = max(measure.window_halfwidth(t, cfg.truncation_halfwidth) for t in ts)
+    reach = FIXED_PANEL_WIDTH * math.ceil(reach / FIXED_PANEL_WIDTH)
+    edges = anchored_edges(-reach, reach)
+    xs, half = panel_nodes(edges[:-1], edges[1:])
+    log_pdf = np.asarray(measure.log_pdf(xs), dtype=float)
+    _check_log_values(xs, log_pdf)
+    chunk = max(1, _CHUNK_ELEMENTS // xs.size)
+    for start in range(0, n, chunk):
+        _TiltChunk(measure, cfg, edges, xs, half, log_pdf, ts[start : start + chunk]).fill(
+            grid, slice(start, start + chunk), median, x_tol
+        )
+    return grid
+
+
+def _check_log_values(xs: np.ndarray, values: np.ndarray) -> None:
+    bad = np.isnan(values) | np.isposinf(values)
+    if np.any(bad):
+        raise NonFiniteIntegrandError(f"log-integrand is nan or +inf at x={xs[bad][0]!r}")
+
+
+class _TiltChunk:
+    """Panel sums of exp(t*x + log_pdf(x) - shift(t)) for a chunk of tilts.
+
+    Values are in shifted units: each tilt's largest node value is 1.
+    """
+
+    def __init__(self, measure, cfg, edges, xs, half, log_pdf, ts) -> None:
+        self.measure = measure
+        self.cfg = cfg
+        self.edges = edges
+        self.ts = ts
+        # one work array, updated in place, keeps the chunk's memory flat
+        work = ts[:, None, None] * xs
+        work += log_pdf
+        shift = work.max(axis=(1, 2))
+        # a tilt whose integrand vanishes on every node has log L = -inf
+        self.shift = np.where(np.isfinite(shift), shift, 0.0)
+        work -= self.shift[:, None, None]
+        np.exp(work, out=work)
+        mass_k, mass_g = kronrod_sums(work, half)
+        work *= xs
+        moment_k, moment_g = kronrod_sums(work, half)
+        mass_err = np.maximum(np.abs(mass_k - mass_g), ROUNDING_FLOOR * np.abs(mass_k))
+        moment_err = np.maximum(
+            np.abs(moment_k - moment_g), ROUNDING_FLOOR * np.abs(moment_k)
+        )
+        self.refined = (mass_err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(mass_k))) | (
+            moment_err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(moment_k))
+        )
+        for row, p in zip(*np.nonzero(self.refined)):
+            panel = (float(edges[p]), float(edges[p + 1]))
+            weight = self._weight(row)
+            mass = integrate(weight, panel, cfg)
+            moment = integrate(lambda x: x * weight(x), panel, cfg)
+            mass_k[row, p], mass_err[row, p] = mass.value, mass.abs_error_estimate
+            moment_k[row, p], moment_err[row, p] = moment.value, moment.abs_error_estimate
+        self.mass = mass_k.sum(axis=1)
+        self.mass_err = mass_err.sum(axis=1)
+        self.moment = moment_k.sum(axis=1)
+        self.moment_err = moment_err.sum(axis=1)
+        self.panel_mass = mass_k
+
+    def _weight(self, row: int):
+        t, shift, log_pdf = float(self.ts[row]), float(self.shift[row]), self.measure.log_pdf
+
+        def weight(x: np.ndarray) -> np.ndarray:
+            values = t * x + log_pdf(x) - shift
+            _check_log_values(x, values)
+            return np.exp(values)
+
+        return weight
+
+    def fill(self, grid: TiltGrid, where: slice, median: bool, x_tol: float) -> None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = self.moment / self.mass
+            grid.log_partition[where] = self.shift + np.log(self.mass)
+            grid.mean[where] = mean
+            grid.mean_error[where] = (self.moment_err + np.abs(mean) * self.mass_err) / self.mass
+            if median:
+                grid.median[where], grid.median_error[where] = self._medians(x_tol)
+
+    def _medians(self, x_tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Median of each tilted law and its error estimate.
+
+        The error of the CDF table is its quadrature error plus the rounding
+        of a running sum over the panels.  Table edges within that error of
+        1/2 form a plateau whose midpoint is the median; otherwise Newton
+        runs in the panel where the table crosses 1/2, and the median error is
+        ``x_tol + cdf_err / pdf(median)``.
+        """
+        n_panels = self.edges.size - 1
+        # distribution function at every panel edge
+        running = np.cumsum(self.panel_mass, axis=1) / self.mass[:, None]
+        cdf = np.concatenate([np.zeros((self.ts.size, 1)), running], axis=1)
+        # F = C / S at 1/2 is off by at most (dC + dS / 2) / S
+        cdf_err = 1.5 * self.mass_err / self.mass + n_panels * np.finfo(float).eps
+        flat = np.abs(cdf - 0.5) <= cdf_err[:, None]
+        medians = np.full(self.ts.size, np.nan)
+        errors = np.full(self.ts.size, np.inf)
+        plateau = flat.sum(axis=1) >= 2
+        for row in np.nonzero(plateau)[0]:
+            first, last = np.nonzero(flat[row])[0][[0, -1]]
+            medians[row] = 0.5 * (self.edges[first] + self.edges[last])
+            # the plateau's true ends lie within one panel of the flagged edges
+            outer = self.edges[max(first - 1, 0)], self.edges[min(last + 1, n_panels)]
+            errors[row] = x_tol + 0.5 * (outer[1] - outer[0])
+        rows = np.nonzero(~plateau & (self.mass > 0))[0]
+        if rows.size:
+            panel = np.minimum(np.sum(cdf[rows] < 0.5, axis=1) - 1, n_panels - 1)
+            x, density = self._newton(
+                rows, panel, cdf[rows, panel], cdf[rows, panel + 1], x_tol
+            )
+            medians[rows] = x
+            with np.errstate(divide="ignore"):
+                errors[rows] = x_tol + cdf_err[rows] / density
+        return medians, errors
+
+    def _newton(
+        self,
+        rows: np.ndarray,
+        panel: np.ndarray,
+        cdf_lo: np.ndarray,
+        cdf_hi: np.ndarray,
+        x_tol: float,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Safeguarded Newton for cdf(x) = 1/2 inside one panel per row.
+
+        ``cdf_lo`` and ``cdf_hi`` are the table values at the panel's edges.
+        Returns the roots and the tilted density there.  Partial-panel mass
+        uses the fixed 15-point rule, or adaptive quadrature in a refined
+        panel; a step leaving the current bracket becomes a bisection.
+        """
+        lo = self.edges[panel].copy()
+        hi = self.edges[panel + 1].copy()
+        start = lo.copy()
+        # secant start; the root may sit on a panel edge, so the bracket is closed
+        x = np.clip(lo + (0.5 - cdf_lo) / (cdf_hi - cdf_lo) * (hi - lo), lo, hi)
+        ts, shift, mass = self.ts[rows], self.shift[rows], self.mass[rows]
+        refined = self.refined[rows, panel]
+        active = np.arange(rows.size)
+        for _ in range(_MAX_NEWTON_STEPS):
+            if active.size == 0:
+                break
+            nodes, half = panel_nodes(start[active], x[active])
+            nodes = np.concatenate([nodes, x[active, None]], axis=1)
+            log_values = ts[active, None] * nodes + self.measure.log_pdf(nodes)
+            values = np.exp(log_values - shift[active, None]) / mass[active, None]
+            cdf = cdf_lo[active] + kronrod_sums(values[:, :15], half)[0]
+            for k in np.nonzero(refined[active])[0]:
+                i = active[k]
+                if x[i] > start[i]:
+                    weight = self._weight(rows[i])
+                    partial = integrate(weight, (start[i], x[i]), self.cfg).value
+                    cdf[k] = cdf_lo[i] + partial / mass[i]
+                else:
+                    cdf[k] = cdf_lo[i]
+            xa = x[active]
+            below = cdf < 0.5
+            lo[active] = np.where(below, xa, lo[active])
+            hi[active] = np.where(below, hi[active], xa)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = (cdf - 0.5) / values[:, 15]
+            proposal = xa - step
+            # an overshoot within x_tol is rounding at a root on the bracket end
+            inside = (proposal >= lo[active] - x_tol) & (proposal <= hi[active] + x_tol)
+            proposal = np.where(
+                inside,
+                np.clip(proposal, lo[active], hi[active]),
+                0.5 * (lo[active] + hi[active]),
+            )
+            done = (cdf == 0.5) | (
+                inside & (np.abs(proposal - xa) <= x_tol)
+            ) | (hi[active] - lo[active] <= 2.0 * x_tol)
+            x[active] = np.where(cdf == 0.5, xa, proposal)
+            active = active[~done]
+        # density at the returned root (the last Newton step moved x)
+        return x, np.exp(ts * x + self.measure.log_pdf(x) - shift) / mass
+
+
 def log_partition(
     measure: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
     """log of the Laplace transform of the base measure at t."""
-    t = _check_tilt(t)
-    halfwidth = measure.window_halfwidth(t, cfg.truncation_halfwidth)
-
-    def log_integrand(x: np.ndarray) -> np.ndarray:
-        return t * x + measure.log_pdf(x)
-
-    return log_integrate_exp(log_integrand, (-halfwidth, halfwidth), cfg)
+    return float(tilt_grid(measure, [t], cfg, median=False).log_partition[0])
 
 
 def tilt(
@@ -100,35 +339,11 @@ class TiltedView:
         return min(1.0, max(0.0, value))
 
     def mean(self) -> float:
-        halfwidth = self.window_halfwidth()
-        return integrate(
-            lambda x: np.asarray(x, dtype=float) * self.pdf(x),
-            (-halfwidth, halfwidth),
-            self.cfg,
-        ).value
+        return float(tilt_grid(self.base, [self.t], self.cfg, median=False).mean[0])
 
     def median(self, x_tol: float = DEFAULT_X_TOL) -> float:
-        """Solve cdf(x) = 1/2 by bisection over the truncation window.
-
-        The distribution function handed to the root finder accumulates mass
-        incrementally from previously evaluated points, so the total
-        quadrature effort stays proportional to one full-window pass.
-        """
-        halfwidth = self.window_halfwidth()
-        anchor_x = [-halfwidth]
-        anchor_mass = [0.0]
-
-        def running_cdf(x: float) -> float:
-            i = bisect.bisect_right(anchor_x, x) - 1
-            x0 = anchor_x[i]
-            if x == x0:
-                return anchor_mass[i]
-            value = anchor_mass[i] + integrate(self.pdf, (x0, x), self.cfg).value
-            anchor_x.insert(i + 1, x)
-            anchor_mass.insert(i + 1, value)
-            return value
-
-        return find_root_monotone(running_cdf, 0.5, (-halfwidth, halfwidth), x_tol)
+        """Solve cdf(x) = 1/2; a flat stretch at 1/2 resolves to its midpoint."""
+        return float(tilt_grid(self.base, [self.t], self.cfg, x_tol=x_tol).median[0])
 
 
 def half_line_mgf(
@@ -148,16 +363,12 @@ def half_line_mgf(
     if t <= -halfwidth:
         # the half line ends before the truncated support starts
         return 0.0, 0.0
-
-    def weighted(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.exp(t * x + measure.log_pdf(x))
-
-    # fixed-structure panels: these values are routinely cross-checked by
+    # fixed anchored panels: these values are routinely cross-checked by
     # finite differences in t, which adaptive refinement noise would swamp
-    value = integrate_fixed(weighted, (-halfwidth, t))
+    edges = anchored_edges(-halfwidth, t)
+    xs, half = panel_nodes(edges[:-1], edges[1:])
+    weighted = np.exp(t * xs + measure.log_pdf(xs))
+    value = math.fsum(kronrod_sums(weighted, half)[0])
     boundary = math.exp(t * t + float(measure.log_pdf(np.array([t]))[0]))
-    slope = boundary + integrate_fixed(
-        lambda x: np.asarray(x, dtype=float) * weighted(x), (-halfwidth, t)
-    )
+    slope = boundary + math.fsum(kronrod_sums(xs * weighted, half)[0])
     return value, slope

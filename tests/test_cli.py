@@ -332,3 +332,15 @@ def test_json_determinism_full_report(tmp_path, capsys):
     assert run_cli(base + ["--out", str(a)], capsys)[0] == EXIT_OK
     assert run_cli(base + ["--out", str(b)], capsys)[0] == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sign_kernel_tilt_beyond_window(tmp_path, capsys):
+    # gaussian(0,0.4) has window halfwidth 5.76 at |t| = 6 on the default grid
+    for command in ("sign-kernel", "full-report"):
+        out = tmp_path / f"{command}.json"
+        code, _, err = run_cli(
+            [command, "--measure", "gaussian(0,0.4)", "--format", "json", "--out", str(out)],
+            capsys,
+        )
+        assert code == EXIT_OK, err
+        assert out.exists()

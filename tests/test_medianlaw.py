@@ -243,3 +243,28 @@ def test_separation_on_dense_grid(cosine_half, quadratic_one):
         for name in ("median_gap", "sign_kernel", "deriva"):
             report = tm.scan(measure, name, grid)
             assert report.max_abs_residual > 1e-4, (measure.spec, name)
+
+
+def test_median_error_estimates_propagated(std_gaussian, cosine_half):
+    grid = np.linspace(-6.0, 6.0, 13)
+    for measure in (std_gaussian, cosine_half):
+        gap = tm.scan(measure, "median_gap", grid)
+        both = tm.scan(measure, "mean_median", grid)
+        for gap_err, both_err in zip(gap.error_estimates, both.error_estimates):
+            # x_tol plus the CDF error over the density at the median
+            assert tm.DEFAULT_X_TOL < gap_err <= 2.0 * tm.DEFAULT_X_TOL
+            # plus the tilted mean's quadrature error
+            assert gap_err < both_err <= gap_err + 1e-12
+
+
+def test_sign_kernel_when_tilt_leaves_window():
+    # for sigma = 0.4 the window halfwidth at t = 6 is 5.76 < t
+    mu, sigma = 0.0, 0.4
+    measure = tm.build_measure(tm.Gaussian(mu, sigma))
+    for t in np.linspace(-6.0, 6.0, 49):
+        t = float(t)
+        log_l = mu * t + 0.5 * (sigma * t) ** 2
+        cdf_at_t = 0.5 * math.erfc(-(t - mu - sigma**2 * t) / (sigma * math.sqrt(2.0)))
+        expected = math.exp(-0.5 * t * t + log_l) * (2.0 * cdf_at_t - 1.0)
+        value = tm.sign_kernel_residual(measure, t)
+        assert abs(value - expected) <= 1e-8 * max(1.0, abs(expected)), t

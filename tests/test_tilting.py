@@ -181,3 +181,67 @@ def test_half_line_derivative_matches_finite_difference(catalog):
                 - tm.half_line_mgf(measure, float(t) - step)[0]
             ) / (2.0 * step)
             assert abs(slope - fd) <= 1e-6, (measure.spec, t)
+
+
+def test_median_plateau_resolves_to_midpoint():
+    # the CDF sits within rounding of 1/2 on roughly [-3.5, 3.5]; the exact
+    # median is 0 by symmetry
+    measure = tm.build_measure(tm.GaussianMixture(0.5, -6.0, 0.3, 6.0, 0.3))
+    assert abs(tm.tilt(measure, 0.0).median()) <= 1e-8
+    grid = tm.tilt_grid(measure, [0.0])
+    # the reported error spans the plateau instead of claiming x_tol
+    assert 3.0 <= grid.median_error[0] < math.inf
+
+
+def test_median_on_panel_edge(std_gaussian):
+    # medians exactly on anchored panel edges converge without bisecting
+    for t in (-1.0, 0.0, 0.5, 2.0):
+        assert abs(tm.tilt(std_gaussian, t).median() - t) <= 1e-14
+
+
+def test_tilt_grid_matches_single_tilts(catalog):
+    ts = np.linspace(-6.0, 6.0, 13)
+    for measure in catalog:
+        grid = tm.tilt_grid(measure, ts)
+        for k, t in enumerate(ts):
+            view = tm.tilt(measure, float(t))
+            assert abs(grid.log_partition[k] - view.log_partition) <= 1e-12
+            assert abs(grid.mean[k] - view.mean()) <= 1e-12
+            assert abs(grid.median[k] - view.median()) <= 1e-12
+
+
+def test_tilt_grid_empty_and_without_medians(std_gaussian):
+    empty = tm.tilt_grid(std_gaussian, [])
+    assert empty.log_partition.size == 0 and empty.median.size == 0
+    grid = tm.tilt_grid(std_gaussian, [1.0, 2.0], median=False)
+    assert grid.median is None and grid.median_error is None
+    assert np.all(np.abs(grid.mean - [1.0, 2.0]) <= 1e-12)
+    with pytest.raises(ValueError):
+        tm.tilt_grid(std_gaussian, [0.0, 9.0])
+
+
+def test_tilt_grid_narrow_measure_uses_adaptive_panels():
+    # sigma = 0.05 is too narrow for the fixed 0.5-wide panels: the panels
+    # that miss tolerance are integrated adaptively, and the results stay exact
+    mu, sigma = 0.3, 0.05
+    measure = tm.build_measure(tm.Gaussian(mu, sigma))
+    ts = np.linspace(-6.0, 6.0, 9)
+    grid = tm.tilt_grid(measure, ts)
+    assert np.all(np.abs(grid.median - (mu + sigma**2 * ts)) <= 1e-10)
+    assert np.all(np.abs(grid.mean - (mu + sigma**2 * ts)) <= 1e-10)
+    assert np.all(np.abs(grid.log_partition - (mu * ts + 0.5 * sigma**2 * ts**2)) <= 1e-10)
+    assert np.all(grid.median_error <= 1e-9)
+
+
+def test_spike_between_panel_nodes():
+    # sigma = 1e-4: the spike at 0.3 falls between the fixed-panel nodes, so
+    # its panel is integrated adaptively, where the running error total
+    # spans ~80 orders of magnitude before it converges
+    mu, sigma = 0.3, 1e-4
+    measure = tm.build_measure(tm.Gaussian(mu, sigma))
+    ts = np.array([0.0, 1.0, 2.0])
+    grid = tm.tilt_grid(measure, ts)
+    assert np.all(np.abs(grid.log_partition - (mu * ts + 0.5 * sigma**2 * ts**2)) <= 1e-8)
+    assert np.all(np.abs(grid.mean - (mu + sigma**2 * ts)) <= 1e-8)
+    # the median solve does not resolve the spike, and its error says so
+    assert np.all(np.abs(grid.median - (mu + sigma**2 * ts)) <= grid.median_error)
