@@ -21,6 +21,7 @@ from .measures import (
     Gaussian,
     GaussianMixture,
     GridFunction,
+    MEASURE_FAMILIES,
     MeasureError,
     MeasureSpec,
     NegativeDensityError,
@@ -46,15 +47,12 @@ from .medianlaw import (
     sign_kernel_residual,
 )
 from .numerics import (
-    BracketError,
     DEFAULT_QUADRATURE,
     DEFAULT_X_TOL,
     NonFiniteIntegrandError,
     QuadratureConfig,
     QuadratureResult,
-    find_root_monotone,
     integrate,
-    log_integrate_exp,
 )
 from .symmetry import (
     QuadraticFit,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseMeasure",
-    "BracketError",
     "ConvolutionSetup",
     "DEFAULT_QUADRATURE",
     "DEFAULT_X_TOL",
@@ -80,6 +77,7 @@ __all__ = [
     "GaussianMixture",
     "GridFunction",
     "IterationTrace",
+    "MEASURE_FAMILIES",
     "MeasureError",
     "MeasureSpec",
     "NegativeDensityError",
@@ -104,7 +102,6 @@ __all__ = [
     "convolution_residual",
     "convolve",
     "default_offsets",
-    "find_root_monotone",
     "fit_quadratic_log_partition",
     "half_line_mgf",
     "integrate",
@@ -112,7 +109,6 @@ __all__ = [
     "kernel",
     "kernel_laplace",
     "lipschitz_bound",
-    "log_integrate_exp",
     "log_partition",
     "mean_median_gap",
     "median_gap",

@@ -22,6 +22,7 @@ failure, 4 output write failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -32,19 +33,14 @@ import numpy as np
 
 from .convolution import ConvolutionSetup, IterationTrace, iterate_fixed_point
 from .measures import (
-    Gaussian,
-    GaussianMixture,
+    MEASURE_FAMILIES,
     MeasureError,
     MeasureSpec,
-    PerturbedCosine,
-    PerturbedQuadratic,
-    Tabulated,
     build_measure,
     sample_to_grid,
 )
 from .medianlaw import DiagnosticReport, lipschitz_bound, scan
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
-from .symmetry import asymmetry_score
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "parse_measure", "run"]
 
@@ -58,13 +54,11 @@ SCAN_COMMANDS = {
     "sign-kernel": "sign_kernel",
     "deriva": "deriva",
     "mean-median": "mean_median",
+    "symmetry-sweep": "symmetry",
 }
-COMMANDS = tuple(SCAN_COMMANDS) + (
-    "symmetry-sweep",
-    "choquet-iterate",
-    "lipschitz",
-    "full-report",
-)
+COMMANDS = tuple(SCAN_COMMANDS) + ("choquet-iterate", "lipschitz", "full-report")
+# the residuals of the median property, one full-report key each
+FULL_REPORT_DIAGNOSTICS = ("deriva", "mean_median", "median_gap", "sign_kernel")
 
 _CHOQUET_X_HALFWIDTH = 60.0
 _CHOQUET_STEP = 0.01
@@ -133,29 +127,26 @@ def parse_measure(text: str) -> MeasureSpec:
         raise ConfigError(
             f"cannot parse measure {text!r}; expected name(arg, ...) such as gaussian(0,1)"
         )
-    name, raw_args = match.group(1), match.group(2)
-    if name == "tabulated":
-        path = raw_args.strip()
-        if not path:
-            raise ConfigError("tabulated(...) needs a file path")
-        return Tabulated(path)
-    try:
-        args = [float(part) for part in raw_args.split(",")] if raw_args.strip() else []
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric argument in measure {text!r}: {exc}") from exc
-    factories = {
-        "gaussian": (Gaussian, 2),
-        "perturbed_cosine": (PerturbedCosine, 1),
-        "perturbed_quadratic": (PerturbedQuadratic, 1),
-        "gaussian_mixture": (GaussianMixture, 5),
-    }
-    if name not in factories:
+    name, raw_args = match.group(1), match.group(2).strip()
+    families = {family.literal: family for family in MEASURE_FAMILIES}
+    if name not in families:
         raise ConfigError(f"unknown measure family {name!r}")
-    factory, arity = factories[name]
-    if len(args) != arity:
-        raise ConfigError(f"{name} takes {arity} arguments, got {len(args)}")
+    family = families[name]
+    fields = dataclasses.fields(family)
+    if not raw_args:
+        args = []
+    elif [field.type for field in fields] == ["str"]:
+        # a lone text argument (a file path) is taken whole, commas included
+        args = [raw_args]
+    else:
+        try:
+            args = [float(part) for part in raw_args.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad numeric argument in measure {text!r}: {exc}") from exc
+    if len(args) != len(fields):
+        raise ConfigError(f"{name} takes {len(fields)} arguments, got {len(args)}")
     try:
-        return factory(*args)
+        return family(*args)
     except ValueError as exc:
         raise ConfigError(f"invalid measure {text!r}: {exc}") from exc
 
@@ -205,22 +196,15 @@ def _report_csv(report: DiagnosticReport) -> str:
 
 
 def _trace_rows(trace: IterationTrace, grid_x_min: float, grid_step: float) -> list[dict]:
-    rows = []
-    final = trace.final_iterate
-    # reconstruct per-step windows from the constant shrink
-    steps_each_side = trace.window_shrink_per_step // 2
-    lo = final.window_lo - steps_each_side * (len(trace.oscillations) - 1)
-    hi = final.window_hi + steps_each_side * (len(trace.oscillations) - 1)
-    for index, osc in enumerate(trace.oscillations):
-        rows.append(
-            {
-                "step": index + 1,
-                "oscillation": osc,
-                "window_lo": grid_x_min + grid_step * (lo + index * steps_each_side),
-                "window_hi": grid_x_min + grid_step * (hi - index * steps_each_side),
-            }
-        )
-    return rows
+    return [
+        {
+            "step": index + 1,
+            "oscillation": osc,
+            "window_lo": grid_x_min + grid_step * lo,
+            "window_hi": grid_x_min + grid_step * hi,
+        }
+        for index, (osc, (lo, hi)) in enumerate(zip(trace.oscillations, trace.windows))
+    ]
 
 
 def _trace_csv(rows: list[dict]) -> str:
@@ -246,33 +230,11 @@ def run(config: ExperimentConfig) -> int:
             else _report_csv(report)
         )
         summary = (report.max_abs_residual, report.argmax_t)
-    elif config.command == "symmetry-sweep":
-        ts = [float(t) for t in config.t_grid()]
-        scores = [asymmetry_score(measure, t, cfg=cfg).asymmetry_score for t in ts]
-        if ts:
-            idx = int(np.argmax(np.abs(scores)))
-            summary_values = (abs(scores[idx]), ts[idx])
-        else:
-            summary_values = (0.0, 0.0)
-        report = DiagnosticReport(
-            name="symmetry",
-            t_grid=tuple(ts),
-            residuals=tuple(scores),
-            error_estimates=tuple(0.0 for _ in ts),
-            max_abs_residual=summary_values[0],
-            argmax_t=summary_values[1],
-        )
-        text = (
-            _to_json(_report_payload(report)) + "\n"
-            if config.output_format == "json"
-            else _report_csv(report)
-        )
-        summary = summary_values
     elif config.command == "full-report":
         payload = {}
         summary = (0.0, 0.0)
         best = -1.0
-        for name in sorted(SCAN_COMMANDS.values()):
+        for name in FULL_REPORT_DIAGNOSTICS:
             report = scan(measure, name, config.t_grid(), cfg)
             payload[name] = _report_payload(report)
             if report.max_abs_residual > best:

@@ -146,11 +146,14 @@ class IterationTrace:
     """Oscillation record of repeated convolution.
 
     ``oscillations[k]`` is max - min of the iterate over its valid window
-    after k+1 applications; the window loses ``window_shrink_per_step`` grid
-    points (both sides combined) per application.
+    after k+1 applications and ``windows[k]`` is that window's
+    ``(window_lo, window_hi)`` indices; the window loses
+    ``window_shrink_per_step`` grid points (both sides combined) per
+    application.
     """
 
     oscillations: tuple[float, ...]
+    windows: tuple[tuple[int, int], ...]
     window_shrink_per_step: int
     final_iterate: GridFunction
 
@@ -166,13 +169,16 @@ def iterate_fixed_point(
     if steps < 1:
         raise ValueError("need at least one step")
     oscillations: list[float] = []
+    windows: list[tuple[int, int]] = []
     current = grid
     for _ in range(steps):
         current = convolve(current, setup)
         window = current.window_values()
         oscillations.append(float(window.max() - window.min()))
+        windows.append((current.window_lo, current.window_hi))
     return IterationTrace(
         oscillations=tuple(oscillations),
+        windows=tuple(windows),
         window_shrink_per_step=2 * setup.kernel_steps(),
         final_iterate=current,
     )

@@ -6,13 +6,18 @@ factor stored in log domain (``-inf`` marking zeros of ``g``).  The catalog
 covers four closed-form families plus densities tabulated in a text file;
 all of them keep the two-sided Laplace transform finite for every real
 argument, which is the standing assumption behind exponential tilting.
+
+Each family is defined once, as a spec dataclass that carries its literal
+name on the command line (its arguments are the dataclass fields), the
+builder of its ``log_g`` and truncation window, and its closed-form log
+Laplace transform.  ``MEASURE_FAMILIES`` lists them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -23,6 +28,7 @@ __all__ = [
     "Gaussian",
     "GaussianMixture",
     "GridFunction",
+    "MEASURE_FAMILIES",
     "MeasureError",
     "MeasureSpec",
     "NegativeDensityError",
@@ -40,7 +46,6 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _NORMALIZATION_TOL = 1e-10
 _DENSITY_SCAN_POINTS = 4001
-_TAIL_MASS_SIGMAS = 8.5  # two-sided normal tail beyond 8.5 sd is < 1e-14
 
 
 class MeasureError(Exception):
@@ -60,9 +65,41 @@ class TailViolationError(MeasureError):
 
 
 @dataclass(frozen=True)
+class BaseMeasure:
+    """A validated base measure with density ``exp(log_g(x)) * phi(x)``.
+
+    Integrals against the tilt-t reweighting are truncated to ``[-h, h]``
+    with ``h = window_offset + base * window_scale + tilt_gain * |t|``: the
+    window grows with |t| because tilting by t recenters a
+    Gaussian-enveloped density by (envelope sd)^2 per unit of t.
+    """
+
+    spec: MeasureSpec
+    log_g: Callable[[np.ndarray], np.ndarray]
+    window_offset: float = 0.0
+    window_scale: float = 1.0
+    tilt_gain: float = 1.0
+
+    def g(self, x) -> np.ndarray:
+        return np.exp(self.log_g(np.asarray(x, dtype=float)))
+
+    def log_pdf(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return self.log_g(x) - 0.5 * x**2 - LOG_SQRT_2PI
+
+    def pdf(self, x) -> np.ndarray:
+        return np.exp(self.log_pdf(x))
+
+    def window_halfwidth(self, t: float = 0.0, base: float = 12.0) -> float:
+        """Truncation halfwidth for integrals against the tilt-t reweighting."""
+        return self.window_offset + base * self.window_scale + self.tilt_gain * abs(t)
+
+
+@dataclass(frozen=True)
 class Gaussian:
     """Normal law N(mu, sigma^2)."""
 
+    literal: ClassVar[str] = "gaussian"
     mu: float
     sigma: float
 
@@ -70,33 +107,78 @@ class Gaussian:
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
+    def _build(self, cfg: QuadratureConfig) -> BaseMeasure:
+        mu, sigma, log_sigma = self.mu, self.sigma, math.log(self.sigma)
+
+        def log_g(x: np.ndarray) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            return 0.5 * x**2 - 0.5 * ((x - mu) / sigma) ** 2 - log_sigma
+
+        return BaseMeasure(
+            self, log_g, window_offset=abs(mu), window_scale=sigma, tilt_gain=sigma**2
+        )
+
+    def closed_form_log_partition(self, t: float) -> float:
+        return self.mu * t + 0.5 * (self.sigma * t) ** 2
+
 
 @dataclass(frozen=True)
 class PerturbedCosine:
     """Density ratio proportional to 1 + eps*cos(x)."""
 
+    literal: ClassVar[str] = "perturbed_cosine"
     eps: float
 
     def __post_init__(self) -> None:
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
+
+    def _build(self, cfg: QuadratureConfig) -> BaseMeasure:
+        eps, log_norm = self.eps, math.log1p(self.eps * math.exp(-0.5))
+
+        def log_g(x: np.ndarray) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            # log of a negative ratio yields nan, which construction-time
+            # validation turns into NegativeDensityError
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.log(1.0 + eps * np.cos(x)) - log_norm
+
+        return BaseMeasure(self, log_g)
+
+    def closed_form_log_partition(self, t: float) -> float:
+        scaled = self.eps * math.exp(-0.5)
+        return 0.5 * t * t + math.log1p(scaled * math.cos(t)) - math.log1p(scaled)
 
 
 @dataclass(frozen=True)
 class PerturbedQuadratic:
     """Density ratio proportional to 1 + eps*x^2."""
 
+    literal: ClassVar[str] = "perturbed_quadratic"
     eps: float
 
     def __post_init__(self) -> None:
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
 
+    def _build(self, cfg: QuadratureConfig) -> BaseMeasure:
+        eps, log_norm = self.eps, math.log1p(self.eps)
+
+        def log_g(x: np.ndarray) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            return np.log1p(eps * x**2) - log_norm
+
+        return BaseMeasure(self, log_g)
+
+    def closed_form_log_partition(self, t: float) -> float:
+        return 0.5 * t * t + math.log1p(self.eps * (1.0 + t * t)) - math.log1p(self.eps)
+
 
 @dataclass(frozen=True)
 class GaussianMixture:
     """Two-component normal mixture: weight on the first component."""
 
+    literal: ClassVar[str] = "gaussian_mixture"
     weight: float
     mu1: float
     sigma1: float
@@ -109,6 +191,35 @@ class GaussianMixture:
         if not (self.sigma1 > 0 and self.sigma2 > 0):
             raise ValueError("component sigmas must be positive")
 
+    def _log_weights(self) -> tuple[float, float]:
+        log_w1 = math.log(self.weight) if self.weight > 0 else -math.inf
+        log_w2 = math.log1p(-self.weight) if self.weight < 1 else -math.inf
+        return log_w1, log_w2
+
+    def _build(self, cfg: QuadratureConfig) -> BaseMeasure:
+        log_w1, log_w2 = self._log_weights()
+
+        def log_g(x: np.ndarray) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            a = log_w1 - 0.5 * ((x - self.mu1) / self.sigma1) ** 2 - math.log(self.sigma1)
+            b = log_w2 - 0.5 * ((x - self.mu2) / self.sigma2) ** 2 - math.log(self.sigma2)
+            return np.logaddexp(a, b) + 0.5 * x**2
+
+        sigma = max(self.sigma1, self.sigma2)
+        return BaseMeasure(
+            self,
+            log_g,
+            window_offset=max(abs(self.mu1), abs(self.mu2)),
+            window_scale=sigma,
+            tilt_gain=sigma**2,
+        )
+
+    def closed_form_log_partition(self, t: float) -> float:
+        log_w1, log_w2 = self._log_weights()
+        a = log_w1 + self.mu1 * t + 0.5 * (self.sigma1 * t) ** 2
+        b = log_w2 + self.mu2 * t + 0.5 * (self.sigma2 * t) ** 2
+        return float(np.logaddexp(a, b))
+
 
 @dataclass(frozen=True)
 class Tabulated:
@@ -118,12 +229,45 @@ class Tabulated:
     increasing x, nonnegative values; lines starting with '#' are ignored.
     The ratio is interpolated linearly inside the tabulated range, set to
     zero outside it, and renormalized so the density integrates to one.
+    Integrals are truncated to the table range whatever the tilt.
     """
 
+    literal: ClassVar[str] = "tabulated"
     path: str
 
+    def _build(self, cfg: QuadratureConfig) -> BaseMeasure:
+        xs, gs = _load_table(self.path)
+        if np.any(gs < 0):
+            bad = xs[gs < 0][0]
+            raise NegativeDensityError(f"tabulated ratio negative at x={bad!r}")
+        _check_table_tails(xs, gs)
+        mass = integrate(
+            lambda x: np.interp(x, xs, gs, left=0.0, right=0.0)
+            * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2 - LOG_SQRT_2PI),
+            (float(xs[0]), float(xs[-1])),
+            cfg,
+        ).value
+        if not mass > 1e-300:
+            raise NotNormalizableError("tabulated density has zero total mass")
+        ratio = gs / mass
 
-MeasureSpec = Union[Gaussian, PerturbedCosine, PerturbedQuadratic, GaussianMixture, Tabulated]
+        def log_g(x: np.ndarray) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            vals = np.interp(x, xs, ratio, left=0.0, right=0.0)
+            with np.errstate(divide="ignore"):
+                return np.log(vals)
+
+        halfwidth = float(max(abs(xs[0]), abs(xs[-1])))
+        return BaseMeasure(
+            self, log_g, window_offset=halfwidth, window_scale=0.0, tilt_gain=0.0
+        )
+
+    def closed_form_log_partition(self, t: float) -> None:
+        return None
+
+
+MEASURE_FAMILIES = (Gaussian, PerturbedCosine, PerturbedQuadratic, GaussianMixture, Tabulated)
+MeasureSpec = Union[MEASURE_FAMILIES]
 
 
 @dataclass(frozen=True)
@@ -165,89 +309,6 @@ class GridFunction:
 
     def window_values(self) -> np.ndarray:
         return self.values[self.window_lo : self.window_hi + 1]
-
-
-@dataclass(frozen=True)
-class BaseMeasure:
-    """A validated base measure with density ``exp(log_g(x)) * phi(x)``.
-
-    ``support_halfwidth`` is a radius outside which the base measure carries
-    mass below 1e-14.  The remaining fields size integration windows for
-    tilted integrals: the window grows like ``tilt_gain * |t|`` because
-    tilting by t recenters a Gaussian-enveloped density by (envelope sd)^2
-    per unit of t.
-    """
-
-    spec: MeasureSpec
-    log_g: Callable[[np.ndarray], np.ndarray]
-    support_halfwidth: float
-    has_closed_form_L: bool
-    window_scale: float = 1.0
-    window_offset: float = 0.0
-    tilt_gain: float = 1.0
-    window_fixed: bool = False
-
-    def g(self, x) -> np.ndarray:
-        return np.exp(self.log_g(np.asarray(x, dtype=float)))
-
-    def log_pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.log_g(x) - 0.5 * x**2 - LOG_SQRT_2PI
-
-    def pdf(self, x) -> np.ndarray:
-        return np.exp(self.log_pdf(x))
-
-    def window_halfwidth(self, t: float = 0.0, base: float = 12.0) -> float:
-        """Truncation halfwidth for integrals against the tilt-t reweighting."""
-        if self.window_fixed:
-            return self.support_halfwidth
-        return self.window_offset + base * self.window_scale + self.tilt_gain * abs(t)
-
-
-def _log_g_gaussian(mu: float, sigma: float) -> Callable[[np.ndarray], np.ndarray]:
-    log_sigma = math.log(sigma)
-
-    def log_g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return 0.5 * x**2 - 0.5 * ((x - mu) / sigma) ** 2 - log_sigma
-
-    return log_g
-
-
-def _log_g_perturbed_cosine(eps: float) -> Callable[[np.ndarray], np.ndarray]:
-    log_norm = math.log1p(eps * math.exp(-0.5))
-
-    def log_g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        # log of a negative ratio yields nan, which construction-time
-        # validation turns into NegativeDensityError
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(1.0 + eps * np.cos(x)) - log_norm
-
-    return log_g
-
-
-def _log_g_perturbed_quadratic(eps: float) -> Callable[[np.ndarray], np.ndarray]:
-    log_norm = math.log1p(eps)
-
-    def log_g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.log1p(eps * x**2) - log_norm
-
-    return log_g
-
-
-def _log_g_mixture(spec: GaussianMixture) -> Callable[[np.ndarray], np.ndarray]:
-    log_w1 = math.log(spec.weight) if spec.weight > 0 else -math.inf
-    log_w2 = math.log1p(-spec.weight) if spec.weight < 1 else -math.inf
-
-    def log_g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        a = log_w1 - 0.5 * ((x - spec.mu1) / spec.sigma1) ** 2 - math.log(spec.sigma1)
-        b = log_w2 - 0.5 * ((x - spec.mu2) / spec.sigma2) ** 2 - math.log(spec.sigma2)
-        return np.logaddexp(a, b) + 0.5 * x**2
-
-    return log_g
 
 
 def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -303,16 +364,6 @@ def _check_table_tails(xs: np.ndarray, gs: np.ndarray) -> None:
         )
 
 
-def _log_g_tabulated(xs: np.ndarray, gs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    def log_g(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        vals = np.interp(x, xs, gs, left=0.0, right=0.0)
-        with np.errstate(divide="ignore"):
-            return np.log(vals)
-
-    return log_g
-
-
 def build_measure(spec: MeasureSpec, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> BaseMeasure:
     """Construct and validate a ``BaseMeasure`` from its declarative spec.
 
@@ -321,69 +372,15 @@ def build_measure(spec: MeasureSpec, cfg: QuadratureConfig = DEFAULT_QUADRATURE)
     is renormalized before the mass check and additionally screened for
     super-Gaussian growth at the table edges.
     """
-    if isinstance(spec, Gaussian):
-        measure = BaseMeasure(
-            spec=spec,
-            log_g=_log_g_gaussian(spec.mu, spec.sigma),
-            support_halfwidth=abs(spec.mu) + _TAIL_MASS_SIGMAS * spec.sigma,
-            has_closed_form_L=True,
-            window_scale=spec.sigma,
-            window_offset=abs(spec.mu),
-            tilt_gain=spec.sigma**2,
-        )
-    elif isinstance(spec, PerturbedCosine):
-        measure = BaseMeasure(
-            spec=spec,
-            log_g=_log_g_perturbed_cosine(spec.eps),
-            support_halfwidth=9.0,
-            has_closed_form_L=True,
-        )
-    elif isinstance(spec, PerturbedQuadratic):
-        measure = BaseMeasure(
-            spec=spec,
-            log_g=_log_g_perturbed_quadratic(spec.eps),
-            support_halfwidth=9.0,
-            has_closed_form_L=True,
-        )
-    elif isinstance(spec, GaussianMixture):
-        measure = BaseMeasure(
-            spec=spec,
-            log_g=_log_g_mixture(spec),
-            support_halfwidth=max(
-                abs(spec.mu1) + _TAIL_MASS_SIGMAS * spec.sigma1,
-                abs(spec.mu2) + _TAIL_MASS_SIGMAS * spec.sigma2,
-            ),
-            has_closed_form_L=True,
-            window_scale=max(spec.sigma1, spec.sigma2),
-            window_offset=max(abs(spec.mu1), abs(spec.mu2)),
-            tilt_gain=max(spec.sigma1, spec.sigma2) ** 2,
-        )
-    elif isinstance(spec, Tabulated):
-        xs, gs = _load_table(spec.path)
-        if np.any(gs < 0):
-            bad = xs[gs < 0][0]
-            raise NegativeDensityError(f"tabulated ratio negative at x={bad!r}")
-        _check_table_tails(xs, gs)
-        mass = integrate(
-            lambda x: np.interp(x, xs, gs, left=0.0, right=0.0)
-            * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2 - LOG_SQRT_2PI),
-            (float(xs[0]), float(xs[-1])),
-            cfg,
-        ).value
-        if not mass > 1e-300:
-            raise NotNormalizableError("tabulated density has zero total mass")
-        measure = BaseMeasure(
-            spec=spec,
-            log_g=_log_g_tabulated(xs, gs / mass),
-            support_halfwidth=float(max(abs(xs[0]), abs(xs[-1]))),
-            has_closed_form_L=False,
-            window_fixed=True,
-        )
-    else:
-        raise TypeError(f"unknown measure spec {spec!r}")
-
+    _check_family(spec)
+    measure = spec._build(cfg)
     _validate(measure, cfg)
     return measure
+
+
+def _check_family(spec: MeasureSpec) -> None:
+    if type(spec) not in MEASURE_FAMILIES:
+        raise TypeError(f"unknown measure spec {spec!r}")
 
 
 def _validate(measure: BaseMeasure, cfg: QuadratureConfig) -> None:
@@ -403,23 +400,8 @@ def _validate(measure: BaseMeasure, cfg: QuadratureConfig) -> None:
 
 def closed_form_log_partition(spec: MeasureSpec, t: float) -> float | None:
     """Exact log Laplace transform for catalog families, None for tabulated."""
-    t = float(t)
-    if isinstance(spec, Gaussian):
-        return spec.mu * t + 0.5 * (spec.sigma * t) ** 2
-    if isinstance(spec, PerturbedCosine):
-        scaled = spec.eps * math.exp(-0.5)
-        return 0.5 * t * t + math.log1p(scaled * math.cos(t)) - math.log1p(scaled)
-    if isinstance(spec, PerturbedQuadratic):
-        return 0.5 * t * t + math.log1p(spec.eps * (1.0 + t * t)) - math.log1p(spec.eps)
-    if isinstance(spec, GaussianMixture):
-        log_w1 = math.log(spec.weight) if spec.weight > 0 else -math.inf
-        log_w2 = math.log1p(-spec.weight) if spec.weight < 1 else -math.inf
-        a = log_w1 + spec.mu1 * t + 0.5 * (spec.sigma1 * t) ** 2
-        b = log_w2 + spec.mu2 * t + 0.5 * (spec.sigma2 * t) ** 2
-        return float(np.logaddexp(a, b))
-    if isinstance(spec, Tabulated):
-        return None
-    raise TypeError(f"unknown measure spec {spec!r}")
+    _check_family(spec)
+    return spec.closed_form_log_partition(float(t))
 
 
 def sample_to_grid(measure: BaseMeasure, x_min: float, x_max: float, n: int) -> GridFunction:

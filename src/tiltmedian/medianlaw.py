@@ -13,6 +13,8 @@ ordinary grid resolution.
   point of smoothing by the kernel ``|y| * exp(-y^2/2) / 2``.
 - ``mean_median_gap``: tilted median minus tilted mean, a purely exploratory
   companion diagnostic.
+- ``symmetry`` (``scan`` only): largest pointwise asymmetry of the tilted
+  density about its mean, see ``symmetry.asymmetry_score``.
 - ``lipschitz_bound``: an explicit local Lipschitz constant for the
   distribution function of the base measure.
 """
@@ -27,6 +29,7 @@ import numpy as np
 
 from .measures import BaseMeasure, LOG_SQRT_2PI
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .symmetry import _asymmetry_grid, default_offsets
 from .tilting import T_MAX, tilt_grid
 
 __all__ = [
@@ -42,7 +45,7 @@ __all__ = [
     "sign_kernel_residual",
 ]
 
-DIAGNOSTIC_NAMES = ("median_gap", "sign_kernel", "deriva", "mean_median")
+DIAGNOSTIC_NAMES = ("median_gap", "sign_kernel", "deriva", "mean_median", "symmetry")
 
 
 class UnknownDiagnosticError(ValueError):
@@ -84,6 +87,11 @@ def _median_gap(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
 def _mean_median(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
     grid = tilt_grid(m, ts, cfg)
     return grid.median - grid.mean, grid.median_error + grid.mean_error
+
+
+def _symmetry(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
+    # the score gets no error estimate: 0 is reported
+    return _asymmetry_grid(m, ts, default_offsets(), cfg)[1], np.zeros(ts.size)
 
 
 def _sign_kernel(m: BaseMeasure, t: float, cfg: QuadratureConfig) -> tuple[float, float]:
@@ -135,12 +143,14 @@ def _pointwise(
 
 
 # each evaluator maps a tilt grid to (residuals, error estimates); the
-# median-based ones take the whole grid through one tilt-grid engine pass
+# median-based ones and symmetry take the whole grid through one tilt-grid
+# engine pass
 _EVALUATORS: dict[str, _Evaluator] = {
     "median_gap": _median_gap,
     "sign_kernel": _pointwise(_sign_kernel),
     "deriva": _pointwise(_convolution),
     "mean_median": _mean_median,
+    "symmetry": _symmetry,
 }
 
 

@@ -1,4 +1,4 @@
-"""Quadrature and root-finding primitives for Gaussian-dominated integrands.
+"""Quadrature primitives for Gaussian-dominated integrands.
 
 The integration scheme is adaptive Gauss-Kronrod 15(7): the working window is
 cut into panels of at most ~2 units, each panel gets a 15-point Kronrod
@@ -27,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "BracketError",
     "NonFiniteIntegrandError",
     "QuadratureConfig",
     "QuadratureResult",
@@ -35,10 +34,8 @@ __all__ = [
     "DEFAULT_X_TOL",
     "FIXED_PANEL_WIDTH",
     "anchored_edges",
-    "find_root_monotone",
     "integrate",
     "kronrod_sums",
-    "log_integrate_exp",
     "panel_nodes",
 ]
 
@@ -91,10 +88,6 @@ ROUNDING_FLOOR = 1.2e-16
 
 class NonFiniteIntegrandError(ValueError):
     """The integrand produced nan or +/-inf inside the window."""
-
-
-class BracketError(ValueError):
-    """The root bracket does not straddle the target value."""
 
 
 @dataclass(frozen=True)
@@ -244,108 +237,3 @@ def integrate(
         splits += 1
 
     return QuadratureResult(total, total_err, evaluations, tolerance_met=True)
-
-
-def log_integrate_exp(
-    logf: Callable[[np.ndarray], np.ndarray],
-    window: tuple[float, float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    scan_points: int = 513,
-) -> float:
-    """Return ``log`` of the integral of ``exp(logf)`` over ``window``.
-
-    The exponent is shifted by its maximum over a scan grid before
-    exponentiating, so integrands like tilted Gaussian kernels whose direct
-    values overflow are handled exactly up to the shift.  ``logf`` may return
-    ``-inf`` where the underlying factor vanishes; ``+inf`` and ``nan`` are
-    rejected.
-    """
-    a, b = float(window[0]), float(window[1])
-    if not a < b:
-        raise ValueError(f"window must satisfy a < b, got [{a}, {b}]")
-    xs = np.linspace(a, b, scan_points)
-    ys = np.asarray(logf(xs), dtype=float)
-    if np.any(np.isnan(ys)) or np.any(np.isposinf(ys)):
-        bad = xs[np.isnan(ys) | np.isposinf(ys)][0]
-        raise NonFiniteIntegrandError(f"log-integrand is nan or +inf at x={bad!r}")
-    shift = float(np.max(ys))
-    if shift == -math.inf:
-        return -math.inf
-
-    def shifted(x: np.ndarray) -> np.ndarray:
-        values = np.asarray(logf(x), dtype=float)
-        if np.any(np.isnan(values)) or np.any(np.isposinf(values)):
-            bad = x[np.isnan(values) | np.isposinf(values)][0]
-            raise NonFiniteIntegrandError(f"log-integrand is nan or +inf at x={bad!r}")
-        return np.exp(values - shift)
-
-    result = integrate(shifted, (a, b), cfg)
-    if result.value <= 0.0:
-        return -math.inf
-    return shift + math.log(result.value)
-
-
-def find_root_monotone(
-    F: Callable[[float], float],
-    target: float,
-    bracket: tuple[float, float],
-    x_tol: float = DEFAULT_X_TOL,
-) -> float:
-    """Bisect a nondecreasing function to ``F(x) = target``.
-
-    When the function is flat at the target level the midpoint of the flat
-    stretch is returned, which matches the usual convention for medians of
-    distributions with zero-mass intervals.
-    """
-    if x_tol <= 0:
-        raise ValueError("x_tol must be positive")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise BracketError(f"bracket must satisfy lo < hi, got [{lo}, {hi}]")
-    f_lo = F(lo)
-    f_hi = F(hi)
-    if not (f_lo <= target <= f_hi):
-        raise BracketError(
-            f"target {target!r} not bracketed: F({lo!r})={f_lo!r}, F({hi!r})={f_hi!r}"
-        )
-    while hi - lo > 2.0 * x_tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = F(mid)
-        if fm < target:
-            lo = mid
-        elif fm > target:
-            hi = mid
-        else:
-            left = _plateau_edge(F, target, lo, mid, x_tol, lower=True)
-            right = _plateau_edge(F, target, mid, hi, x_tol, lower=False)
-            return 0.5 * (left + right)
-    return 0.5 * (lo + hi)
-
-
-def _plateau_edge(
-    F: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    x_tol: float,
-    lower: bool,
-) -> float:
-    """Locate one edge of a flat stretch where F equals target exactly."""
-    while hi - lo > 2.0 * x_tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = F(mid)
-        if lower:
-            if fm < target:
-                lo = mid
-            else:
-                hi = mid
-        else:
-            if fm > target:
-                hi = mid
-            else:
-                lo = mid
-    return 0.5 * (lo + hi)

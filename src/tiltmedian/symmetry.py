@@ -16,7 +16,7 @@ import numpy as np
 
 from .measures import BaseMeasure
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
-from .tilting import tilt, tilt_grid
+from .tilting import tilt_grid
 
 __all__ = [
     "QuadraticFit",
@@ -55,18 +55,36 @@ def asymmetry_score(
 ) -> SymmetryReport:
     """Max over offsets u of |pdf(center+u) - pdf(center-u)| for the tilt-t law."""
     offs = default_offsets() if offsets is None else np.asarray(offsets, dtype=float)
+    centers, scores = _asymmetry_grid(m, np.array([float(t)]), offs, cfg)
+    return SymmetryReport(
+        t=float(t),
+        center=float(centers[0]),
+        asymmetry_score=float(scores[0]),
+        offsets_tested=int(offs.size),
+    )
+
+
+def _asymmetry_grid(
+    m: BaseMeasure, ts: np.ndarray, offs: np.ndarray, cfg: QuadratureConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tilted means and asymmetry scores for every t in the grid, from one engine pass."""
     if offs.size == 0 or np.any(offs <= 0):
         raise ValueError("offsets must be positive")
-    view = tilt(m, t, cfg)
-    center = view.mean()
+    grid = tilt_grid(m, ts, cfg, median=False)
+    if not np.all(np.isfinite(grid.log_partition)):
+        raise ValueError("log_partition must be finite")
+    halfwidths = np.array([m.window_halfwidth(t, cfg.truncation_halfwidth) for t in ts])
     # slack covers quadrature fuzz on the center when an offset lands
     # exactly on the truncation edge
-    if abs(center) + float(offs.max()) > view.window_halfwidth() + 1e-9:
+    if np.any(np.abs(grid.mean) + float(offs.max()) > halfwidths + 1e-9):
         raise ValueError("offsets reach beyond the truncation window")
-    score = float(np.max(np.abs(view.pdf(center + offs) - view.pdf(center - offs))))
-    return SymmetryReport(
-        t=float(t), center=center, asymmetry_score=score, offsets_tested=int(offs.size)
-    )
+    t, log_l, centers = ts[:, None], grid.log_partition[:, None], grid.mean[:, None]
+
+    def tilted_pdf(x: np.ndarray) -> np.ndarray:
+        return np.exp(t * x + m.log_pdf(x) - log_l)
+
+    scores = np.max(np.abs(tilted_pdf(centers + offs) - tilted_pdf(centers - offs)), axis=1)
+    return grid.mean, scores
 
 
 def midpoint_residual(
@@ -75,10 +93,8 @@ def midpoint_residual(
     """m(t+s) + m(t-s) - 2*m(t) for the tilted mean; zero iff the mean is locally affine."""
     if s == 0.0:
         return 0.0
-    mean_up = tilt(m, t + s, cfg).mean()
-    mean_down = tilt(m, t - s, cfg).mean()
-    mean_mid = tilt(m, t, cfg).mean()
-    return mean_up + mean_down - 2.0 * mean_mid
+    mean_up, mean_down, mean_mid = tilt_grid(m, [t + s, t - s, t], cfg, median=False).mean
+    return float(mean_up + mean_down - 2.0 * mean_mid)
 
 
 @dataclass(frozen=True)

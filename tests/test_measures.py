@@ -14,7 +14,7 @@ COSINE_HALF_RATIO_AT_ZERO = 1.1509551935716522
 def test_gaussian_unit_ratio(std_gaussian):
     xs = np.linspace(-8.0, 8.0, 33)
     assert np.max(np.abs(std_gaussian.g(xs) - 1.0)) <= 1e-14
-    assert std_gaussian.has_closed_form_L
+    assert tm.closed_form_log_partition(std_gaussian.spec, 0.0) is not None
 
 
 def test_cosine_normalization(cosine_half):
@@ -125,8 +125,9 @@ def test_tabulated_renormalized(tmp_path):
     assert abs(mass.value - 1.0) <= 1e-10
     # zero outside the tabulated range
     assert measure.g(np.array([6.5, -7.0])).max() == 0.0
-    assert not measure.has_closed_form_L
-    assert measure.support_halfwidth == 6.0
+    assert tm.closed_form_log_partition(measure.spec, 0.0) is None
+    for t in (-8.0, -1.5, 0.0, 2.0, 8.0):
+        assert measure.window_halfwidth(t) == 6.0
 
 
 def test_tabulated_linear_interpolation(tmp_path):

@@ -89,8 +89,6 @@ def test_convolution_residual_scaled_constant_ratio():
     constant = tm.BaseMeasure(
         spec=tm.Gaussian(0.0, 1.0),
         log_g=lambda x: np.full_like(np.asarray(x, dtype=float), math.log(0.7)),
-        support_halfwidth=9.0,
-        has_closed_form_L=False,
     )
     for t in (-2.0, 0.0, 3.0):
         assert abs(tm.convolution_residual(constant, t)) <= 1e-9

@@ -7,13 +7,10 @@ import pytest
 
 import oracles
 from tiltmedian import (
-    BracketError,
     NonFiniteIntegrandError,
     QuadratureConfig,
     QuadratureResult,
-    find_root_monotone,
     integrate,
-    log_integrate_exp,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -21,10 +18,6 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def phi(x):
     return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / SQRT_2PI
-
-
-def std_normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def test_normal_density_integrates_to_one():
@@ -114,92 +107,3 @@ def test_result_validation():
         QuadratureResult(value=1.0, abs_error_estimate=-1.0, evaluations=15)
     with pytest.raises(ValueError):
         QuadratureResult(value=1.0, abs_error_estimate=0.0, evaluations=0)
-
-
-def test_log_integrate_exp_shifted_gaussian_peak():
-    # exp(20x) against the standard normal density: log-integral is 200
-    logf = lambda x: -0.5 * np.asarray(x, dtype=float) ** 2 - math.log(SQRT_2PI) + 20.0 * np.asarray(x, dtype=float)
-    assert abs(log_integrate_exp(logf, (-30.0, 50.0)) - 200.0) <= 1e-8
-
-
-def test_log_integrate_exp_log_density():
-    logf = lambda x: -0.5 * np.asarray(x, dtype=float) ** 2 - math.log(SQRT_2PI)
-    assert abs(log_integrate_exp(logf, (-10.0, 10.0))) <= 1e-12
-
-
-def test_log_integrate_exp_constant():
-    for c in (-3.0, 0.0, 250.0):
-        logf = lambda x, c=c: np.full_like(np.asarray(x, dtype=float), c)
-        assert abs(log_integrate_exp(logf, (0.0, 1.0)) - c) <= 1e-14
-
-
-def test_log_integrate_exp_matches_direct():
-    logf = lambda x: np.cos(np.asarray(x, dtype=float)) - 0.1 * np.asarray(x, dtype=float) ** 2
-    direct = math.log(integrate(lambda x: np.exp(logf(x)), (-8.0, 8.0)).value)
-    assert abs(log_integrate_exp(logf, (-8.0, 8.0)) - direct) <= 1e-10
-
-
-def test_log_integrate_exp_all_minus_inf():
-    logf = lambda x: np.full_like(np.asarray(x, dtype=float), -np.inf)
-    assert log_integrate_exp(logf, (0.0, 1.0)) == -math.inf
-
-
-def test_log_integrate_exp_rejects_nan():
-    logf = lambda x: np.full_like(np.asarray(x, dtype=float), np.nan)
-    with pytest.raises(NonFiniteIntegrandError):
-        log_integrate_exp(logf, (0.0, 1.0))
-
-
-def test_root_standard_normal_median():
-    root = find_root_monotone(std_normal_cdf, 0.5, (-5.0, 5.0), 1e-10)
-    assert abs(root) <= 1e-10
-
-
-def test_root_identity():
-    root = find_root_monotone(lambda x: x, 0.25, (0.0, 1.0), 1e-10)
-    assert abs(root - 0.25) <= 1e-10
-
-
-def test_root_shifted_cdf_matches_grid_inversion():
-    target = 0.5
-    root = find_root_monotone(lambda x: std_normal_cdf(x - 3.0), target, (-10.0, 10.0), 1e-10)
-    # dense-grid inversion of the same function as an independent check
-    xs = np.linspace(-10.0, 10.0, 2_000_001)
-    values = 0.5 * (1.0 + np.array([math.erf(v) for v in (xs - 3.0) / math.sqrt(2.0)]))
-    k = int(np.searchsorted(values, target))
-    frac = (target - values[k - 1]) / (values[k] - values[k - 1])
-    grid_root = xs[k - 1] + frac * (xs[1] - xs[0])
-    assert abs(root - 3.0) <= 1e-10
-    assert abs(root - grid_root) <= 1e-9
-
-
-def test_root_bracket_invalid():
-    with pytest.raises(BracketError):
-        find_root_monotone(lambda x: x, 2.0, (0.0, 1.0), 1e-10)
-    with pytest.raises(BracketError):
-        find_root_monotone(lambda x: x, 0.5, (1.0, 0.0), 1e-10)
-
-
-def test_root_flat_plateau_returns_midpoint():
-    def staircase(x: float) -> float:
-        if x < 1.0:
-            return 0.0
-        if x <= 2.0:
-            return 0.5
-        return 1.0
-
-    root = find_root_monotone(staircase, 0.5, (-5.0, 5.0), 1e-9)
-    assert abs(root - 1.5) <= 5e-9
-
-
-def test_root_residual_bounded_by_modulus():
-    # F is 0.5-Lipschitz, so the residual is at most 0.5 * x_tol (plus float noise)
-    F = lambda x: 0.4 * x + 0.1 * math.tanh(x)
-    x_tol = 1e-8
-    root = find_root_monotone(F, 0.123, (-10.0, 10.0), x_tol)
-    assert abs(F(root) - 0.123) <= 0.5 * x_tol + 1e-14
-
-
-def test_root_xtol_validation():
-    with pytest.raises(ValueError):
-        find_root_monotone(lambda x: x, 0.5, (0.0, 1.0), 0.0)

@@ -5,10 +5,14 @@ N(mu + sigma^2 t, sigma^2) and log L(t) = mu t + sigma^2 t^2 / 2.
 Below sigma of about 0.1 the fixed 0.5-wide panels miss the quadrature
 tolerance near the peak, so the drawn range covers both the fixed-panel
 path and the per-panel adaptive fallback.
+
+Also: measure literals round-trip through ``parse_measure``, and reflecting
+a base measure (g(x) -> g(-x)) maps each residual at t to the residual at -t.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -16,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiltmedian as tm
+from tiltmedian.cli import parse_measure
 
 MUS = st.floats(min_value=-1.0, max_value=1.0)
 SIGMAS = st.floats(min_value=0.02, max_value=1.5)
@@ -54,3 +59,61 @@ def test_batched_scan_matches_single_median(mu, sigma, t):
     single = tm.tilt(measure, t).median()
     assert abs(report.residuals[2] + t - single) <= 1e-12
     assert np.all(np.isfinite(report.error_estimates))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+# file paths are taken whole, so commas and parentheses must survive
+PATHS = st.text(alphabet="abz09_-./,()", min_size=1)
+SPECS = {
+    tm.Gaussian: st.builds(tm.Gaussian, FINITE, POSITIVE),
+    tm.PerturbedCosine: st.builds(tm.PerturbedCosine, NONNEGATIVE),
+    tm.PerturbedQuadratic: st.builds(tm.PerturbedQuadratic, NONNEGATIVE),
+    tm.GaussianMixture: st.builds(tm.GaussianMixture, UNIT, FINITE, POSITIVE, FINITE, POSITIVE),
+    tm.Tabulated: st.builds(tm.Tabulated, PATHS),
+}
+
+
+@PROPERTY
+@given(spec=st.sampled_from(tm.MEASURE_FAMILIES).flatmap(lambda family: SPECS[family]))
+def test_parse_measure_round_trips(spec):
+    args = [getattr(spec, field.name) for field in dataclasses.fields(spec)]
+    text = f"{spec.literal}({','.join(a if isinstance(a, str) else repr(a) for a in args)})"
+    assert parse_measure(text) == spec
+
+
+# residual at t of the reflected measure = sign * residual at -t of the original
+REFLECTION_SIGNS = {
+    "median_gap": -1.0,
+    "sign_kernel": -1.0,
+    "mean_median": -1.0,
+    "deriva": 1.0,
+    "symmetry": 1.0,
+}
+# sigma >= 0.5 keeps the symmetry offsets (up to 6) inside the truncation window
+WIDE_SIGMAS = st.floats(min_value=0.5, max_value=1.5)
+NORMAL_SPECS = st.one_of(
+    st.builds(tm.Gaussian, MUS, WIDE_SIGMAS),
+    st.builds(
+        tm.GaussianMixture,
+        st.floats(min_value=0.1, max_value=0.9),
+        MUS,
+        WIDE_SIGMAS,
+        MUS,
+        WIDE_SIGMAS,
+    ),
+)
+
+
+@PROPERTY
+@given(spec=NORMAL_SPECS, t=TILTS)
+def test_reflection_maps_residuals(spec, t):
+    mus = [f.name for f in dataclasses.fields(spec) if f.name.startswith("mu")]
+    mirror = dataclasses.replace(spec, **{name: -getattr(spec, name) for name in mus})
+    measure, mirrored = tm.build_measure(spec), tm.build_measure(mirror)
+    for name, sign in REFLECTION_SIGNS.items():
+        residual = tm.scan(measure, name, [-t]).residuals[0]
+        reflected = tm.scan(mirrored, name, [t]).residuals[0]
+        assert abs(reflected - sign * residual) <= 1e-10 * max(1.0, abs(residual)), name

@@ -245,3 +245,14 @@ def test_spike_between_panel_nodes():
     assert np.all(np.abs(grid.mean - (mu + sigma**2 * ts)) <= 1e-8)
     # the median solve does not resolve the spike, and its error says so
     assert np.all(np.abs(grid.median - (mu + sigma**2 * ts)) <= grid.median_error)
+
+
+def test_log_partition_nonfinite_and_vanishing_integrands():
+    def measure(log_g):
+        return tm.BaseMeasure(spec=tm.Gaussian(0.0, 1.0), log_g=log_g)
+
+    for bad in (math.nan, math.inf):
+        with pytest.raises(tm.NonFiniteIntegrandError):
+            tm.log_partition(measure(lambda x: np.where(x > 1.0, bad, 0.0)), 0.5)
+    # a density ratio that is zero everywhere has log L = -inf, not an error
+    assert tm.log_partition(measure(lambda x: np.full_like(x, -np.inf)), 0.5) == -math.inf
