@@ -12,7 +12,8 @@ Commands: median-gap, sign-kernel, deriva, mean-median, symmetry-sweep,
 choquet-iterate, lipschitz, full-report.  Options may also be supplied via
 ``--config file.json``; explicit flags win over file values.  Every run
 writes one report file (csv or json, floats serialized with 17 significant
-digits so identical runs are byte-identical) and prints a one-line summary
+digits so identical runs are byte-identical; json writes nan and infinity as
+null) and prints a one-line summary
 ``max|residual| = <value> at t = <value>`` on stdout.
 
 Exit codes: 0 success, 2 configuration problem, 3 measure construction
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -156,7 +158,7 @@ def _format_float(x: float) -> str:
 
 
 def _to_json(obj: Any) -> str:
-    """Serialize with sorted keys and 17-significant-digit floats."""
+    """Serialize with sorted keys and 17-significant-digit floats, non-finite ones as null."""
     if isinstance(obj, dict):
         items = ", ".join(
             f"{json.dumps(str(key))}: {_to_json(value)}" for key, value in sorted(obj.items())
@@ -169,7 +171,8 @@ def _to_json(obj: Any) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        # json has no nan or infinity: those are written as null
+        return _format_float(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")

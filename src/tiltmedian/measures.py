@@ -15,6 +15,7 @@ Laplace transform.  ``MEASURE_FAMILIES`` lists them.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Union
@@ -95,6 +96,13 @@ class BaseMeasure:
         return self.window_offset + base * self.window_scale + self.tilt_gain * abs(t)
 
 
+def _check_finite(spec) -> None:
+    """Reject nan and infinite parameters before anything is built from them."""
+    for field in dataclasses.fields(spec):
+        if not math.isfinite(getattr(spec, field.name)):
+            raise ValueError(f"{field.name} must be finite")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Normal law N(mu, sigma^2)."""
@@ -104,6 +112,7 @@ class Gaussian:
     sigma: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
@@ -130,6 +139,7 @@ class PerturbedCosine:
     eps: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
 
@@ -158,6 +168,7 @@ class PerturbedQuadratic:
     eps: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
 
@@ -186,6 +197,7 @@ class GaussianMixture:
     sigma2: float
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError("weight must lie in [0, 1]")
         if not (self.sigma1 > 0 and self.sigma2 > 0):

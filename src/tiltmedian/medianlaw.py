@@ -4,7 +4,9 @@ Each diagnostic measures, in a different analytic form, how far a base
 measure is from having its tilt parameter sit exactly at the median of every
 tilted law.  All of them vanish identically when the base is the standard
 normal; for the perturbed catalog entries they are visibly nonzero at
-ordinary grid resolution.
+ordinary grid resolution.  Each takes a tilt grid through one pass of
+``tilting.tilt_grid``, the sign-kernel and convolution residuals through its
+half-line sums F_t(t) and E_t[X; X <= t] at x = t.
 
 - ``median_gap``: tilted median minus the tilt parameter.
 - ``sign_kernel_residual``: signed Gaussian-kernel integral against the
@@ -27,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import BaseMeasure, LOG_SQRT_2PI
+from .measures import BaseMeasure
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from .symmetry import _asymmetry_grid, default_offsets
 from .tilting import T_MAX, tilt_grid
@@ -94,61 +96,30 @@ def _symmetry(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
     return _asymmetry_grid(m, ts, default_offsets(), cfg)[1], np.zeros(ts.size)
 
 
-def _sign_kernel(m: BaseMeasure, t: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    halfwidth = m.window_halfwidth(t, cfg.truncation_halfwidth)
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.exp(-0.5 * (t - x) ** 2 - LOG_SQRT_2PI + m.log_g(x))
-
-    # t may lie outside the window; the side beyond it then contributes 0
-    value = 0.0
-    error = 0.0
-    if t > -halfwidth:
-        lower = integrate(integrand, (-halfwidth, min(t, halfwidth)), cfg)
-        value += lower.value
-        error += lower.abs_error_estimate
-    if t < halfwidth:
-        upper = integrate(integrand, (max(t, -halfwidth), halfwidth), cfg)
-        value -= upper.value
-        error += upper.abs_error_estimate
-    return value, error
+def _sign_kernel(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
+    # phi(t - x) g(x) = e^{-t^2/2} e^{tx} f(x), split at x = t
+    grid = tilt_grid(m, ts, cfg, median=False)
+    scale = np.exp(grid.log_partition - 0.5 * ts**2)
+    return scale * (2.0 * grid.cdf_at_t - 1.0), scale * 2.0 * grid.cdf_at_t_error
 
 
-def _convolution(m: BaseMeasure, t: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    halfwidth = m.window_halfwidth(t, cfg.truncation_halfwidth)
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        gap = np.abs(t - x)
-        with np.errstate(divide="ignore"):
-            log_kernel = np.log(0.5 * gap) - 0.5 * gap**2
-        return np.exp(log_kernel + m.log_g(x))
-
-    smoothed = integrate(integrand, (-halfwidth, halfwidth), cfg)
-    point = float(m.g(np.array([t]))[0])
-    return point - smoothed.value, smoothed.abs_error_estimate
+def _convolution(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
+    # q(t - x) g(x) = sqrt(pi/2) e^{-t^2/2} |t - x| e^{tx} f(x), and
+    # E_t|X - t| = mean - t + 2 (t F_t(t) - E_t[X; X <= t])
+    grid = tilt_grid(m, ts, cfg, median=False)
+    scale = math.sqrt(0.5 * math.pi) * np.exp(grid.log_partition - 0.5 * ts**2)
+    spread = grid.mean - ts + 2.0 * (ts * grid.cdf_at_t - grid.lower_moment_at_t)
+    error = grid.mean_error + 2.0 * (
+        np.abs(ts) * grid.cdf_at_t_error + grid.lower_moment_at_t_error
+    )
+    return m.g(ts) - scale * spread, scale * error
 
 
-def _pointwise(
-    evaluate: Callable[[BaseMeasure, float, QuadratureConfig], tuple[float, float]]
-) -> _Evaluator:
-    """Lift a one-tilt evaluator to a grid evaluator."""
-
-    def over_grid(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
-        pairs = [evaluate(m, float(t), cfg) for t in ts]
-        return [value for value, _ in pairs], [err for _, err in pairs]
-
-    return over_grid
-
-
-# each evaluator maps a tilt grid to (residuals, error estimates); the
-# median-based ones and symmetry take the whole grid through one tilt-grid
-# engine pass
+# each evaluator maps a tilt grid to (residuals, error estimates) in one engine pass
 _EVALUATORS: dict[str, _Evaluator] = {
     "median_gap": _median_gap,
-    "sign_kernel": _pointwise(_sign_kernel),
-    "deriva": _pointwise(_convolution),
+    "sign_kernel": _sign_kernel,
+    "deriva": _convolution,
     "mean_median": _mean_median,
     "symmetry": _symmetry,
 }
@@ -163,7 +134,7 @@ def sign_kernel_residual(
     m: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
     """Integral of sign(t-x) * phi(t-x) against the density ratio."""
-    return _sign_kernel(m, t, cfg)[0]
+    return float(_sign_kernel(m, np.array([float(t)]), cfg)[0][0])
 
 
 def convolution_residual(
@@ -175,7 +146,7 @@ def convolution_residual(
     the only constant admissible for a probability is 1, so this residual
     vanishing everywhere singles out the standard normal base.
     """
-    return _convolution(m, t, cfg)[0]
+    return float(_convolution(m, np.array([float(t)]), cfg)[0][0])
 
 
 def mean_median_gap(

@@ -145,7 +145,7 @@ def anchored_edges(a: float, b: float) -> np.ndarray:
     Anchoring interior edges to fixed coordinates keeps the panel layout
     identical when a window endpoint moves, so integrals probed by finite
     differences vary smoothly and results for one tilt do not depend on the
-    window of the others it is computed with.
+    window of the others it is computed with, up to the last bit.
     """
     a, b = float(a), float(b)
     if not a < b:

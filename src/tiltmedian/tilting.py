@@ -11,15 +11,16 @@ Every tilted quantity comes from one engine, :func:`tilt_grid`: the base
 log-density is evaluated once on the Kronrod nodes of fixed panels anchored
 at multiples of ``FIXED_PANEL_WIDTH``, and each tilt of a grid is one shift,
 one exponential and a few panel sums on those values.  The panel sums give
-log L(t), the tilted mean and a distribution-function table at the panel
-edges; the median is a safeguarded Newton solve inside the panel where that
-table crosses 1/2.  A panel whose Kronrod-Gauss difference misses the
-tolerance is integrated adaptively instead, and so is the median solve when
-it lands in such a panel.
+log L(t), the tilted mean and running tables at the panel edges; one partial
+panel on top of them gives F_t(t) and E_t[X; X <= t], and the median is a
+safeguarded Newton solve on partial panels where the table crosses 1/2.  A
+panel whose Kronrod-Gauss difference misses the tolerance, whole or partial,
+is integrated adaptively instead.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,6 +59,7 @@ _CHUNK_ELEMENTS = 1 << 13
 # Newton iterations before giving up; bisection alone needs ~33 to go from a
 # 0.5-wide panel to 1e-10.
 _MAX_NEWTON_STEPS = 100
+_EPS = np.finfo(float).eps
 
 
 def _check_tilt(t: float) -> float:
@@ -71,14 +73,19 @@ def _check_tilt(t: float) -> float:
 class TiltGrid:
     """Tilted-law summaries over a grid of tilts, one entry per tilt.
 
-    ``mean_error`` and ``median_error`` are propagated quadrature error
-    estimates; the median fields are None when medians were not requested.
+    ``cdf_at_t`` is F_t(t) and ``lower_moment_at_t`` is E_t[X; X <= t].  The
+    ``*_error`` fields are propagated quadrature error estimates; the median
+    fields are None when medians were not requested.
     """
 
     t_grid: np.ndarray
     log_partition: np.ndarray
     mean: np.ndarray
     mean_error: np.ndarray
+    cdf_at_t: np.ndarray
+    cdf_at_t_error: np.ndarray
+    lower_moment_at_t: np.ndarray
+    lower_moment_at_t_error: np.ndarray
     median: np.ndarray | None = None
     median_error: np.ndarray | None = None
 
@@ -91,23 +98,19 @@ def tilt_grid(
     median: bool = True,
     x_tol: float = DEFAULT_X_TOL,
 ) -> TiltGrid:
-    """log L, mean and (optionally) median of the tilt-t law for every t in the grid.
+    """log L, mean, F_t(t), E_t[X; X <= t] and optionally the median of each tilt-t law.
 
     The panels cover the union of the per-tilt truncation windows, rounded
     out to the anchored panel grid, so a tilt's result does not depend on
-    which other tilts share the call.
+    which other tilts share the call, up to the last bit.
     """
     ts = np.array([_check_tilt(t) for t in t_grid], dtype=float)
     if x_tol <= 0:
         raise ValueError("x_tol must be positive")
     n = ts.size
+    names = [field.name for field in dataclasses.fields(TiltGrid)[1:]]
     grid = TiltGrid(
-        t_grid=ts,
-        log_partition=np.empty(n),
-        mean=np.empty(n),
-        mean_error=np.empty(n),
-        median=np.empty(n) if median else None,
-        median_error=np.empty(n) if median else None,
+        ts, **{name: np.empty(n) for name in names if median or not name.startswith("median")}
     )
     if n == 0:
         return grid
@@ -129,6 +132,11 @@ def _check_log_values(xs: np.ndarray, values: np.ndarray) -> None:
     bad = np.isnan(values) | np.isposinf(values)
     if np.any(bad):
         raise NonFiniteIntegrandError(f"log-integrand is nan or +inf at x={xs[bad][0]!r}")
+
+
+def _error(kronrod: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    """|Kronrod - Gauss|, floored so that no panel claims exactness."""
+    return np.maximum(np.abs(kronrod - gauss), ROUNDING_FLOOR * np.abs(kronrod))
 
 
 class _TiltChunk:
@@ -153,25 +161,47 @@ class _TiltChunk:
         mass_k, mass_g = kronrod_sums(work, half)
         work *= xs
         moment_k, moment_g = kronrod_sums(work, half)
-        mass_err = np.maximum(np.abs(mass_k - mass_g), ROUNDING_FLOOR * np.abs(mass_k))
-        moment_err = np.maximum(
-            np.abs(moment_k - moment_g), ROUNDING_FLOOR * np.abs(moment_k)
-        )
+        mass_err, moment_err = _error(mass_k, mass_g), _error(moment_k, moment_g)
         self.refined = (mass_err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(mass_k))) | (
             moment_err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(moment_k))
         )
-        for row, p in zip(*np.nonzero(self.refined)):
-            panel = (float(edges[p]), float(edges[p + 1]))
-            weight = self._weight(row)
-            mass = integrate(weight, panel, cfg)
-            moment = integrate(lambda x: x * weight(x), panel, cfg)
-            mass_k[row, p], mass_err[row, p] = mass.value, mass.abs_error_estimate
-            moment_k[row, p], moment_err[row, p] = moment.value, moment.abs_error_estimate
+        tables = (mass_k, moment_k, mass_err, moment_err)
+        rows, panels = np.nonzero(self.refined)
+        if rows.size:
+            for table, whole in zip(tables, self._partial(rows, panels, edges[panels + 1])):
+                table[rows, panels] = whole
         self.mass = mass_k.sum(axis=1)
         self.mass_err = mass_err.sum(axis=1)
         self.moment = moment_k.sum(axis=1)
         self.moment_err = moment_err.sum(axis=1)
-        self.panel_mass = mass_k
+        # sums over the panels below every edge, shared by the median and x = t
+        self.below = np.zeros((4, ts.size, edges.size))
+        np.cumsum(tables, axis=2, out=self.below[:, :, 1:])
+
+    def _partial(self, rows: np.ndarray, panel: np.ndarray, x: np.ndarray):
+        """Mass and first moment from each panel's left edge to x, their errors and
+        the weight at x, in shifted units; a refined panel takes the adaptive rule."""
+        lo = self.edges[panel]
+        nodes, half = panel_nodes(lo, x)
+        nodes = np.concatenate([nodes, x[:, None]], axis=1)
+        log_values = self.ts[rows, None] * nodes + self.measure.log_pdf(nodes)
+        _check_log_values(nodes, log_values)
+        values = np.exp(log_values - self.shift[rows, None])
+        mass_k, mass_g = kronrod_sums(values[:, :15], half)
+        moment_k, moment_g = kronrod_sums(values[:, :15] * nodes[:, :15], half)
+        mass_err, moment_err = _error(mass_k, mass_g), _error(moment_k, moment_g)
+        for k in np.nonzero(self.refined[rows, panel] & (x > lo))[0]:
+            weight = self._weight(rows[k])
+            window = (float(lo[k]), float(x[k]))
+            # x * weight can vanish where an unresolved weight peaks, which
+            # stops refinement early; x - c stays within [width, 2 width]
+            c = 2.0 * window[0] - window[1]
+            mass = integrate(weight, window, self.cfg)
+            moment = integrate(lambda u: (u - c) * weight(u), window, self.cfg)
+            mass_k[k], mass_err[k] = mass.value, mass.abs_error_estimate
+            moment_k[k] = moment.value + c * mass.value
+            moment_err[k] = moment.abs_error_estimate + abs(c) * mass.abs_error_estimate
+        return mass_k, moment_k, mass_err, moment_err, values[:, 15]
 
     def _weight(self, row: int):
         t, shift, log_pdf = float(self.ts[row]), float(self.shift[row]), self.measure.log_pdf
@@ -189,8 +219,31 @@ class _TiltChunk:
             grid.log_partition[where] = self.shift + np.log(self.mass)
             grid.mean[where] = mean
             grid.mean_error[where] = (self.moment_err + np.abs(mean) * self.mass_err) / self.mass
+            self._fill_at_t(grid, where)
             if median:
                 grid.median[where], grid.median_error[where] = self._medians(x_tol)
+
+    def _fill_at_t(self, grid: TiltGrid, where: slice) -> None:
+        """F_t(t) and E_t[X; X <= t] from the panels below t and one partial panel.
+
+        F's error counts the whole mass error (it bounds the error F and log L
+        share) and the rounding of a running sum, as the median's table does.
+        """
+        n_panels = self.edges.size - 1
+        x = np.clip(self.ts, self.edges[0], self.edges[-1])
+        panel = np.minimum(np.searchsorted(self.edges, x, side="right") - 1, n_panels - 1)
+        rows = np.arange(self.ts.size)
+        mass, moment, mass_err, moment_err = (
+            table[rows, panel] + part
+            for table, part in zip(self.below, self._partial(rows, panel, x))
+        )
+        lower_moment = moment / self.mass
+        grid.cdf_at_t[where] = mass / self.mass
+        grid.cdf_at_t_error[where] = (mass_err + self.mass_err) / self.mass + n_panels * _EPS
+        grid.lower_moment_at_t[where] = lower_moment
+        grid.lower_moment_at_t_error[where] = (
+            moment_err + np.abs(lower_moment) * self.mass_err
+        ) / self.mass
 
     def _medians(self, x_tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Median of each tilted law and its error estimate.
@@ -203,10 +256,9 @@ class _TiltChunk:
         """
         n_panels = self.edges.size - 1
         # distribution function at every panel edge
-        running = np.cumsum(self.panel_mass, axis=1) / self.mass[:, None]
-        cdf = np.concatenate([np.zeros((self.ts.size, 1)), running], axis=1)
+        cdf = self.below[0] / self.mass[:, None]
         # F = C / S at 1/2 is off by at most (dC + dS / 2) / S
-        cdf_err = 1.5 * self.mass_err / self.mass + n_panels * np.finfo(float).eps
+        cdf_err = 1.5 * self.mass_err / self.mass + n_panels * _EPS
         flat = np.abs(cdf - 0.5) <= cdf_err[:, None]
         medians = np.full(self.ts.size, np.nan)
         errors = np.full(self.ts.size, np.inf)
@@ -239,40 +291,26 @@ class _TiltChunk:
         """Safeguarded Newton for cdf(x) = 1/2 inside one panel per row.
 
         ``cdf_lo`` and ``cdf_hi`` are the table values at the panel's edges.
-        Returns the roots and the tilted density there.  Partial-panel mass
-        uses the fixed 15-point rule, or adaptive quadrature in a refined
-        panel; a step leaving the current bracket becomes a bisection.
+        Returns the roots and the tilted density there.  A step leaving the
+        current bracket becomes a bisection.
         """
         lo = self.edges[panel].copy()
         hi = self.edges[panel + 1].copy()
-        start = lo.copy()
         # secant start; the root may sit on a panel edge, so the bracket is closed
         x = np.clip(lo + (0.5 - cdf_lo) / (cdf_hi - cdf_lo) * (hi - lo), lo, hi)
-        ts, shift, mass = self.ts[rows], self.shift[rows], self.mass[rows]
-        refined = self.refined[rows, panel]
+        mass = self.mass[rows]
         active = np.arange(rows.size)
         for _ in range(_MAX_NEWTON_STEPS):
             if active.size == 0:
                 break
-            nodes, half = panel_nodes(start[active], x[active])
-            nodes = np.concatenate([nodes, x[active, None]], axis=1)
-            log_values = ts[active, None] * nodes + self.measure.log_pdf(nodes)
-            values = np.exp(log_values - shift[active, None]) / mass[active, None]
-            cdf = cdf_lo[active] + kronrod_sums(values[:, :15], half)[0]
-            for k in np.nonzero(refined[active])[0]:
-                i = active[k]
-                if x[i] > start[i]:
-                    weight = self._weight(rows[i])
-                    partial = integrate(weight, (start[i], x[i]), self.cfg).value
-                    cdf[k] = cdf_lo[i] + partial / mass[i]
-                else:
-                    cdf[k] = cdf_lo[i]
+            partial, _, _, _, weight = self._partial(rows[active], panel[active], x[active])
+            cdf = cdf_lo[active] + partial / mass[active]
             xa = x[active]
             below = cdf < 0.5
             lo[active] = np.where(below, xa, lo[active])
             hi[active] = np.where(below, hi[active], xa)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = (cdf - 0.5) / values[:, 15]
+                step = (cdf - 0.5) / (weight / mass[active])
             proposal = xa - step
             # an overshoot within x_tol is rounding at a root on the bracket end
             inside = (proposal >= lo[active] - x_tol) & (proposal <= hi[active] + x_tol)
@@ -287,7 +325,7 @@ class _TiltChunk:
             x[active] = np.where(cdf == 0.5, xa, proposal)
             active = active[~done]
         # density at the returned root (the last Newton step moved x)
-        return x, np.exp(ts * x + self.measure.log_pdf(x) - shift) / mass
+        return x, np.exp(self.ts[rows] * x + self.measure.log_pdf(x) - self.shift[rows]) / mass
 
 
 def log_partition(
@@ -358,17 +396,7 @@ def half_line_mgf(
     The derivative formula follows from the quantile transform of the
     distribution function; tests cross-check it against finite differences.
     """
-    t = _check_tilt(t)
-    halfwidth = measure.window_halfwidth(t, cfg.truncation_halfwidth)
-    if t <= -halfwidth:
-        # the half line ends before the truncated support starts
-        return 0.0, 0.0
-    # fixed anchored panels: these values are routinely cross-checked by
-    # finite differences in t, which adaptive refinement noise would swamp
-    edges = anchored_edges(-halfwidth, t)
-    xs, half = panel_nodes(edges[:-1], edges[1:])
-    weighted = np.exp(t * xs + measure.log_pdf(xs))
-    value = math.fsum(kronrod_sums(weighted, half)[0])
+    grid = tilt_grid(measure, [t], cfg, median=False)
+    full = math.exp(grid.log_partition[0])
     boundary = math.exp(t * t + float(measure.log_pdf(np.array([t]))[0]))
-    slope = boundary + math.fsum(kronrod_sums(xs * weighted, half)[0])
-    return value, slope
+    return full * grid.cdf_at_t[0], boundary + full * grid.lower_moment_at_t[0]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -136,6 +137,35 @@ def test_full_report(tmp_path, capsys):
         assert len(report["residuals"]) == 7
 
 
+def test_json_report_stays_valid_with_nonfinite_values(tmp_path, capsys):
+    from tiltmedian.cli import _report_csv, _report_payload, _to_json
+
+    def reject(name):
+        raise ValueError(f"{name} is not json")
+
+    # the median of this spike comes with an infinite error estimate
+    out = tmp_path / "gap.json"
+    code, _, _ = run_cli(
+        [
+            "median-gap",
+            "--measure", "gaussian(0.3,0.0001)",
+            "--t-min", "0",
+            "--t-max", "0",
+            "--t-points", "1",
+            "--format", "json",
+            "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == EXIT_OK
+    json.loads(out.read_text(), parse_constant=reject)
+    # json writes non-finite floats as null, csv keeps them
+    report = tm.DiagnosticReport("median_gap", (0.0,), (math.nan,), (math.inf,), 0.0, 0.0)
+    payload = json.loads(_to_json(_report_payload(report)), parse_constant=reject)
+    assert payload["residuals"] == [None] and payload["error_estimates"] == [None]
+    assert _report_csv(report).splitlines()[1] == "0,nan,inf"
+
+
 def test_full_report_requires_json(tmp_path, capsys):
     code, _, err = run_cli(
         [
@@ -256,9 +286,19 @@ def test_tabulated_measure_via_cli(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 4
 
 
-def test_exit_code_bad_measure(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gaussian(oops)",
+        "gaussian(nan,1)",
+        "perturbed_quadratic(inf)",
+        "gaussian_mixture(0.5,nan,1,0,1)",
+    ],
+)
+def test_exit_code_bad_measure(tmp_path, capsys, text):
+    # non-finite parameters are a configuration error, not a failed build
     code, _, err = run_cli(
-        ["median-gap", "--measure", "gaussian(oops)", "--out", str(tmp_path / "x.csv")], capsys
+        ["median-gap", "--measure", text, "--out", str(tmp_path / "x.csv")], capsys
     )
     assert code == EXIT_CONFIG
     assert err

@@ -6,6 +6,9 @@ Below sigma of about 0.1 the fixed 0.5-wide panels miss the quadrature
 tolerance near the peak, so the drawn range covers both the fixed-panel
 path and the per-panel adaptive fallback.
 
+The sign-kernel and convolution residuals are checked against their closed
+forms too, error estimates included.
+
 Also: measure literals round-trip through ``parse_measure``, and reflecting
 a base measure (g(x) -> g(-x)) maps each residual at t to the residual at -t.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -59,6 +63,28 @@ def test_batched_scan_matches_single_median(mu, sigma, t):
     single = tm.tilt(measure, t).median()
     assert abs(report.residuals[2] + t - single) <= 1e-12
     assert np.all(np.isfinite(report.error_estimates))
+
+
+@PROPERTY
+@given(mu=MUS, sigma=SIGMAS, t=TILTS)
+def test_half_line_residuals_closed_forms(mu, sigma, t):
+    # tilt t of N(mu, sigma^2) is N(mu + sigma^2 t, sigma^2); d is its mean minus t
+    d = mu + sigma**2 * t - t
+    z = d / (sigma * math.sqrt(2.0))
+    scale = math.exp(mu * t + 0.5 * sigma**2 * t * t - 0.5 * t * t)
+    abs_dev = sigma * math.sqrt(2.0 / math.pi) * math.exp(-z * z) + d * math.erf(z)
+    g = math.exp(0.5 * t * t - 0.5 * ((t - mu) / sigma) ** 2) / sigma
+    expected = {
+        # 2 F_t(t) - 1 with F_t(t) = erfc(z) / 2
+        "sign_kernel": -scale * math.erf(z),
+        "deriva": g - math.sqrt(0.5 * math.pi) * scale * abs_dev,
+    }
+    measure = gaussian(mu, sigma)
+    for name, ref in expected.items():
+        report = tm.scan(measure, name, [t])
+        gap = abs(report.residuals[0] - ref)
+        assert gap <= 1e-8 * max(1.0, abs(ref)), name
+        assert gap <= report.error_estimates[0] + 1e-13 * max(1.0, abs(ref)), name
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -233,6 +233,20 @@ def test_tilt_grid_narrow_measure_uses_adaptive_panels():
     assert np.all(grid.median_error <= 1e-9)
 
 
+def test_refined_panel_moment_error_is_honest():
+    # the tail of N(0.1, 0.02^2) below 0 fills an unresolved panel [-0.5, 0],
+    # where the moment integrand x * weight vanishes at the tail's peak; the
+    # mean error must still cover the error, and so must the half-line sums'
+    mu, sigma = 0.1, 0.02
+    measure = tm.build_measure(tm.Gaussian(mu, sigma))
+    grid = tm.tilt_grid(measure, [0.0], median=False)
+    assert abs(grid.mean[0] - mu) <= grid.mean_error[0]
+    z = mu / (sigma * math.sqrt(2.0))
+    lower = mu * 0.5 * math.erfc(z) - sigma * math.exp(-z * z) / math.sqrt(2.0 * math.pi)
+    assert abs(grid.lower_moment_at_t[0] - lower) <= grid.lower_moment_at_t_error[0]
+    assert abs(grid.cdf_at_t[0] - 0.5 * math.erfc(z)) <= grid.cdf_at_t_error[0]
+
+
 def test_spike_between_panel_nodes():
     # sigma = 1e-4: the spike at 0.3 falls between the fixed-panel nodes, so
     # its panel is integrated adaptively, where the running error total
