@@ -28,6 +28,7 @@ from .measures import (
     NotNormalizableError,
     PerturbedCosine,
     PerturbedQuadratic,
+    RatioOverflowError,
     Tabulated,
     TailViolationError,
     build_measure,
@@ -88,6 +89,7 @@ __all__ = [
     "QuadraticFit",
     "QuadratureConfig",
     "QuadratureResult",
+    "RatioOverflowError",
     "SymmetryReport",
     "T_MAX",
     "Tabulated",

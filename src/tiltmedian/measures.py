@@ -36,6 +36,7 @@ __all__ = [
     "NotNormalizableError",
     "PerturbedCosine",
     "PerturbedQuadratic",
+    "RatioOverflowError",
     "Tabulated",
     "TailViolationError",
     "build_measure",
@@ -63,6 +64,10 @@ class NegativeDensityError(MeasureError):
 
 class TailViolationError(MeasureError):
     """Tabulated data grows super-Gaussianly toward the table edge."""
+
+
+class RatioOverflowError(ValueError):
+    """The density ratio g exceeds the float64 range on a sampling grid."""
 
 
 @dataclass(frozen=True)
@@ -417,13 +422,25 @@ def closed_form_log_partition(spec: MeasureSpec, t: float) -> float | None:
 
 
 def sample_to_grid(measure: BaseMeasure, x_min: float, x_max: float, n: int) -> GridFunction:
-    """Sample the density ratio g (not the density itself) on a uniform grid."""
+    """Sample the density ratio g (not the density itself) on a uniform grid.
+
+    Raises :class:`RatioOverflowError` where g exceeds the float64 range.
+    """
     if not x_min < x_max:
         raise ValueError("x_min must be less than x_max")
     if n < 2:
         raise ValueError("need at least two grid points")
     xs = np.linspace(x_min, x_max, n)
-    values = measure.g(xs)
+    log_values = np.asarray(measure.log_g(xs), dtype=float)
+    with np.errstate(over="ignore"):
+        values = np.exp(log_values)
+    overflow = np.isposinf(values)
+    if np.any(overflow):
+        first = int(np.argmax(overflow))
+        raise RatioOverflowError(
+            f"density ratio of {measure.spec!r} overflows float64 at x={float(xs[first])!r} "
+            f"(log g = {float(log_values[first])!r})"
+        )
     return GridFunction(
         x_min=float(x_min),
         step=float(xs[1] - xs[0]),

@@ -340,17 +340,28 @@ def tilt(
 ) -> TiltedView:
     """Construct the tilt-t member of the family generated by ``measure``."""
     t = _check_tilt(t)
-    return TiltedView(base=measure, t=t, log_partition=log_partition(measure, t, cfg), cfg=cfg)
+    row = tilt_grid(measure, [t], cfg)
+    view = TiltedView(base=measure, t=t, log_partition=float(row.log_partition[0]), cfg=cfg)
+    object.__setattr__(view, "_row", row)
+    return view
 
 
 @dataclass(frozen=True)
 class TiltedView:
-    """One member of the tilted family, with its normalizer cached."""
+    """One member of the tilted family, with its normalizer cached.
+
+    A view made by :func:`tilt` also keeps the engine result its normalizer
+    came from, so ``mean()`` and ``median()`` (at the default ``x_tol``) are
+    lookups; a view built directly runs the engine for each.
+    """
 
     base: BaseMeasure
     t: float
     log_partition: float
     cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    _row: TiltGrid | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.log_partition):
@@ -377,11 +388,17 @@ class TiltedView:
         return min(1.0, max(0.0, value))
 
     def mean(self) -> float:
-        return float(tilt_grid(self.base, [self.t], self.cfg, median=False).mean[0])
+        row = self._row
+        if row is None:
+            row = tilt_grid(self.base, [self.t], self.cfg, median=False)
+        return float(row.mean[0])
 
     def median(self, x_tol: float = DEFAULT_X_TOL) -> float:
         """Solve cdf(x) = 1/2; a flat stretch at 1/2 resolves to its midpoint."""
-        return float(tilt_grid(self.base, [self.t], self.cfg, x_tol=x_tol).median[0])
+        row = self._row
+        if row is None or x_tol != DEFAULT_X_TOL:
+            row = tilt_grid(self.base, [self.t], self.cfg, x_tol=x_tol)
+        return float(row.median[0])
 
 
 def half_line_mgf(

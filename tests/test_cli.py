@@ -204,6 +204,28 @@ def test_choquet_iterate(tmp_path, capsys):
     assert hi_values[0] > hi_values[1] > hi_values[2]
 
 
+def test_choquet_iterate_byte_identical_reruns(tmp_path, capsys):
+    for fmt in ("csv", "json"):
+        paths = [tmp_path / f"{name}.{fmt}" for name in ("a", "b")]
+        for path in paths:
+            args = ["choquet-iterate", "--measure", "perturbed_cosine(0.5)", "--format", fmt]
+            assert run_cli(args + ["--out", str(path)], capsys)[0] == EXIT_OK
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_choquet_iterate_overflowing_ratio_exits_config(tmp_path, capsys):
+    # g of N(0, 4) is e^{3x^2/8} / 2, beyond float64 on [-60, 60]; a numpy
+    # overflow warning would fail this test as an error
+    out = tmp_path / "trace.csv"
+    code, _, err = run_cli(
+        ["choquet-iterate", "--measure", "gaussian(0,2)", "--out", str(out)], capsys
+    )
+    assert code == EXIT_CONFIG
+    assert "Gaussian(mu=0.0, sigma=2.0)" in err and "x=-60.0" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 def test_symmetry_sweep(tmp_path, capsys):
     out = tmp_path / "sym.csv"
     code, stdout, _ = run_cli(

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tiltmedian as tm
+from tiltmedian.convolution import _fft_length
 
 # dense-grid oracle: cosine-frequency damping factor of the kernel,
 # i.e. the integral of kernel(y) * cos(y)
@@ -219,3 +226,97 @@ def test_discrete_convolution_agrees_with_quadrature(std_gaussian, cosine_half):
             assert out.window_lo <= index <= out.window_hi
             discrete = float(measure.g(np.array([t]))[0] - out.values[index])
             assert abs(discrete - tm.convolution_residual(measure, t)) <= tol
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        tm.Gaussian(0.0, 1.0),
+        tm.PerturbedCosine(0.5),
+        tm.PerturbedQuadratic(1.0),
+        tm.GaussianMixture(0.5, -1.0, 1.0, 1.0, 1.0),
+        tm.Gaussian(0.99, 0.99),
+        tm.Gaussian(-1.0, 0.999),
+    ],
+    ids=repr,
+)
+def test_convolve_matches_direct_stencil(spec):
+    # reference: np.convolve applies the stencil term by term where it fits
+    setup = tm.ConvolutionSetup(step=0.01)
+    current = tm.sample_to_grid(tm.build_measure(spec), -60.0, 60.0, 12001)
+    for step in range(8):
+        out = tm.convolve(current, setup)
+        window = current.window_values()
+        direct = np.convolve(window, setup.weights(), mode="valid")
+        gap = np.max(np.abs(out.window_values() - direct))
+        assert gap <= 1e-14 * np.max(np.abs(window)), (step, gap)
+        assert np.all(np.isnan(out.values[: out.window_lo]))
+        assert np.all(np.isnan(out.values[out.window_hi + 1 :]))
+        current = out
+
+
+def test_iterate_constant_is_exactly_fixed():
+    # the window's mid-range is subtracted before the transform, so a constant
+    # sends only zeros through it
+    setup = tm.ConvolutionSetup(step=0.01)
+    xs = np.arange(-60.0, 60.0 + 1e-12, 0.01)
+    for level in (1.0, 0.7, 3.0e5):
+        grid = _grid(np.full_like(xs, level), -60.0, 0.01)
+        trace = tm.iterate_fixed_point(grid, 8, setup)
+        assert trace.oscillations == (0.0,) * 8
+        assert np.all(trace.final_iterate.window_values() == level)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["noise", "walk", "steps"]),
+    offset=st.floats(-1e3, 1e3),
+    log_scale=st.floats(-6.0, 3.0),
+    steps=st.integers(1, 8),
+)
+def test_oscillation_never_grows(seed, shape, offset, log_scale, steps):
+    # the weights are nonnegative with unit sum, so each step is an average;
+    # small scales on a large offset leave rounding of |g| far above the
+    # oscillation
+    scale = 10.0**log_scale
+    setup = tm.ConvolutionSetup(step=0.1)
+    rng = np.random.default_rng(seed)
+    n = steps * 2 * setup.kernel_steps() + int(rng.integers(1, 400))
+    if shape == "noise":
+        values = rng.uniform(-1.0, 1.0, n)
+    elif shape == "walk":
+        values = np.cumsum(rng.standard_normal(n)) / math.sqrt(n)
+    else:
+        # plateaus wider than the stencil keep max and min fixed from step to step
+        values = np.repeat(rng.uniform(-1.0, 1.0, n // 300 + 1), 300)[:n]
+    grid = _grid(offset + scale * values, float(rng.uniform(-10.0, 10.0)), 0.1)
+    trace = tm.iterate_fixed_point(grid, steps, setup)
+    window = grid.window_values()
+    oscillations = [float(window.max() - window.min())] + list(trace.oscillations)
+    for prev, curr in zip(oscillations[:-1], oscillations[1:]):
+        assert curr <= prev * (1.0 + 1e-12)
+
+
+def test_fft_length_is_smallest_five_smooth():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for n in range(1, 3000):
+        expected = next(k for k in range(n, 2 * n + 1) if smooth(k))
+        assert _fft_length(n) == expected, n
+    assert _fft_length(13391) == 13500
+
+
+def test_import_leaves_fft_unloaded():
+    src = str(pathlib.Path(tm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, tiltmedian; print('numpy.fft' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -98,6 +98,16 @@ def test_sample_to_grid_gaussian(std_gaussian):
     assert grid.step == 1.0
 
 
+def test_sample_to_grid_overflow_names_measure_and_point():
+    measure = tm.build_measure(tm.Gaussian(0.0, 2.0))
+    with pytest.raises(tm.RatioOverflowError, match=r"Gaussian\(mu=0.0, sigma=2.0\).*x=-60.0"):
+        tm.sample_to_grid(measure, -60.0, 60.0, 12001)
+    assert issubclass(tm.RatioOverflowError, ValueError)
+    # where g stays finite the same measure samples as before
+    grid = tm.sample_to_grid(measure, -20.0, 20.0, 401)
+    assert np.array_equal(grid.values, measure.g(np.linspace(-20.0, 20.0, 401)))
+
+
 def test_sample_to_grid_values(quadratic_one, cosine_half):
     assert abs(float(quadratic_one.g(0.0)) - 0.5) <= 1e-15
     assert abs(float(cosine_half.g(0.0)) - COSINE_HALF_RATIO_AT_ZERO) <= 1e-14

@@ -57,6 +57,32 @@ def test_tilted_view_requires_finite_normalizer(std_gaussian):
         tm.TiltedView(base=std_gaussian, t=0.0, log_partition=math.inf)
 
 
+def test_tilted_view_reads_its_engine_row(catalog, monkeypatch):
+    calls = []
+    engine = tm.tilting.tilt_grid
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(tm.tilting, "tilt_grid", counting)
+    for measure in catalog:
+        for t in (-2.5, 0.0, 1.5):
+            calls.clear()
+            view = tm.tilt(measure, t)
+            mean, median = view.mean(), view.median()
+            assert len(calls) == 1
+            row = engine(measure, [t])
+            assert mean == float(row.mean[0]) and median == float(row.median[0])
+            assert view.log_partition == float(row.log_partition[0])
+            # a non-default x_tol, or a view built by hand, runs the engine again
+            view.median(x_tol=1e-12)
+            bare = tm.TiltedView(base=measure, t=t, log_partition=view.log_partition)
+            assert bare.mean() == mean and bare.median() == median
+            assert bare == view
+            assert len(calls) == 4
+
+
 def test_pdf_gaussian_translation(std_gaussian):
     # tilting the standard normal by t recenters it at t
     view = tm.tilt(std_gaussian, 2.0)
