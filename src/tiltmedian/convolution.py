@@ -16,10 +16,13 @@ are zero-padded to the smallest 5-smooth length that holds their full linear
 convolution, so nothing wraps around, and only the entries whose stencil lies
 inside the window are kept.  The padding zeros feed only the entries that are
 thrown away, so no boundary value is ever fabricated.  The window's mid-range
-c = (max + min) / 2 is subtracted before the transform and added back after:
-a constant comes back exactly, and rounding scales with max|g - c| (half the
-oscillation) rather than with |g|, so an average stays within its input's
-range up to rounding of that size.
+c = (max + min) / 2 is subtracted before the transform and added back after,
+so a constant comes back exactly.  The transform's rounding is absolute: about
+log2(length) * eps * max|g - c| at every point, however small the value there.
+Where that could exceed 1e-12 of the value, the point is recomputed as the
+direct stencil sum, so every entry keeps the relative accuracy of the direct
+sum even when g spans many decades across the window.  When the window's own
+values say that most points would be recomputed, the transform is skipped.
 """
 
 from __future__ import annotations
@@ -42,6 +45,15 @@ __all__ = [
     "kernel",
     "kernel_laplace",
 ]
+
+
+# Largest relative error a transform value may carry; points where the
+# transform's rounding bound exceeds it take the direct stencil sum.
+_FFT_RTOL = 1e-12
+# The transform's rounding at any point, in units of log2(length) * eps *
+# max|g - c|: measured below 0.4 on noise, ramps, spikes and quadratics of
+# 1500 to 60000 points; 2 leaves a factor 5 of margin.
+_FFT_ROUNDING = 2.0 * np.finfo(float).eps
 
 
 class WindowTooNarrowError(Exception):
@@ -137,7 +149,9 @@ def convolve(grid: GridFunction, setup: ConvolutionSetup) -> GridFunction:
     """Convolve the grid samples with the truncated kernel.
 
     The output lives on the same grid; its valid window loses one kernel
-    halfwidth on each side.  Entries outside the new window are nan.
+    halfwidth on each side.  Entries outside the new window are nan.  Each
+    entry is within 1e-12 of the direct stencil sum relative to its own
+    size, or is that sum (see the module docstring).
     """
     if abs(grid.step - setup.step) > 1e-12 * max(1.0, setup.step):
         raise ValueError(
@@ -156,11 +170,27 @@ def convolve(grid: GridFunction, setup: ConvolutionSetup) -> GridFunction:
 
     window = grid.window_values()
     weights = setup.weights()
+    top, bottom = window.max(), window.min()
     # halves first: the sum of two values near the float64 limit would overflow
-    centre = 0.5 * window.max() + 0.5 * window.min()
+    centre = 0.5 * top + 0.5 * bottom
     size = _fft_length(window.size + weights.size - 1)
-    spectrum = fft.rfft(window - centre, size) * fft.rfft(weights, size)
-    smoothed = fft.irfft(spectrum, size)[weights.size - 1 : window.size] + centre
+    rounding = _FFT_ROUNDING * math.log2(size) * (0.5 * top - 0.5 * bottom)
+    # the transform costs about half a direct pass: skip it when the window's
+    # own values say that most points would be recomputed anyway
+    if 2 * np.count_nonzero(_FFT_RTOL * np.abs(window) >= rounding) > window.size:
+        # sums of values near the float64 limit may overflow; a non-finite
+        # transform value fails the comparison below and is recomputed
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectrum = fft.rfft(window - centre, size) * fft.rfft(weights, size)
+            smoothed = fft.irfft(spectrum, size)[weights.size - 1 : window.size] + centre
+        direct = ~(_FFT_RTOL * np.abs(smoothed) >= rounding)
+    else:
+        smoothed = np.empty(new_hi - new_lo + 1)
+        direct = np.ones(smoothed.size, dtype=bool)
+    edges = np.flatnonzero(np.diff(direct, prepend=False, append=False))
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        stencil = window[lo : hi + weights.size - 1]
+        smoothed[lo:hi] = np.convolve(stencil, weights, mode="valid")
     values = np.full(grid.values.size, np.nan)
     values[new_lo : new_hi + 1] = smoothed
     return GridFunction(

@@ -431,15 +431,14 @@ def sample_to_grid(measure: BaseMeasure, x_min: float, x_max: float, n: int) -> 
     if n < 2:
         raise ValueError("need at least two grid points")
     xs = np.linspace(x_min, x_max, n)
-    log_values = np.asarray(measure.log_g(xs), dtype=float)
     with np.errstate(over="ignore"):
-        values = np.exp(log_values)
-    overflow = np.isposinf(values)
-    if np.any(overflow):
-        first = int(np.argmax(overflow))
+        values = measure.g(xs)
+    overflow = np.flatnonzero(np.isposinf(values))
+    if overflow.size:
+        x = float(xs[overflow[0]])
         raise RatioOverflowError(
-            f"density ratio of {measure.spec!r} overflows float64 at x={float(xs[first])!r} "
-            f"(log g = {float(log_values[first])!r})"
+            f"density ratio of {measure.spec!r} overflows float64 at x={x!r} "
+            f"(log g = {float(measure.log_g(np.array([x]))[0])!r})"
         )
     return GridFunction(
         x_min=float(x_min),

@@ -340,7 +340,7 @@ def tilt(
 ) -> TiltedView:
     """Construct the tilt-t member of the family generated by ``measure``."""
     t = _check_tilt(t)
-    row = tilt_grid(measure, [t], cfg)
+    row = tilt_grid(measure, [t], cfg, median=False)
     view = TiltedView(base=measure, t=t, log_partition=float(row.log_partition[0]), cfg=cfg)
     object.__setattr__(view, "_row", row)
     return view
@@ -350,9 +350,10 @@ def tilt(
 class TiltedView:
     """One member of the tilted family, with its normalizer cached.
 
-    A view made by :func:`tilt` also keeps the engine result its normalizer
-    came from, so ``mean()`` and ``median()`` (at the default ``x_tol``) are
-    lookups; a view built directly runs the engine for each.
+    The view keeps the last one-tilt engine result it used: :func:`tilt`
+    leaves the one its normalizer came from, so ``mean()`` is a lookup, and
+    the first ``median()`` at the default ``x_tol`` replaces it with one that
+    includes the median.
     """
 
     base: BaseMeasure
@@ -387,18 +388,22 @@ class TiltedView:
         value = integrate(self.pdf, (-halfwidth, upper), self.cfg).value
         return min(1.0, max(0.0, value))
 
-    def mean(self) -> float:
+    def _engine_row(self, median: bool) -> TiltGrid:
+        """The one-tilt engine result, run at most once without and once with the median."""
         row = self._row
-        if row is None:
-            row = tilt_grid(self.base, [self.t], self.cfg, median=False)
-        return float(row.mean[0])
+        if row is None or (median and row.median is None):
+            row = tilt_grid(self.base, [self.t], self.cfg, median=median)
+            object.__setattr__(self, "_row", row)
+        return row
+
+    def mean(self) -> float:
+        return float(self._engine_row(median=False).mean[0])
 
     def median(self, x_tol: float = DEFAULT_X_TOL) -> float:
         """Solve cdf(x) = 1/2; a flat stretch at 1/2 resolves to its midpoint."""
-        row = self._row
-        if row is None or x_tol != DEFAULT_X_TOL:
-            row = tilt_grid(self.base, [self.t], self.cfg, x_tol=x_tol)
-        return float(row.median[0])
+        if x_tol != DEFAULT_X_TOL:
+            return float(tilt_grid(self.base, [self.t], self.cfg, x_tol=x_tol).median[0])
+        return float(self._engine_row(median=True).median[0])
 
 
 def half_line_mgf(

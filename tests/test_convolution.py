@@ -320,3 +320,62 @@ def test_import_leaves_fft_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def _ratio_grid(spec) -> tm.GridFunction:
+    return tm.sample_to_grid(tm.build_measure(spec), -60.0, 60.0, 12001)
+
+
+def _ramp(rate: float) -> tm.GridFunction:
+    return _grid(np.exp(rate * np.linspace(-60.0, 60.0, 12001)), -60.0, 0.01)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # sigma in (1, 1.285] samples without overflow on [-60, 60]
+        pytest.param(lambda: _ratio_grid(tm.Gaussian(1.0, 1.0)), id="gaussian(1,1)"),
+        pytest.param(lambda: _ratio_grid(tm.Gaussian(0.0, 1.1)), id="gaussian(0,1.1)"),
+        pytest.param(lambda: _ratio_grid(tm.Gaussian(0.0, 1.25)), id="gaussian(0,1.25)"),
+        pytest.param(lambda: _ratio_grid(tm.Gaussian(0.3, 0.6)), id="gaussian(0.3,0.6)"),
+        pytest.param(lambda: _ratio_grid(tm.PerturbedQuadratic(1.0)), id="perturbed_quadratic(1)"),
+        # ramps whose range brackets the point where the transform stops sufficing
+        *(pytest.param(lambda rate=rate: _ramp(rate), id=f"ramp{rate}")
+          for rate in (0.02, 0.05, 0.08, 0.2)),
+        # within one decade, but the transform's sums overflow float64
+        pytest.param(lambda: _grid(np.tile([1e308, 1e307], 6000), -60.0, 0.01), id="near_max"),
+    ],
+)
+def test_convolve_is_accurate_at_every_point(make):
+    # the transform's rounding is absolute; points it would swamp must come
+    # back with the relative accuracy of the direct stencil sum
+    setup = tm.ConvolutionSetup(step=0.01)
+    current = make()
+    for step in range(8):
+        out = tm.convolve(current, setup)
+        direct = np.convolve(current.window_values(), setup.weights(), mode="valid")
+        gap = np.abs(out.window_values() - direct)
+        assert np.all(gap <= 1e-12 * np.abs(direct) + 1e-300), (step, np.max(gap))
+        current = out
+
+
+def test_transform_runs_where_it_is_accurate(monkeypatch):
+    # a ratio within one decade never takes the direct stencil; the quadratic
+    # ratio takes it only around its minimum, the steep Gaussian everywhere
+    direct_points = []
+    stencil = np.convolve
+
+    def counting(window, weights, mode):
+        direct_points.append(window.size - weights.size + 1)
+        return stencil(window, weights, mode=mode)
+
+    monkeypatch.setattr(tm.convolution.np, "convolve", counting)
+    setup = tm.ConvolutionSetup(step=0.01)
+    shares = {}
+    for spec in (tm.PerturbedCosine(0.5), tm.PerturbedQuadratic(1.0), tm.Gaussian(0.3, 0.6)):
+        direct_points.clear()
+        out = tm.convolve(_ratio_grid(spec), setup)
+        shares[spec] = sum(direct_points) / (out.window_hi - out.window_lo + 1)
+    assert shares[tm.PerturbedCosine(0.5)] == 0.0
+    assert 0.0 < shares[tm.PerturbedQuadratic(1.0)] < 0.2
+    assert shares[tm.Gaussian(0.3, 0.6)] == 1.0

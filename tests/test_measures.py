@@ -100,9 +100,16 @@ def test_sample_to_grid_gaussian(std_gaussian):
 
 def test_sample_to_grid_overflow_names_measure_and_point():
     measure = tm.build_measure(tm.Gaussian(0.0, 2.0))
-    with pytest.raises(tm.RatioOverflowError, match=r"Gaussian\(mu=0.0, sigma=2.0\).*x=-60.0"):
+    with pytest.raises(
+        tm.RatioOverflowError, match=r"Gaussian\(mu=0.0, sigma=2.0\).*x=-60.0 \(log g = 1349.3"
+    ):
         tm.sample_to_grid(measure, -60.0, 60.0, 12001)
     assert issubclass(tm.RatioOverflowError, ValueError)
+    # on [-60, 60] a centred Gaussian ratio overflows once sigma > 1.2851
+    grid = tm.sample_to_grid(tm.build_measure(tm.Gaussian(0.0, 1.285)), -60.0, 60.0, 12001)
+    assert np.all(np.isfinite(grid.values))
+    with pytest.raises(tm.RatioOverflowError):
+        tm.sample_to_grid(tm.build_measure(tm.Gaussian(0.0, 1.2852)), -60.0, 60.0, 12001)
     # where g stays finite the same measure samples as before
     grid = tm.sample_to_grid(measure, -20.0, 20.0, 401)
     assert np.array_equal(grid.values, measure.g(np.linspace(-20.0, 20.0, 401)))
