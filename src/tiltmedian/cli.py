@@ -41,7 +41,7 @@ from .measures import (
     build_measure,
     sample_to_grid,
 )
-from .medianlaw import DiagnosticReport, lipschitz_bound, scan
+from .medianlaw import DiagnosticReport, _scan_reports, lipschitz_bound, scan
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "parse_measure", "run"]
@@ -237,9 +237,8 @@ def run(config: ExperimentConfig) -> int:
         payload = {}
         summary = (0.0, 0.0)
         best = -1.0
-        for name in FULL_REPORT_DIAGNOSTICS:
-            report = scan(measure, name, config.t_grid(), cfg)
-            payload[name] = _report_payload(report)
+        for report in _scan_reports(measure, FULL_REPORT_DIAGNOSTICS, config.t_grid(), cfg):
+            payload[report.name] = _report_payload(report)
             if report.max_abs_residual > best:
                 best = report.max_abs_residual
                 summary = (report.max_abs_residual, report.argmax_t)

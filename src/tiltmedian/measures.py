@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Union
+from typing import Any, Callable, ClassVar, Union
 
 import numpy as np
 
@@ -78,6 +78,12 @@ class BaseMeasure:
     with ``h = window_offset + base * window_scale + tilt_gain * |t|``: the
     window grows with |t| because tilting by t recenters a
     Gaussian-enveloped density by (envelope sd)^2 per unit of t.
+
+    The measure keeps the engine state of its most recent one-tilt request
+    (``tilting.tilt``, ``log_partition``, the single-t diagnostics), so
+    further requests at the same tilt and quadrature settings share that
+    one panel pass.  Only one state is kept; it takes no part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     spec: MeasureSpec
@@ -85,6 +91,7 @@ class BaseMeasure:
     window_offset: float = 0.0
     window_scale: float = 1.0
     tilt_gain: float = 1.0
+    _tilt_state: Any = dataclasses.field(default=None, init=False, compare=False, repr=False)
 
     def g(self, x) -> np.ndarray:
         return np.exp(self.log_g(np.asarray(x, dtype=float)))

@@ -4,9 +4,11 @@ Each diagnostic measures, in a different analytic form, how far a base
 measure is from having its tilt parameter sit exactly at the median of every
 tilted law.  All of them vanish identically when the base is the standard
 normal; for the perturbed catalog entries they are visibly nonzero at
-ordinary grid resolution.  Each takes a tilt grid through one pass of
-``tilting.tilt_grid``, the sign-kernel and convolution residuals through its
-half-line sums F_t(t) and E_t[X; X <= t] at x = t.
+ordinary grid resolution.  Each is an evaluator of one pass of
+``tilting.tilt_grid`` over a tilt grid, the sign-kernel and convolution
+residuals through its half-line sums F_t(t) and E_t[X; X <= t] at x = t;
+several diagnostics over one grid share that pass, and the single-t
+functions read the measure's kept one-tilt state.
 
 - ``median_gap``: tilted median minus the tilt parameter.
 - ``sign_kernel_residual``: signed Gaussian-kernel integral against the
@@ -31,8 +33,8 @@ import numpy as np
 
 from .measures import BaseMeasure
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
-from .symmetry import _asymmetry_grid, default_offsets
-from .tilting import T_MAX, tilt_grid
+from .symmetry import _asymmetry_scores, default_offsets
+from .tilting import T_MAX, TiltGrid, _tilt_row, tilt_grid
 
 __all__ = [
     "DIAGNOSTIC_NAMES",
@@ -77,36 +79,34 @@ class DiagnosticReport:
 
 
 _Evaluator = Callable[
-    [BaseMeasure, np.ndarray, QuadratureConfig], tuple[Sequence[float], Sequence[float]]
+    [BaseMeasure, TiltGrid, QuadratureConfig], tuple[Sequence[float], Sequence[float]]
 ]
 
 
-def _median_gap(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
-    grid = tilt_grid(m, ts, cfg)
-    return grid.median - ts, grid.median_error
+def _median_gap(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
+    return grid.median - grid.t_grid, grid.median_error
 
 
-def _mean_median(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
-    grid = tilt_grid(m, ts, cfg)
+def _mean_median(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
     return grid.median - grid.mean, grid.median_error + grid.mean_error
 
 
-def _symmetry(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
+def _symmetry(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
     # the score gets no error estimate: 0 is reported
-    return _asymmetry_grid(m, ts, default_offsets(), cfg)[1], np.zeros(ts.size)
+    return _asymmetry_scores(m, grid, default_offsets(), cfg), np.zeros(grid.t_grid.size)
 
 
-def _sign_kernel(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
+def _sign_kernel(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
     # phi(t - x) g(x) = e^{-t^2/2} e^{tx} f(x), split at x = t
-    grid = tilt_grid(m, ts, cfg, median=False)
+    ts = grid.t_grid
     scale = np.exp(grid.log_partition - 0.5 * ts**2)
     return scale * (2.0 * grid.cdf_at_t - 1.0), scale * 2.0 * grid.cdf_at_t_error
 
 
-def _convolution(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
+def _convolution(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
     # q(t - x) g(x) = sqrt(pi/2) e^{-t^2/2} |t - x| e^{tx} f(x), and
     # E_t|X - t| = mean - t + 2 (t F_t(t) - E_t[X; X <= t])
-    grid = tilt_grid(m, ts, cfg, median=False)
+    ts = grid.t_grid
     scale = math.sqrt(0.5 * math.pi) * np.exp(grid.log_partition - 0.5 * ts**2)
     spread = grid.mean - ts + 2.0 * (ts * grid.cdf_at_t - grid.lower_moment_at_t)
     error = grid.mean_error + 2.0 * (
@@ -115,7 +115,7 @@ def _convolution(m: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
     return m.g(ts) - scale * spread, scale * error
 
 
-# each evaluator maps a tilt grid to (residuals, error estimates) in one engine pass
+# each evaluator maps one engine pass over a tilt grid to (residuals, error estimates)
 _EVALUATORS: dict[str, _Evaluator] = {
     "median_gap": _median_gap,
     "sign_kernel": _sign_kernel,
@@ -123,18 +123,26 @@ _EVALUATORS: dict[str, _Evaluator] = {
     "mean_median": _mean_median,
     "symmetry": _symmetry,
 }
+# the evaluators that read the median, so their pass must solve for it
+_NEEDS_MEDIAN = frozenset({"median_gap", "mean_median"})
+
+
+def _at_tilt(which: str, m: BaseMeasure, t: float, cfg: QuadratureConfig) -> float:
+    """One diagnostic at a single tilt, from the measure's kept one-tilt state."""
+    row = _tilt_row(m, t, cfg, median=which in _NEEDS_MEDIAN)
+    return float(_EVALUATORS[which](m, row, cfg)[0][0])
 
 
 def median_gap(m: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Tilted median minus the tilt parameter; identically zero only for N(0,1)."""
-    return float(_median_gap(m, np.array([float(t)]), cfg)[0][0])
+    return _at_tilt("median_gap", m, t, cfg)
 
 
 def sign_kernel_residual(
     m: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
     """Integral of sign(t-x) * phi(t-x) against the density ratio."""
-    return float(_sign_kernel(m, np.array([float(t)]), cfg)[0][0])
+    return _at_tilt("sign_kernel", m, t, cfg)
 
 
 def convolution_residual(
@@ -146,14 +154,14 @@ def convolution_residual(
     the only constant admissible for a probability is 1, so this residual
     vanishing everywhere singles out the standard normal base.
     """
-    return float(_convolution(m, np.array([float(t)]), cfg)[0][0])
+    return _at_tilt("deriva", m, t, cfg)
 
 
 def mean_median_gap(
     m: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
     """Tilted median minus tilted mean; zero for every Gaussian base."""
-    return float(_mean_median(m, np.array([float(t)]), cfg)[0][0])
+    return _at_tilt("mean_median", m, t, cfg)
 
 
 def lipschitz_bound(
@@ -223,14 +231,29 @@ def scan(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> DiagnosticReport:
     """Evaluate one named diagnostic over a tilt grid."""
-    try:
-        evaluator = _EVALUATORS[which]
-    except KeyError:
-        raise UnknownDiagnosticError(
-            f"unknown diagnostic {which!r}; expected one of {DIAGNOSTIC_NAMES}"
-        ) from None
+    return _scan_reports(m, (which,), t_grid, cfg)[0]
+
+
+def _scan_reports(
+    m: BaseMeasure,
+    names: Sequence[str],
+    t_grid: Sequence[float],
+    cfg: QuadratureConfig,
+) -> list[DiagnosticReport]:
+    """Evaluate several named diagnostics over a tilt grid from one engine pass."""
+    for which in names:
+        if which not in _EVALUATORS:
+            raise UnknownDiagnosticError(
+                f"unknown diagnostic {which!r}; expected one of {DIAGNOSTIC_NAMES}"
+            )
     ts = [float(t) for t in t_grid]
-    values, errs = evaluator(m, np.array(ts), cfg)
+    grid = tilt_grid(m, ts, cfg, median=not _NEEDS_MEDIAN.isdisjoint(names))
+    return [_report(which, ts, *_EVALUATORS[which](m, grid, cfg)) for which in names]
+
+
+def _report(
+    which: str, ts: list[float], values: Sequence[float], errs: Sequence[float]
+) -> DiagnosticReport:
     residuals = [float(v) for v in values]
     errors = [float(e) for e in errs]
     if ts:

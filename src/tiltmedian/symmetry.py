@@ -16,7 +16,7 @@ import numpy as np
 
 from .measures import BaseMeasure
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
-from .tilting import tilt_grid
+from .tilting import TiltGrid, _tilt_row, tilt_grid
 
 __all__ = [
     "QuadraticFit",
@@ -55,24 +55,24 @@ def asymmetry_score(
 ) -> SymmetryReport:
     """Max over offsets u of |pdf(center+u) - pdf(center-u)| for the tilt-t law."""
     offs = default_offsets() if offsets is None else np.asarray(offsets, dtype=float)
-    centers, scores = _asymmetry_grid(m, np.array([float(t)]), offs, cfg)
+    row = _tilt_row(m, t, cfg)
     return SymmetryReport(
         t=float(t),
-        center=float(centers[0]),
-        asymmetry_score=float(scores[0]),
+        center=float(row.mean[0]),
+        asymmetry_score=float(_asymmetry_scores(m, row, offs, cfg)[0]),
         offsets_tested=int(offs.size),
     )
 
 
-def _asymmetry_grid(
-    m: BaseMeasure, ts: np.ndarray, offs: np.ndarray, cfg: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tilted means and asymmetry scores for every t in the grid, from one engine pass."""
+def _asymmetry_scores(
+    m: BaseMeasure, grid: TiltGrid, offs: np.ndarray, cfg: QuadratureConfig
+) -> np.ndarray:
+    """Asymmetry score of every tilt of an engine pass, about its tilted mean."""
     if offs.size == 0 or np.any(offs <= 0):
         raise ValueError("offsets must be positive")
-    grid = tilt_grid(m, ts, cfg, median=False)
     if not np.all(np.isfinite(grid.log_partition)):
         raise ValueError("log_partition must be finite")
+    ts = grid.t_grid
     halfwidths = np.array([m.window_halfwidth(t, cfg.truncation_halfwidth) for t in ts])
     # slack covers quadrature fuzz on the center when an offset lands
     # exactly on the truncation edge
@@ -83,8 +83,7 @@ def _asymmetry_grid(
     def tilted_pdf(x: np.ndarray) -> np.ndarray:
         return np.exp(t * x + m.log_pdf(x) - log_l)
 
-    scores = np.max(np.abs(tilted_pdf(centers + offs) - tilted_pdf(centers - offs)), axis=1)
-    return grid.mean, scores
+    return np.max(np.abs(tilted_pdf(centers + offs) - tilted_pdf(centers - offs)), axis=1)
 
 
 def midpoint_residual(

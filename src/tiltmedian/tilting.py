@@ -16,6 +16,10 @@ panel on top of them gives F_t(t) and E_t[X; X <= t], and the median is a
 safeguarded Newton solve on partial panels where the table crosses 1/2.  A
 panel whose Kronrod-Gauss difference misses the tolerance, whole or partial,
 is integrated adaptively instead.
+
+A single-tilt request keeps its pass on the base measure, one (t, cfg) at a
+time, so the log-partition, mean, median and half-line sums of that tilt come
+from one set of panel tables whatever the order they are asked in.
 """
 
 from __future__ import annotations
@@ -105,15 +109,30 @@ def tilt_grid(
     which other tilts share the call, up to the last bit.
     """
     ts = np.array([_check_tilt(t) for t in t_grid], dtype=float)
+    _check_x_tol(x_tol)
+    grid = _empty_grid(ts, median)
+    for where, chunk in _chunks(measure, ts, cfg):
+        chunk.fill(grid, where)
+        if median:
+            grid.median[where], grid.median_error[where] = chunk._medians(x_tol)
+    return grid
+
+
+def _check_x_tol(x_tol: float) -> None:
     if x_tol <= 0:
         raise ValueError("x_tol must be positive")
-    n = ts.size
+
+
+def _empty_grid(ts: np.ndarray, median: bool) -> TiltGrid:
     names = [field.name for field in dataclasses.fields(TiltGrid)[1:]]
-    grid = TiltGrid(
-        ts, **{name: np.empty(n) for name in names if median or not name.startswith("median")}
-    )
-    if n == 0:
-        return grid
+    wanted = [name for name in names if median or not name.startswith("median")]
+    return TiltGrid(ts, **{name: np.empty(ts.size) for name in wanted})
+
+
+def _chunks(measure: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
+    """The engine's panel pass over ``ts``: yields (slice of ts, its _TiltChunk)."""
+    if ts.size == 0:
+        return
     reach = max(measure.window_halfwidth(t, cfg.truncation_halfwidth) for t in ts)
     reach = FIXED_PANEL_WIDTH * math.ceil(reach / FIXED_PANEL_WIDTH)
     edges = anchored_edges(-reach, reach)
@@ -121,11 +140,9 @@ def tilt_grid(
     log_pdf = np.asarray(measure.log_pdf(xs), dtype=float)
     _check_log_values(xs, log_pdf)
     chunk = max(1, _CHUNK_ELEMENTS // xs.size)
-    for start in range(0, n, chunk):
-        _TiltChunk(measure, cfg, edges, xs, half, log_pdf, ts[start : start + chunk]).fill(
-            grid, slice(start, start + chunk), median, x_tol
-        )
-    return grid
+    for start in range(0, ts.size, chunk):
+        where = slice(start, start + chunk)
+        yield where, _TiltChunk(measure, cfg, edges, xs, half, log_pdf, ts[where])
 
 
 def _check_log_values(xs: np.ndarray, values: np.ndarray) -> None:
@@ -213,15 +230,14 @@ class _TiltChunk:
 
         return weight
 
-    def fill(self, grid: TiltGrid, where: slice, median: bool, x_tol: float) -> None:
+    def fill(self, grid: TiltGrid, where: slice) -> None:
+        """Every field of ``grid`` but the median, for this chunk's tilts."""
         with np.errstate(divide="ignore", invalid="ignore"):
             mean = self.moment / self.mass
             grid.log_partition[where] = self.shift + np.log(self.mass)
             grid.mean[where] = mean
             grid.mean_error[where] = (self.moment_err + np.abs(mean) * self.mass_err) / self.mass
             self._fill_at_t(grid, where)
-            if median:
-                grid.median[where], grid.median_error[where] = self._medians(x_tol)
 
     def _fill_at_t(self, grid: TiltGrid, where: slice) -> None:
         """F_t(t) and E_t[X; X <= t] from the panels below t and one partial panel.
@@ -245,6 +261,7 @@ class _TiltChunk:
             moment_err + np.abs(lower_moment) * self.mass_err
         ) / self.mass
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def _medians(self, x_tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Median of each tilted law and its error estimate.
 
@@ -276,8 +293,7 @@ class _TiltChunk:
                 rows, panel, cdf[rows, panel], cdf[rows, panel + 1], x_tol
             )
             medians[rows] = x
-            with np.errstate(divide="ignore"):
-                errors[rows] = x_tol + cdf_err[rows] / density
+            errors[rows] = x_tol + cdf_err[rows] / density
         return medians, errors
 
     def _newton(
@@ -328,11 +344,62 @@ class _TiltChunk:
         return x, np.exp(self.ts[rows] * x + self.measure.log_pdf(x) - self.shift[rows]) / mass
 
 
+class _TiltState:
+    """The engine pass of one tilt, kept so later requests at the same tilt reuse it.
+
+    It holds the pass's ``_TiltChunk`` (panel tables, shift and mass) and the
+    row it filled without the median; a median is solved on those tables
+    when first asked for, once per ``x_tol``.  Each result equals the
+    matching entry of a fresh ``tilt_grid(measure, [t], cfg)``.
+    """
+
+    def __init__(self, measure: BaseMeasure, t: float, cfg: QuadratureConfig) -> None:
+        self.key = (t, cfg)
+        ts = np.array([t])
+        self.row = _empty_grid(ts, median=False)
+        ((where, self.chunk),) = _chunks(measure, ts, cfg)
+        self.chunk.fill(self.row, where)
+        self._with_median: dict[float, TiltGrid] = {}
+
+    def with_median(self, x_tol: float) -> TiltGrid:
+        _check_x_tol(x_tol)
+        row = self._with_median.get(x_tol)
+        if row is None:
+            median, error = self.chunk._medians(x_tol)
+            row = dataclasses.replace(self.row, median=median, median_error=error)
+            self._with_median[x_tol] = row
+        return row
+
+
+def _tilt_row(
+    measure: BaseMeasure,
+    t: float,
+    cfg: QuadratureConfig,
+    *,
+    median: bool = False,
+    x_tol: float = DEFAULT_X_TOL,
+) -> TiltGrid:
+    """``tilt_grid(measure, [t], cfg, median=median, x_tol=x_tol)`` from the measure's kept state.
+
+    The measure keeps one state only, its most recent (t, cfg), so requests
+    at other tilts are never served from memory.  The state is read once: a
+    caller racing another one at worst runs the pass again.  Callers only
+    read the row: its arrays are shared with the state.
+    """
+    t = _check_tilt(t)
+    state = measure._tilt_state
+    # 0.0 and -0.0 share a state: no result depends on the sign of a zero tilt
+    if state is None or state.key != (t, cfg):
+        state = _TiltState(measure, t, cfg)
+        object.__setattr__(measure, "_tilt_state", state)
+    return state.with_median(x_tol) if median else state.row
+
+
 def log_partition(
     measure: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
     """log of the Laplace transform of the base measure at t."""
-    return float(tilt_grid(measure, [t], cfg, median=False).log_partition[0])
+    return float(_tilt_row(measure, t, cfg).log_partition[0])
 
 
 def tilt(
@@ -340,29 +407,24 @@ def tilt(
 ) -> TiltedView:
     """Construct the tilt-t member of the family generated by ``measure``."""
     t = _check_tilt(t)
-    row = tilt_grid(measure, [t], cfg, median=False)
-    view = TiltedView(base=measure, t=t, log_partition=float(row.log_partition[0]), cfg=cfg)
-    object.__setattr__(view, "_row", row)
-    return view
+    log_l = float(_tilt_row(measure, t, cfg).log_partition[0])
+    return TiltedView(base=measure, t=t, log_partition=log_l, cfg=cfg)
 
 
 @dataclass(frozen=True)
 class TiltedView:
     """One member of the tilted family, with its normalizer cached.
 
-    The view keeps the last one-tilt engine result it used: :func:`tilt`
-    leaves the one its normalizer came from, so ``mean()`` is a lookup, and
-    the first ``median()`` at the default ``x_tol`` replaces it with one that
-    includes the median.
+    ``mean()`` and ``median()`` read the base measure's kept one-tilt state
+    (see ``BaseMeasure``): after :func:`tilt`, or any other one-tilt request
+    at the same (t, cfg), they run no second engine pass; the median is
+    solved on the kept panel tables, once per ``x_tol``.
     """
 
     base: BaseMeasure
     t: float
     log_partition: float
     cfg: QuadratureConfig = DEFAULT_QUADRATURE
-    _row: TiltGrid | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.log_partition):
@@ -388,22 +450,12 @@ class TiltedView:
         value = integrate(self.pdf, (-halfwidth, upper), self.cfg).value
         return min(1.0, max(0.0, value))
 
-    def _engine_row(self, median: bool) -> TiltGrid:
-        """The one-tilt engine result, run at most once without and once with the median."""
-        row = self._row
-        if row is None or (median and row.median is None):
-            row = tilt_grid(self.base, [self.t], self.cfg, median=median)
-            object.__setattr__(self, "_row", row)
-        return row
-
     def mean(self) -> float:
-        return float(self._engine_row(median=False).mean[0])
+        return float(_tilt_row(self.base, self.t, self.cfg).mean[0])
 
     def median(self, x_tol: float = DEFAULT_X_TOL) -> float:
         """Solve cdf(x) = 1/2; a flat stretch at 1/2 resolves to its midpoint."""
-        if x_tol != DEFAULT_X_TOL:
-            return float(tilt_grid(self.base, [self.t], self.cfg, x_tol=x_tol).median[0])
-        return float(self._engine_row(median=True).median[0])
+        return float(_tilt_row(self.base, self.t, self.cfg, median=True, x_tol=x_tol).median[0])
 
 
 def half_line_mgf(
@@ -418,7 +470,7 @@ def half_line_mgf(
     The derivative formula follows from the quantile transform of the
     distribution function; tests cross-check it against finite differences.
     """
-    grid = tilt_grid(measure, [t], cfg, median=False)
-    full = math.exp(grid.log_partition[0])
+    row = _tilt_row(measure, t, cfg)
+    full = math.exp(row.log_partition[0])
     boundary = math.exp(t * t + float(measure.log_pdf(np.array([t]))[0]))
-    return full * grid.cdf_at_t[0], boundary + full * grid.lower_moment_at_t[0]
+    return full * row.cdf_at_t[0], boundary + full * row.lower_moment_at_t[0]

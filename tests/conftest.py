@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+
 import pytest
 
 import tiltmedian as tm
@@ -29,3 +31,27 @@ def symmetric_mixture() -> tm.BaseMeasure:
 def catalog(std_gaussian, cosine_half, quadratic_one, symmetric_mixture):
     """One representative per closed-form family."""
     return (std_gaussian, cosine_half, quadratic_one, symmetric_mixture)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch) -> collections.Counter:
+    """Counts engine panel passes (``"passes"``: ``_TiltChunk`` constructions)
+    and ``"tilt_grid"`` calls, from every module that calls the engine."""
+    calls: collections.Counter = collections.Counter()
+    chunk = tm.tilting._TiltChunk
+    engine = tm.tilting.tilt_grid
+
+    class CountingChunk(chunk):
+        def __init__(self, *args) -> None:
+            calls["passes"] += 1
+            super().__init__(*args)
+
+    def counting_engine(*args, **kwargs):
+        calls["tilt_grid"] += 1
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(tm.tilting, "_TiltChunk", CountingChunk)
+    for module in (tm, tm.tilting, tm.medianlaw, tm.symmetry):
+        if getattr(module, "tilt_grid", None) is engine:
+            monkeypatch.setattr(module, "tilt_grid", counting_engine)
+    return calls

@@ -115,15 +115,23 @@ def _grid(values: np.ndarray, x_min: float, step: float) -> tm.GridFunction:
     )
 
 
-def test_convolve_fixes_constants():
+@pytest.mark.parametrize("level", [1.0, 0.7, 3.0e5])
+def test_constant_ratio_is_exactly_fixed(level):
+    # the window's mid-range is subtracted before the transform, so a constant
+    # sends only zeros through it
     setup = tm.ConvolutionSetup(step=0.01)
-    xs = np.arange(-20.0, 20.0 + 1e-12, 0.01)
-    out = tm.convolve(_grid(np.ones_like(xs), -20.0, 0.01), setup)
-    assert np.max(np.abs(out.window_values() - 1.0)) <= 1e-9
+    xs = np.arange(-60.0, 60.0 + 1e-12, 0.01)
+    grid = _grid(np.full_like(xs, level), -60.0, 0.01)
+    out = tm.convolve(grid, setup)
+    assert np.all(out.window_values() == level)
     steps = setup.kernel_steps()
     assert out.window_lo == steps
     assert out.window_hi == xs.size - 1 - steps
     assert np.all(np.isnan(out.values[:steps]))
+    assert np.all(np.isnan(out.values[out.window_hi + 1 :]))
+    trace = tm.iterate_fixed_point(grid, 8, setup)
+    assert trace.oscillations == (0.0,) * 8
+    assert np.all(trace.final_iterate.window_values() == level)
 
 
 def test_convolve_preserves_affine():
@@ -253,18 +261,6 @@ def test_convolve_matches_direct_stencil(spec):
         assert np.all(np.isnan(out.values[: out.window_lo]))
         assert np.all(np.isnan(out.values[out.window_hi + 1 :]))
         current = out
-
-
-def test_iterate_constant_is_exactly_fixed():
-    # the window's mid-range is subtracted before the transform, so a constant
-    # sends only zeros through it
-    setup = tm.ConvolutionSetup(step=0.01)
-    xs = np.arange(-60.0, 60.0 + 1e-12, 0.01)
-    for level in (1.0, 0.7, 3.0e5):
-        grid = _grid(np.full_like(xs, level), -60.0, 0.01)
-        trace = tm.iterate_fixed_point(grid, 8, setup)
-        assert trace.oscillations == (0.0,) * 8
-        assert np.all(trace.final_iterate.window_values() == level)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

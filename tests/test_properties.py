@@ -143,3 +143,37 @@ def test_reflection_maps_residuals(spec, t):
         residual = tm.scan(measure, name, [-t]).residuals[0]
         reflected = tm.scan(mirrored, name, [t]).residuals[0]
         assert abs(reflected - sign * residual) <= 1e-10 * max(1.0, abs(residual)), name
+
+
+# one-tilt requests, each answered from the measure's kept state when it matches
+ONE_TILT_CALLS = {
+    "tilt_median": lambda m, t: (tm.tilt(m, t).log_partition, tm.tilt(m, t).median()),
+    "mean": lambda m, t: tm.TiltedView(base=m, t=t, log_partition=0.0).mean(),
+    "log_partition": tm.log_partition,
+    "sign_kernel": tm.sign_kernel_residual,
+    "convolution": tm.convolution_residual,
+    "median_gap": tm.median_gap,
+    "mean_median_gap": tm.mean_median_gap,
+    "half_line_mgf": tm.half_line_mgf,
+    "asymmetry": tm.asymmetry_score,
+}
+
+
+@PROPERTY
+@given(
+    spec=NORMAL_SPECS,
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(ONE_TILT_CALLS)), st.sampled_from([-2.5, -0.0, 0.0, 1.0])
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_one_tilt_results_do_not_depend_on_call_order(spec, calls):
+    measure = tm.build_measure(spec)
+    for name, t in calls:
+        got = ONE_TILT_CALLS[name](measure, t)
+        fresh = ONE_TILT_CALLS[name](tm.build_measure(spec), t)
+        # repr tells every float bit apart, the sign of zero included
+        assert repr(got) == repr(fresh), (name, t)

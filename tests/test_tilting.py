@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import oracles
 import tiltmedian as tm
+import tiltmedian.cli
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -57,35 +62,105 @@ def test_tilted_view_requires_finite_normalizer(std_gaussian):
         tm.TiltedView(base=std_gaussian, t=0.0, log_partition=math.inf)
 
 
-def test_tilted_view_reads_its_engine_row(catalog, monkeypatch):
-    calls = []
-    engine = tm.tilting.tilt_grid
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return engine(*args, **kwargs)
-
-    monkeypatch.setattr(tm.tilting, "tilt_grid", counting)
+def test_one_tilt_requests_share_one_engine_pass(catalog, engine_calls):
+    narrow = tm.QuadratureConfig(truncation_halfwidth=10.0)
     for measure in catalog:
         for t in (-2.5, 0.0, 1.5):
-            calls.clear()
+            engine_calls.clear()
             view = tm.tilt(measure, t)
-            mean = view.mean()
-            assert len(calls) == 1  # tilt's own pass, without the median
-            median = view.median()
-            assert (view.mean(), view.median()) == (mean, median)
-            assert len(calls) == 2  # the first median adds the pass with it
-            row = engine(measure, [t])
-            assert mean == float(row.mean[0]) and median == float(row.median[0])
-            assert view.log_partition == float(row.log_partition[0])
-            # a non-default x_tol runs the engine each time
-            view.median(x_tol=1e-12)
-            assert len(calls) == 3
-            # a view built by hand caches the same way, median first or mean first
+            got = (
+                view.log_partition,
+                view.mean(),
+                view.median(),
+                view.median(x_tol=1e-12),
+                view.median(x_tol=1e-3),
+                tm.sign_kernel_residual(measure, t),
+                tm.convolution_residual(measure, t),
+            )
+            # a view built by hand reads the same kept state
             bare = tm.TiltedView(base=measure, t=t, log_partition=view.log_partition)
-            assert (bare.median(), bare.mean(), bare.median()) == (median, mean, median)
-            assert len(calls) == 4
+            assert (bare.median(), bare.mean(), bare.median()) == (got[2], got[1], got[2])
             assert bare == view
+            assert engine_calls == {"passes": 1}
+            # a fresh pass gives the same bits
+            row = tm.tilt_grid(measure, [t])
+            expected = (
+                float(row.log_partition[0]),
+                float(row.mean[0]),
+                float(row.median[0]),
+                float(tm.tilt_grid(measure, [t], x_tol=1e-12).median[0]),
+                float(tm.tilt_grid(measure, [t], x_tol=1e-3).median[0]),
+                tm.scan(measure, "sign_kernel", [t]).residuals[0],
+                tm.scan(measure, "deriva", [t]).residuals[0],
+            )
+            assert got == expected
+            # the same tilt with other settings, or another tilt, is a new pass
+            engine_calls.clear()
+            assert tm.tilt(measure, t, narrow).median() == float(
+                tm.tilt_grid(measure, [t], narrow).median[0]
+            )
+            assert tm.log_partition(measure, t + 0.25) == float(
+                tm.tilt_grid(measure, [t + 0.25]).log_partition[0]
+            )
+            assert engine_calls == {"passes": 4, "tilt_grid": 2}
+
+
+def test_kept_state_under_concurrent_callers(cosine_half):
+    # threads racing on one measure's kept state may recompute it, never mix rows
+    measure = tm.build_measure(tm.PerturbedCosine(0.5))
+    calls = [(f, t) for t in (-1.0, 0.5, 2.0) for f in (tm.median_gap, tm.convolution_residual)]
+    expected = [f(cosine_half, t) for f, t in calls]
+    mismatches = []
+
+    def worker(offset: int) -> None:
+        for k in range(300):
+            index = (offset + k) % len(calls)
+            f, t = calls[index]
+            if f(measure, t) != expected[index]:
+                mismatches.append((f.__name__, t))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_kept_state_checks_x_tol_and_stays_out_of_equality(cosine_half):
+    view = tm.tilt(cosine_half, 0.5)
+    for x_tol in (0.0, -1e-10):
+        with pytest.raises(ValueError, match="x_tol"):
+            view.median(x_tol=x_tol)
+    assert cosine_half._tilt_state is not None
+    fresh = dataclasses.replace(cosine_half)
+    assert fresh._tilt_state is None
+    assert fresh == cosine_half
+    assert hash(fresh) == hash(cosine_half)
+    assert repr(fresh) == repr(cosine_half)
+
+
+def test_full_report_runs_the_engine_once(engine_calls, tmp_path):
+    out = tmp_path / "report.json"
+    config = tm.cli.ExperimentConfig(
+        measure=tm.PerturbedCosine(0.5),
+        command="full-report",
+        output_path=str(out),
+        output_format="json",
+    )
+    assert tm.cli.run(config) == 0
+    assert engine_calls["tilt_grid"] == 1
+    payload = json.loads(out.read_text())
+    for name, report in payload.items():
+        expected = tm.scan(tm.build_measure(tm.PerturbedCosine(0.5)), name, config.t_grid())
+        assert report["residuals"] == list(expected.residuals)
+        assert report["error_estimates"] == list(expected.error_estimates)
 
 
 def test_pdf_gaussian_translation(std_gaussian):
