@@ -65,18 +65,14 @@ FULL_REPORT_DIAGNOSTICS = ("deriva", "mean_median", "median_gap", "sign_kernel")
 _CHOQUET_X_HALFWIDTH = 60.0
 _CHOQUET_STEP = 0.01
 
-_CONFIG_KEYS = {
-    "measure",
-    "t_min",
-    "t_max",
-    "t_points",
-    "out",
-    "format",
-    "steps",
-    "halfwidth",
-    "quadrature",
+# config keys (also argparse dests) that ExperimentConfig defaults when
+# neither a flag nor the file sets them -> (ExperimentConfig field, type)
+_DEFAULTED_OPTIONS = {
+    "t_min": ("t_min", float), "t_max": ("t_max", float), "t_points": ("t_points", int),
+    "format": ("output_format", str), "steps": ("steps", int), "halfwidth": ("halfwidth", float),
 }
-_QUADRATURE_KEYS = {"truncation_halfwidth", "rel_tol", "abs_tol", "max_subdivisions"}
+_CONFIG_KEYS = {"measure", "out", "quadrature", *_DEFAULTED_OPTIONS}
+_QUADRATURE_KEYS = {field.name for field in dataclasses.fields(QuadratureConfig)}
 
 
 class ConfigError(Exception):
@@ -332,37 +328,34 @@ def _quadrature_from(data: Any) -> QuadratureConfig:
 
 
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
-    file_values: dict[str, Any] = {}
+    given: dict[str, Any] = {}
     if args.config is not None:
-        file_values = _load_config_file(args.config)
+        given = _load_config_file(args.config)
+    # explicit flags win over file values
+    given.update((key, value) for key, value in vars(args).items() if value is not None)
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key, default)
-
-    measure_text = pick(args.measure, "measure", None)
+    measure_text = given.get("measure")
     if measure_text is None:
         raise ConfigError("a measure is required (--measure or config file)")
-    out = pick(args.out, "out", None)
+    out = given.get("out")
     if out is None:
         raise ConfigError("an output path is required (--out or config file)")
     quadrature = DEFAULT_QUADRATURE
-    if "quadrature" in file_values:
-        quadrature = _quadrature_from(file_values["quadrature"])
+    if "quadrature" in given:
+        quadrature = _quadrature_from(given["quadrature"])
 
     try:
+        options = {
+            field: convert(given[key])
+            for key, (field, convert) in _DEFAULTED_OPTIONS.items()
+            if key in given
+        }
         return ExperimentConfig(
             measure=parse_measure(str(measure_text)),
             command=args.command,
             output_path=str(out),
-            t_min=float(pick(args.t_min, "t_min", -6.0)),
-            t_max=float(pick(args.t_max, "t_max", 6.0)),
-            t_points=int(pick(args.t_points, "t_points", 49)),
-            output_format=str(pick(args.format, "format", "csv")),
-            steps=int(pick(getattr(args, "steps", None), "steps", 8)),
-            halfwidth=float(pick(getattr(args, "halfwidth", None), "halfwidth", 2.0)),
             quadrature=quadrature,
+            **options,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid option value: {exc}") from exc

@@ -1,6 +1,7 @@
 """Discrete convolution against the kernel |y| e^{-y^2/2} / 2 and its iteration.
 
-The kernel is a probability density whose two-sided Laplace transform is
+The kernel is a probability density whose two-sided Laplace transform, in
+closed form 1 + s sqrt(pi/2) e^{s^2/2} erf(s/sqrt(2)) (``kernel_laplace``), is
 even, strictly convex, and equal to 1 only at the origin.  Fixed points of
 convolution with such a kernel are constant among bounded functions, and
 iterating the convolution on the catalog density ratios flattens them
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import GridFunction
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
 from .tilting import T_MAX
 
 __all__ = [
@@ -56,7 +56,7 @@ _FFT_RTOL = 1e-12
 _FFT_ROUNDING = 2.0 * np.finfo(float).eps
 
 
-class WindowTooNarrowError(Exception):
+class WindowTooNarrowError(ValueError):
     """The valid window cannot absorb another kernel-width shrink."""
 
 
@@ -66,17 +66,13 @@ def kernel(y) -> np.ndarray:
     return 0.5 * np.abs(y) * np.exp(-0.5 * y**2)
 
 
-def kernel_laplace(s: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Two-sided Laplace transform of the kernel, by quadrature."""
+def kernel_laplace(s: float) -> float:
+    """Two-sided Laplace transform of the kernel, 1 + s sqrt(pi/2) e^{s^2/2} erf(s/sqrt(2))."""
     s = float(s)
     if not abs(s) <= T_MAX:
         raise ValueError(f"argument {s!r} outside the working range [-{T_MAX}, {T_MAX}]")
-    halfwidth = cfg.truncation_halfwidth + abs(s)
-    return integrate(
-        lambda y: np.exp(s * np.asarray(y, dtype=float)) * kernel(y),
-        (-halfwidth, halfwidth),
-        cfg,
-    ).value
+    gain = math.sqrt(0.5 * math.pi) * math.exp(0.5 * s * s)
+    return 1.0 + s * gain * math.erf(s / math.sqrt(2.0))
 
 
 def _tail_radius(tol: float) -> float:

@@ -20,7 +20,8 @@ functions read the measure's kept one-tilt state.
 - ``symmetry`` (``scan`` only): largest pointwise asymmetry of the tilted
   density about its mean, see ``symmetry.asymmetry_score``.
 - ``lipschitz_bound``: an explicit local Lipschitz constant for the
-  distribution function of the base measure.
+  distribution function of the base measure; it and ``monotonicity_check``
+  read the engine's half-line sums at x other than t.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import BaseMeasure
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 from .symmetry import _asymmetry_scores, default_offsets
-from .tilting import T_MAX, TiltGrid, _tilt_row, tilt_grid
+from .tilting import T_MAX, TiltGrid, _half_line, _tilt_row, tilt_grid
 
 __all__ = [
     "DIAGNOSTIC_NAMES",
@@ -165,39 +166,27 @@ def mean_median_gap(
 
 
 def lipschitz_bound(
-    m: BaseMeasure,
-    halfwidth: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    slope_grid_points: int = 101,
+    m: BaseMeasure, halfwidth: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
     """A constant c such that the base measure of (s, t) is at most c*(t-s).
 
     Valid for all -A <= s < t <= A with A = ``halfwidth``:
     c = e^{A^2} * ( max_{|u|<=A} |dL/du| / 2 + integral of |x| e^{A|x|} dP )
-    where L is the Laplace transform; the slope maximum is taken over a
-    uniform grid of u values, with dL/du = L(u) * (mean of the tilt-u law).
+    where L is the Laplace transform.  L is convex, so dL/du = L(u) * (mean
+    of the tilt-u law) increases and |dL/du| peaks at u = -A or u = A.  The
+    |x| integral splits at 0 into half-line sums of the same two tilts:
+    L(A) (mean_A - E_A[X; X <= 0]) - L(-A) E_{-A}[X; X <= 0].
     """
     if not 0 < halfwidth <= T_MAX:
         raise ValueError(f"halfwidth must lie in (0, {T_MAX}]")
-    grid = tilt_grid(m, np.linspace(-halfwidth, halfwidth, slope_grid_points), cfg, median=False)
-    slopes = np.exp(grid.log_partition) * grid.mean
-    max_slope = float(np.max(np.abs(slopes), initial=0.0))
-    window = m.window_halfwidth(halfwidth, cfg.truncation_halfwidth)
-    weighted_abs = integrate(
-        lambda x: np.exp(
-            halfwidth * np.abs(np.asarray(x, dtype=float))
-            + m.log_pdf(x)
-            + _log_abs(np.asarray(x, dtype=float))
-        ),
-        (-window, window),
-        cfg,
-    ).value
+    max_slope = weighted_abs = 0.0
+    for a, above in ((halfwidth, 1.0), (-halfwidth, 0.0)):
+        row = _tilt_row(m, a, cfg)
+        scale, mean = math.exp(row.log_partition[0]), float(row.mean[0])
+        below = float(_half_line(m, a, [0.0], cfg)[2][0])
+        max_slope = max(max_slope, abs(scale * mean))
+        weighted_abs += scale * (above * mean - below)
     return math.exp(halfwidth**2) * (0.5 * max_slope + weighted_abs)
-
-
-def _log_abs(x: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(x))
 
 
 def monotonicity_check(
@@ -209,19 +198,23 @@ def monotonicity_check(
     """Flag adjacent grid intervals carrying base mass below ``mass_floor``.
 
     An empty list certifies that the distribution function is strictly
-    increasing at the resolution of the supplied grid.
+    increasing at the resolution of the supplied grid.  The masses are L(0)
+    times the differences of F_0 at the grid points, from one engine pass.
     """
     xs = np.asarray(x_grid, dtype=float)
     if xs.size < 2:
         raise ValueError("need at least two grid points")
     if not np.all(np.diff(xs) > 0):
         raise ValueError("grid must be strictly increasing")
-    flagged: list[tuple[float, float]] = []
-    for lo, hi in zip(xs[:-1], xs[1:]):
-        mass = integrate(m.pdf, (float(lo), float(hi)), cfg).value
-        if mass < mass_floor:
-            flagged.append((float(lo), float(hi)))
-    return flagged
+    # a mass that could not be computed (nan) is flagged too
+    low = np.flatnonzero(~(_interval_masses(m, xs, cfg) >= mass_floor))
+    return [(float(xs[k]), float(xs[k + 1])) for k in low]
+
+
+def _interval_masses(m: BaseMeasure, xs: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    """Base mass of each interval between adjacent points of ``xs``: L(0) dF_0."""
+    cdf = _half_line(m, 0.0, xs, cfg)[0]
+    return math.exp(_tilt_row(m, 0.0, cfg).log_partition[0]) * np.diff(cdf)
 
 
 def scan(

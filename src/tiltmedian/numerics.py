@@ -8,9 +8,9 @@ tolerance is met.  Integrands must accept a numpy array of abscissae and
 return an array of the same shape.
 
 The same 15(7) rule is also exposed panel-wise (``anchored_edges``,
-``panel_nodes``, ``kronrod_sums``) for callers that evaluate one integrand
-family on a fixed panel layout many times over, such as the tilt-grid
-engine in ``tilting``.
+``panel_nodes``, ``kronrod_sums``) for the tilt-grid engine in ``tilting``,
+which serves every tilted-law integral; ``integrate`` is left to the engine's
+unresolved panels and to the unit-mass checks in ``measures``.
 
 All improper integrals elsewhere in the package are truncated to a finite
 window before reaching this module; the truncation halfwidth carried by

@@ -12,14 +12,14 @@ log-density is evaluated once on the Kronrod nodes of fixed panels anchored
 at multiples of ``FIXED_PANEL_WIDTH``, and each tilt of a grid is one shift,
 one exponential and a few panel sums on those values.  The panel sums give
 log L(t), the tilted mean and running tables at the panel edges; one partial
-panel on top of them gives F_t(t) and E_t[X; X <= t], and the median is a
-safeguarded Newton solve on partial panels where the table crosses 1/2.  A
-panel whose Kronrod-Gauss difference misses the tolerance, whole or partial,
-is integrated adaptively instead.
+panel on top of them gives the half-line sums F_t(x) and E_t[X; X <= x] at
+x = t or any x, and the median is a safeguarded Newton solve on partial panels
+where the table crosses 1/2.  A panel whose Kronrod-Gauss difference misses
+the tolerance, whole or partial, is integrated adaptively instead.
 
 A single-tilt request keeps its pass on the base measure, one (t, cfg) at a
-time, so the log-partition, mean, median and half-line sums of that tilt come
-from one set of panel tables whatever the order they are asked in.
+time, so every quantity of that tilt, the distribution function at any x
+included, comes from one set of panel tables whatever the order of requests.
 """
 
 from __future__ import annotations
@@ -237,29 +237,34 @@ class _TiltChunk:
             grid.log_partition[where] = self.shift + np.log(self.mass)
             grid.mean[where] = mean
             grid.mean_error[where] = (self.moment_err + np.abs(mean) * self.mass_err) / self.mass
-            self._fill_at_t(grid, where)
+            at_t = self.half_line(np.arange(self.ts.size), self.ts)
+            grid.cdf_at_t[where], grid.cdf_at_t_error[where] = at_t[:2]
+            grid.lower_moment_at_t[where], grid.lower_moment_at_t_error[where] = at_t[2:]
 
-    def _fill_at_t(self, grid: TiltGrid, where: slice) -> None:
-        """F_t(t) and E_t[X; X <= t] from the panels below t and one partial panel.
+    @np.errstate(divide="ignore", invalid="ignore")
+    def half_line(self, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """F_t(x), its error, E_t[X; X <= x] and its error for the tilt of each row.
 
-        F's error counts the whole mass error (it bounds the error F and log L
+        The sums come from the panels below x and one partial panel; x is
+        clipped to the panels, which hold all but the truncated tails.  F's
+        error counts the whole mass error (it bounds the error F and log L
         share) and the rounding of a running sum, as the median's table does.
         """
         n_panels = self.edges.size - 1
-        x = np.clip(self.ts, self.edges[0], self.edges[-1])
+        x = np.clip(x, self.edges[0], self.edges[-1])
         panel = np.minimum(np.searchsorted(self.edges, x, side="right") - 1, n_panels - 1)
-        rows = np.arange(self.ts.size)
         mass, moment, mass_err, moment_err = (
             table[rows, panel] + part
             for table, part in zip(self.below, self._partial(rows, panel, x))
         )
-        lower_moment = moment / self.mass
-        grid.cdf_at_t[where] = mass / self.mass
-        grid.cdf_at_t_error[where] = (mass_err + self.mass_err) / self.mass + n_panels * _EPS
-        grid.lower_moment_at_t[where] = lower_moment
-        grid.lower_moment_at_t_error[where] = (
-            moment_err + np.abs(lower_moment) * self.mass_err
-        ) / self.mass
+        total, total_err = self.mass[rows], self.mass_err[rows]
+        lower_moment = moment / total
+        return (
+            mass / total,
+            (mass_err + total_err) / total + n_panels * _EPS,
+            lower_moment,
+            (moment_err + np.abs(lower_moment) * total_err) / total,
+        )
 
     @np.errstate(divide="ignore", invalid="ignore")
     def _medians(self, x_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -371,6 +376,20 @@ class _TiltState:
         return row
 
 
+def _tilt_state(measure: BaseMeasure, t: float, cfg: QuadratureConfig) -> _TiltState:
+    """The measure's kept state at (t, cfg); a new pass replaces a state at another (t, cfg).
+
+    The state is read once: a caller racing another one at worst runs the pass again.
+    """
+    t = _check_tilt(t)
+    state = measure._tilt_state
+    # 0.0 and -0.0 share a state: no result depends on the sign of a zero tilt
+    if state is None or state.key != (t, cfg):
+        state = _TiltState(measure, t, cfg)
+        object.__setattr__(measure, "_tilt_state", state)
+    return state
+
+
 def _tilt_row(
     measure: BaseMeasure,
     t: float,
@@ -381,18 +400,16 @@ def _tilt_row(
 ) -> TiltGrid:
     """``tilt_grid(measure, [t], cfg, median=median, x_tol=x_tol)`` from the measure's kept state.
 
-    The measure keeps one state only, its most recent (t, cfg), so requests
-    at other tilts are never served from memory.  The state is read once: a
-    caller racing another one at worst runs the pass again.  Callers only
-    read the row: its arrays are shared with the state.
+    Callers only read the row: its arrays are shared with the state.
     """
-    t = _check_tilt(t)
-    state = measure._tilt_state
-    # 0.0 and -0.0 share a state: no result depends on the sign of a zero tilt
-    if state is None or state.key != (t, cfg):
-        state = _TiltState(measure, t, cfg)
-        object.__setattr__(measure, "_tilt_state", state)
+    state = _tilt_state(measure, t, cfg)
     return state.with_median(x_tol) if median else state.row
+
+
+def _half_line(measure: BaseMeasure, t: float, xs, cfg: QuadratureConfig) -> tuple:
+    """F_t(x), its error, E_t[X; X <= x] and its error at each x, from the kept state."""
+    xs = np.asarray(xs, dtype=float)
+    return _tilt_state(measure, t, cfg).chunk.half_line(np.zeros(xs.size, dtype=int), xs)
 
 
 def log_partition(
@@ -415,10 +432,10 @@ def tilt(
 class TiltedView:
     """One member of the tilted family, with its normalizer cached.
 
-    ``mean()`` and ``median()`` read the base measure's kept one-tilt state
-    (see ``BaseMeasure``): after :func:`tilt`, or any other one-tilt request
-    at the same (t, cfg), they run no second engine pass; the median is
-    solved on the kept panel tables, once per ``x_tol``.
+    ``mean()``, ``median()`` and ``cdf()`` read the base measure's kept
+    one-tilt state (see ``BaseMeasure``): after :func:`tilt`, or any other
+    one-tilt request at the same (t, cfg), they run no second engine pass;
+    the median is solved on the kept panel tables, once per ``x_tol``.
     """
 
     base: BaseMeasure
@@ -441,13 +458,11 @@ class TiltedView:
         return np.exp(self.log_pdf(x))
 
     def cdf(self, x: float) -> float:
-        """Distribution function, clamped to [0, 1]."""
+        """Distribution function F_t(x) from the kept one-tilt state, clamped to [0, 1]."""
         x = float(x)
-        halfwidth = self.window_halfwidth()
-        if x <= -halfwidth:
-            return 0.0
-        upper = min(x, halfwidth)
-        value = integrate(self.pdf, (-halfwidth, upper), self.cfg).value
+        if math.isnan(x):
+            raise ValueError("cdf is undefined at nan")
+        value = float(_half_line(self.base, self.t, [x], self.cfg)[0][0])
         return min(1.0, max(0.0, value))
 
     def mean(self) -> float:

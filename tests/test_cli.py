@@ -226,6 +226,19 @@ def test_choquet_iterate_overflowing_ratio_exits_config(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_choquet_iterate_too_many_steps_exits_config(tmp_path, capsys):
+    # nine kernel stencils of 1394 points do not fit the 12001-point window
+    out = tmp_path / "trace.csv"
+    code, _, err = run_cli(
+        ["choquet-iterate", "--measure", "perturbed_cosine(0.5)", "--steps", "9",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: window of 849 points cannot lose 1394 points")
+    assert not out.exists()
+
+
 def test_symmetry_sweep(tmp_path, capsys):
     out = tmp_path / "sym.csv"
     code, stdout, _ = run_cli(

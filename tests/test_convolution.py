@@ -56,10 +56,16 @@ def test_laplace_even():
 
 def test_laplace_matches_closed_form():
     # beyond |s| ~ 2 the transform is so large that 1e-9 is only meaningful
-    # relative to its size (the float64 spacing alone exceeds it)
+    # relative to its size (the float64 spacing alone exceeds it); the
+    # quadrature of e^{sy} kernel(y) is a reference independent of both
     for s in (-6.0, -2.0, -1.0, -0.3, 0.1, 1.0, 2.0, 4.0, 6.0):
         closed = laplace_closed_form(s)
-        assert abs(tm.kernel_laplace(s) - closed) <= 1e-9 * max(1.0, abs(closed)), s
+        halfwidth = 12.0 + abs(s)
+        quadrature = tm.integrate(
+            lambda y: np.exp(s * np.asarray(y)) * tm.kernel(y), (-halfwidth, halfwidth)
+        ).value
+        for value in (tm.kernel_laplace(s), quadrature):
+            assert abs(value - closed) <= 1e-9 * max(1.0, abs(closed)), s
 
 
 def test_laplace_exceeds_one_away_from_zero():

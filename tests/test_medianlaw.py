@@ -103,6 +103,18 @@ def test_lipschitz_matches_oracle(std_gaussian):
     assert abs(value - GAUSSIAN_LIPSCHITZ_A1) <= 1e-6
 
 
+def test_lipschitz_matches_gaussian_closed_form(std_gaussian):
+    # L(u) = e^{u^2/2}, so the slope maximum is A e^{A^2/2}, and
+    # integral of |x| e^{A|x|} dN(0,1) = 2 phi(0) + 2 A e^{A^2/2} Phi(A)
+    for a in (0.5, 1.0, 2.0, 4.0):
+        lift = math.exp(0.5 * a * a)
+        cdf = 0.5 * math.erfc(-a / math.sqrt(2.0))
+        weighted_abs = 2.0 / math.sqrt(2.0 * math.pi) + 2.0 * a * lift * cdf
+        expected = math.exp(a * a) * (0.5 * a * lift + weighted_abs)
+        value = tm.lipschitz_bound(std_gaussian, a)
+        assert abs(value - expected) <= 1e-12 * expected, a
+
+
 def test_lipschitz_small_halfwidth_limit(std_gaussian):
     # e^{A^2} -> 1, slope max -> |L'(0)| = 0, weight -> E|X|
     value = tm.lipschitz_bound(std_gaussian, 1e-3)
@@ -152,6 +164,34 @@ def test_monotonicity_flags_zero_mass_interval(tmp_path):
     covered_lo = min(lo for lo, _ in flags)
     covered_hi = max(hi for _, hi in flags)
     assert covered_lo <= 1.1 and covered_hi >= 1.9
+
+
+def test_monotonicity_infinite_grid_ends(catalog):
+    for measure in catalog:
+        assert tm.monotonicity_check(measure, [-math.inf, 0.0, math.inf]) == []
+
+
+def test_monotonicity_flags_every_interval_without_mass():
+    # a measure of zero mass has no distribution function: nothing is certified
+    measure = tm.BaseMeasure(spec=tm.Gaussian(0.0, 1.0), log_g=lambda x: np.full_like(x, -np.inf))
+    assert tm.monotonicity_check(measure, [-1.0, 0.0, 1.0]) == [(-1.0, 0.0), (0.0, 1.0)]
+
+
+def test_interval_masses_match_adaptive_quadrature(catalog):
+    xs = np.linspace(-6.0, 6.0, 200)
+    for measure in catalog:
+        masses = tm.medianlaw._interval_masses(measure, xs, tm.DEFAULT_QUADRATURE)
+        for lo, hi, mass in zip(xs[:-1], xs[1:], masses):
+            expected = tm.integrate(measure.pdf, (float(lo), float(hi))).value
+            assert abs(mass - expected) <= 1e-15, (measure.spec, lo)
+
+
+def test_interval_masses_over_the_window_sum_to_one(catalog):
+    for measure in catalog:
+        halfwidth = measure.window_halfwidth(0.0, tm.DEFAULT_QUADRATURE.truncation_halfwidth)
+        xs = np.linspace(-halfwidth, halfwidth, 301)
+        masses = tm.medianlaw._interval_masses(measure, xs, tm.DEFAULT_QUADRATURE)
+        assert abs(masses.sum() - 1.0) <= 1e-12, measure.spec
 
 
 def test_monotonicity_grid_validation(std_gaussian):

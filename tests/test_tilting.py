@@ -207,6 +207,30 @@ def test_cdf_monotone(cosine_half):
         assert upper >= lower - 1e-12
 
 
+def test_cdf_at_t_is_the_engine_half_line_sum(catalog):
+    for measure in catalog:
+        for t in (-3.0, 0.0, 1.5, 4.0):
+            assert tm.tilt(measure, t).cdf(t) == float(tm.tilt_grid(measure, [t]).cdf_at_t[0])
+
+
+def test_cdf_rejects_nan_and_saturates_at_infinities(cosine_half):
+    view = tm.tilt(cosine_half, 1.0)
+    with pytest.raises(ValueError):
+        view.cdf(math.nan)
+    assert view.cdf(-math.inf) == 0.0
+    assert abs(view.cdf(math.inf) - 1.0) <= 1e-15
+
+
+def test_tilt_median_and_cdf_share_one_engine_pass(catalog, engine_calls):
+    for measure in catalog:
+        engine_calls.clear()
+        view = tm.tilt(measure, 0.75)
+        median = view.median()
+        values = [view.cdf(x) for x in sorted((-2.0, 0.0, 1.0, 3.0, median))]
+        assert engine_calls == {"passes": 1}
+        assert values == sorted(values)
+
+
 def test_pdf_normalization_across_tilts(catalog):
     for measure in catalog:
         for t in (-6.0, -3.0, 0.0, 3.0, 6.0):
