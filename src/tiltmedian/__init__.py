@@ -49,7 +49,6 @@ from .medianlaw import (
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
-    DEFAULT_X_TOL,
     NonFiniteIntegrandError,
     QuadratureConfig,
     QuadratureResult,
@@ -71,7 +70,6 @@ __all__ = [
     "BaseMeasure",
     "ConvolutionSetup",
     "DEFAULT_QUADRATURE",
-    "DEFAULT_X_TOL",
     "DIAGNOSTIC_NAMES",
     "DiagnosticReport",
     "Gaussian",

@@ -50,7 +50,8 @@ __all__ = [
     "sign_kernel_residual",
 ]
 
-DIAGNOSTIC_NAMES = ("median_gap", "sign_kernel", "deriva", "mean_median", "symmetry")
+# base mass below which monotonicity_check flags an interval
+_MASS_FLOOR = 1e-12
 
 
 class UnknownDiagnosticError(ValueError):
@@ -94,7 +95,7 @@ def _mean_median(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
 
 def _symmetry(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
     # the score gets no error estimate: 0 is reported
-    return _asymmetry_scores(m, grid, default_offsets(), cfg), np.zeros(grid.t_grid.size)
+    return _asymmetry_scores(m, grid, default_offsets()), np.zeros(grid.t_grid.size)
 
 
 def _sign_kernel(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
@@ -124,6 +125,7 @@ _EVALUATORS: dict[str, _Evaluator] = {
     "mean_median": _mean_median,
     "symmetry": _symmetry,
 }
+DIAGNOSTIC_NAMES = tuple(_EVALUATORS)
 # the evaluators that read the median, so their pass must solve for it
 _NEEDS_MEDIAN = frozenset({"median_gap", "mean_median"})
 
@@ -193,9 +195,8 @@ def monotonicity_check(
     m: BaseMeasure,
     x_grid: Sequence[float],
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    mass_floor: float = 1e-12,
 ) -> list[tuple[float, float]]:
-    """Flag adjacent grid intervals carrying base mass below ``mass_floor``.
+    """Flag adjacent grid intervals carrying base mass below ``_MASS_FLOOR`` (1e-12).
 
     An empty list certifies that the distribution function is strictly
     increasing at the resolution of the supplied grid.  The masses are L(0)
@@ -207,7 +208,7 @@ def monotonicity_check(
     if not np.all(np.diff(xs) > 0):
         raise ValueError("grid must be strictly increasing")
     # a mass that could not be computed (nan) is flagged too
-    low = np.flatnonzero(~(_interval_masses(m, xs, cfg) >= mass_floor))
+    low = np.flatnonzero(~(_interval_masses(m, xs, cfg) >= _MASS_FLOOR))
     return [(float(xs[k]), float(xs[k + 1])) for k in low]
 
 

@@ -31,15 +31,12 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "DEFAULT_QUADRATURE",
-    "DEFAULT_X_TOL",
     "FIXED_PANEL_WIDTH",
     "anchored_edges",
     "integrate",
     "kronrod_sums",
     "panel_nodes",
 ]
-
-DEFAULT_X_TOL = 1e-10
 
 # Gauss-Kronrod 15(7) abscissae and weights on [-1, 1], positive half.
 _XGK = (

@@ -14,8 +14,9 @@ one exponential and a few panel sums on those values.  The panel sums give
 log L(t), the tilted mean and running tables at the panel edges; one partial
 panel on top of them gives the half-line sums F_t(x) and E_t[X; X <= x] at
 x = t or any x, and the median is a safeguarded Newton solve on partial panels
-where the table crosses 1/2.  A panel whose Kronrod-Gauss difference misses
-the tolerance, whole or partial, is integrated adaptively instead.
+where the table crosses 1/2, run until its step reaches the rounding of x and
+reported with the error it reached.  A panel whose Kronrod-Gauss difference
+misses the tolerance, whole or partial, is integrated adaptively instead.
 
 A single-tilt request keeps its pass on the base measure, one (t, cfg) at a
 time, so every quantity of that tilt, the distribution function at any x
@@ -34,7 +35,6 @@ import numpy as np
 from .measures import BaseMeasure
 from .numerics import (
     DEFAULT_QUADRATURE,
-    DEFAULT_X_TOL,
     FIXED_PANEL_WIDTH,
     ROUNDING_FLOOR,
     NonFiniteIntegrandError,
@@ -60,8 +60,8 @@ T_MAX = 8.0
 # Elements of one (tilts, panels, 15) work array: tilts are processed in
 # chunks of this many node values so memory stays flat in the grid size.
 _CHUNK_ELEMENTS = 1 << 13
-# Newton iterations before giving up; bisection alone needs ~33 to go from a
-# 0.5-wide panel to 1e-10.
+# Newton iterations before giving up; bisection alone needs ~50 to go from a
+# 0.5-wide panel to the rounding of x.
 _MAX_NEWTON_STEPS = 100
 _EPS = np.finfo(float).eps
 
@@ -100,27 +100,23 @@ def tilt_grid(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     *,
     median: bool = True,
-    x_tol: float = DEFAULT_X_TOL,
 ) -> TiltGrid:
     """log L, mean, F_t(t), E_t[X; X <= t] and optionally the median of each tilt-t law.
 
     The panels cover the union of the per-tilt truncation windows, rounded
     out to the anchored panel grid, so a tilt's result does not depend on
-    which other tilts share the call, up to the last bit.
+    which other tilts share the call, up to the last bit.  Each median is
+    solved to the rounding of x; its ``median_error`` is the solve's last move
+    plus the CDF table's error over the density there, or half the width of a
+    flat stretch at 1/2, whose midpoint is then the median.
     """
     ts = np.array([_check_tilt(t) for t in t_grid], dtype=float)
-    _check_x_tol(x_tol)
     grid = _empty_grid(ts, median)
     for where, chunk in _chunks(measure, ts, cfg):
         chunk.fill(grid, where)
         if median:
-            grid.median[where], grid.median_error[where] = chunk._medians(x_tol)
+            grid.median[where], grid.median_error[where] = chunk._medians()
     return grid
-
-
-def _check_x_tol(x_tol: float) -> None:
-    if x_tol <= 0:
-        raise ValueError("x_tol must be positive")
 
 
 def _empty_grid(ts: np.ndarray, median: bool) -> TiltGrid:
@@ -267,14 +263,15 @@ class _TiltChunk:
         )
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def _medians(self, x_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    def _medians(self) -> tuple[np.ndarray, np.ndarray]:
         """Median of each tilted law and its error estimate.
 
         The error of the CDF table is its quadrature error plus the rounding
         of a running sum over the panels.  Table edges within that error of
-        1/2 form a plateau whose midpoint is the median; otherwise Newton
+        1/2 form a plateau whose midpoint is the median, with half the width
+        between the edges just outside it as its error; otherwise Newton
         runs in the panel where the table crosses 1/2, and the median error is
-        ``x_tol + cdf_err / pdf(median)``.
+        the solve's last move plus ``cdf_err / pdf(median)``.
         """
         n_panels = self.edges.size - 1
         # distribution function at every panel edge
@@ -290,15 +287,13 @@ class _TiltChunk:
             medians[row] = 0.5 * (self.edges[first] + self.edges[last])
             # the plateau's true ends lie within one panel of the flagged edges
             outer = self.edges[max(first - 1, 0)], self.edges[min(last + 1, n_panels)]
-            errors[row] = x_tol + 0.5 * (outer[1] - outer[0])
+            errors[row] = 0.5 * (outer[1] - outer[0])
         rows = np.nonzero(~plateau & (self.mass > 0))[0]
         if rows.size:
             panel = np.minimum(np.sum(cdf[rows] < 0.5, axis=1) - 1, n_panels - 1)
-            x, density = self._newton(
-                rows, panel, cdf[rows, panel], cdf[rows, panel + 1], x_tol
-            )
+            x, density, move = self._newton(rows, panel, cdf[rows, panel], cdf[rows, panel + 1])
             medians[rows] = x
-            errors[rows] = x_tol + cdf_err[rows] / density
+            errors[rows] = move + cdf_err[rows] / density
         return medians, errors
 
     def _newton(
@@ -307,19 +302,23 @@ class _TiltChunk:
         panel: np.ndarray,
         cdf_lo: np.ndarray,
         cdf_hi: np.ndarray,
-        x_tol: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Safeguarded Newton for cdf(x) = 1/2 inside one panel per row.
 
         ``cdf_lo`` and ``cdf_hi`` are the table values at the panel's edges.
-        Returns the roots and the tilted density there.  A step leaving the
-        current bracket becomes a bisection.
+        A step leaving the current bracket becomes a bisection.  A row stops
+        when cdf(x) is exactly 1/2, when its step is within the rounding of x,
+        ``4 eps max(1, |x|)``, or when its bracket is no wider than twice that.
+        Returns the roots, the tilted density there and each row's last move:
+        the length of the last step, or the bracket width if the bracket ended
+        the solve.
         """
         lo = self.edges[panel].copy()
         hi = self.edges[panel + 1].copy()
         # secant start; the root may sit on a panel edge, so the bracket is closed
         x = np.clip(lo + (0.5 - cdf_lo) / (cdf_hi - cdf_lo) * (hi - lo), lo, hi)
         mass = self.mass[rows]
+        move = hi - lo
         active = np.arange(rows.size)
         for _ in range(_MAX_NEWTON_STEPS):
             if active.size == 0:
@@ -333,29 +332,33 @@ class _TiltChunk:
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = (cdf - 0.5) / (weight / mass[active])
             proposal = xa - step
-            # an overshoot within x_tol is rounding at a root on the bracket end
-            inside = (proposal >= lo[active] - x_tol) & (proposal <= hi[active] + x_tol)
+            rounding = 4.0 * _EPS * np.maximum(1.0, np.abs(xa))
+            # an overshoot within rounding is a root on the bracket end
+            inside = (proposal >= lo[active] - rounding) & (proposal <= hi[active] + rounding)
             proposal = np.where(
                 inside,
                 np.clip(proposal, lo[active], hi[active]),
                 0.5 * (lo[active] + hi[active]),
             )
-            done = (cdf == 0.5) | (
-                inside & (np.abs(proposal - xa) <= x_tol)
-            ) | (hi[active] - lo[active] <= 2.0 * x_tol)
-            x[active] = np.where(cdf == 0.5, xa, proposal)
-            active = active[~done]
+            exact = cdf == 0.5
+            moved = np.abs(proposal - xa)
+            converged = inside & (moved <= rounding)
+            width = hi[active] - lo[active]
+            move[active] = np.where(exact, 0.0, np.where(converged, moved, width))
+            x[active] = np.where(exact, xa, proposal)
+            active = active[~(exact | converged | (width <= 2.0 * rounding))]
         # density at the returned root (the last Newton step moved x)
-        return x, np.exp(self.ts[rows] * x + self.measure.log_pdf(x) - self.shift[rows]) / mass
+        density = np.exp(self.ts[rows] * x + self.measure.log_pdf(x) - self.shift[rows]) / mass
+        return x, density, move
 
 
 class _TiltState:
     """The engine pass of one tilt, kept so later requests at the same tilt reuse it.
 
     It holds the pass's ``_TiltChunk`` (panel tables, shift and mass) and the
-    row it filled without the median; a median is solved on those tables
-    when first asked for, once per ``x_tol``.  Each result equals the
-    matching entry of a fresh ``tilt_grid(measure, [t], cfg)``.
+    row it filled; the median is solved on those tables when first asked for
+    and added to the row.  Each result equals the matching entry of a fresh
+    ``tilt_grid(measure, [t], cfg)``.
     """
 
     def __init__(self, measure: BaseMeasure, t: float, cfg: QuadratureConfig) -> None:
@@ -364,15 +367,13 @@ class _TiltState:
         self.row = _empty_grid(ts, median=False)
         ((where, self.chunk),) = _chunks(measure, ts, cfg)
         self.chunk.fill(self.row, where)
-        self._with_median: dict[float, TiltGrid] = {}
 
-    def with_median(self, x_tol: float) -> TiltGrid:
-        _check_x_tol(x_tol)
-        row = self._with_median.get(x_tol)
-        if row is None:
-            median, error = self.chunk._medians(x_tol)
-            row = dataclasses.replace(self.row, median=median, median_error=error)
-            self._with_median[x_tol] = row
+    def with_median(self) -> TiltGrid:
+        row = self.row
+        # a caller racing another one at worst solves the same median twice
+        if row.median is None:
+            median, error = self.chunk._medians()
+            row = self.row = dataclasses.replace(row, median=median, median_error=error)
         return row
 
 
@@ -396,14 +397,13 @@ def _tilt_row(
     cfg: QuadratureConfig,
     *,
     median: bool = False,
-    x_tol: float = DEFAULT_X_TOL,
 ) -> TiltGrid:
-    """``tilt_grid(measure, [t], cfg, median=median, x_tol=x_tol)`` from the measure's kept state.
+    """``tilt_grid(measure, [t], cfg, median=median)`` from the measure's kept state.
 
     Callers only read the row: its arrays are shared with the state.
     """
     state = _tilt_state(measure, t, cfg)
-    return state.with_median(x_tol) if median else state.row
+    return state.with_median() if median else state.row
 
 
 def _half_line(measure: BaseMeasure, t: float, xs, cfg: QuadratureConfig) -> tuple:
@@ -435,7 +435,8 @@ class TiltedView:
     ``mean()``, ``median()`` and ``cdf()`` read the base measure's kept
     one-tilt state (see ``BaseMeasure``): after :func:`tilt`, or any other
     one-tilt request at the same (t, cfg), they run no second engine pass;
-    the median is solved on the kept panel tables, once per ``x_tol``.
+    the median is solved on the kept panel tables once, to the rounding of
+    x (``tilt_grid`` gives its error estimate).
     """
 
     base: BaseMeasure
@@ -468,9 +469,9 @@ class TiltedView:
     def mean(self) -> float:
         return float(_tilt_row(self.base, self.t, self.cfg).mean[0])
 
-    def median(self, x_tol: float = DEFAULT_X_TOL) -> float:
+    def median(self) -> float:
         """Solve cdf(x) = 1/2; a flat stretch at 1/2 resolves to its midpoint."""
-        return float(_tilt_row(self.base, self.t, self.cfg, median=True, x_tol=x_tol).median[0])
+        return float(_tilt_row(self.base, self.t, self.cfg, median=True).median[0])
 
 
 def half_line_mgf(

@@ -258,6 +258,17 @@ def test_symmetry_sweep(tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_symmetry_sweep_narrow_measure(tmp_path, capsys):
+    # the default offsets reach 6, past the window halfwidth 4.8 at t = 0
+    out = tmp_path / "sym.csv"
+    code, stdout, err = run_cli(
+        ["symmetry-sweep", "--measure", "gaussian(0,0.4)", "--out", str(out)], capsys
+    )
+    assert code == EXIT_OK, err
+    max_abs, _ = parse_summary(stdout)
+    assert max_abs <= 1e-8
+
+
 def test_lipschitz_command(tmp_path, capsys):
     out = tmp_path / "lip.csv"
     code, stdout, _ = run_cli(

@@ -285,15 +285,27 @@ def test_separation_on_dense_grid(cosine_half, quadratic_one):
 
 
 def test_median_error_estimates_propagated(std_gaussian, cosine_half):
-    grid = np.linspace(-6.0, 6.0, 13)
+    grid = np.linspace(-6.0, 6.0, 49)
     for measure in (std_gaussian, cosine_half):
         gap = tm.scan(measure, "median_gap", grid)
         both = tm.scan(measure, "mean_median", grid)
-        for gap_err, both_err in zip(gap.error_estimates, both.error_estimates):
-            # x_tol plus the CDF error over the density at the median
-            assert tm.DEFAULT_X_TOL < gap_err <= 2.0 * tm.DEFAULT_X_TOL
-            # plus the tilted mean's quadrature error
-            assert gap_err < both_err <= gap_err + 1e-12
+        row = tm.tilt_grid(measure, grid)
+        assert gap.error_estimates == tuple(map(float, row.median_error))
+        # the mean-median error is the median's plus the tilted mean's
+        assert both.error_estimates == tuple(map(float, row.median_error + row.mean_error))
+    # on N(0,1) the exact median is t, and the Newton solve stops at the
+    # rounding of x, so the gap is within an error near rounding
+    gap = tm.scan(std_gaussian, "median_gap", grid)
+    for residual, error in zip(gap.residuals, gap.error_estimates):
+        assert abs(residual) <= error <= 1e-12
+
+
+def test_median_gap_separates_tiny_perturbation():
+    # a cosine ratio 1e-11 away from N(0,1) stands clear of the median error
+    measure = tm.build_measure(tm.PerturbedCosine(1e-11))
+    report = tm.scan(measure, "median_gap", np.linspace(-6.0, 6.0, 49))
+    ratios = [abs(r) / e for r, e in zip(report.residuals, report.error_estimates)]
+    assert max(ratios) >= 10.0
 
 
 def test_sign_kernel_when_tilt_leaves_window():

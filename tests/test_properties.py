@@ -7,7 +7,8 @@ tolerance near the peak, so the drawn range covers both the fixed-panel
 path and the per-panel adaptive fallback.
 
 The sign-kernel and convolution residuals are checked against their closed
-forms too, error estimates included.
+forms too, error estimates included, and each median lies within its reported
+error, here and for ``PerturbedQuadratic``, whose tilted CDF has a closed form.
 
 Also: measure literals round-trip through ``parse_measure``, and reflecting
 a base measure (g(x) -> g(-x)) maps each residual at t to the residual at -t.
@@ -44,6 +45,35 @@ def gaussian(mu: float, sigma: float) -> tm.BaseMeasure:
 def test_median_gap_closed_form(mu, sigma, t):
     report = tm.scan(gaussian(mu, sigma), "median_gap", [t])
     assert abs(report.residuals[0] - (mu + sigma**2 * t - t)) <= 1e-8
+
+
+@PROPERTY
+@given(mu=MUS, sigma=st.floats(min_value=0.05, max_value=1.25), t=TILTS)
+def test_median_within_its_error(mu, sigma, t):
+    grid = tm.tilt_grid(gaussian(mu, sigma), [t])
+    assert abs(grid.median[0] - (mu + sigma**2 * t)) <= grid.median_error[0]
+
+
+def quadratic_tilted_cdf(x: float, eps: float, t: float) -> float:
+    """F_t(x) for the ratio 1 + eps x^2: the tilt is phi(x - t) (1 + eps x^2) up to a constant."""
+    z = x - t
+    cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
+    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return (cdf + eps * ((t * t + 1.0) * cdf - (z + 2.0 * t) * pdf)) / (1.0 + eps * (1.0 + t * t))
+
+
+@PROPERTY
+@given(eps=st.floats(min_value=1e-6, max_value=2.0), t=TILTS)
+def test_perturbed_quadratic_median_within_its_error(eps, t):
+    # bisect the closed-form CDF down to adjacent floats
+    lo, hi = t - 4.0, t + 4.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if quadratic_tilted_cdf(mid, eps, t) < 0.5 else (lo, mid)
+    grid = tm.tilt_grid(tm.build_measure(tm.PerturbedQuadratic(eps)), [t])
+    assert abs(grid.median[0] - lo) <= grid.median_error[0]
 
 
 @PROPERTY
@@ -118,17 +148,15 @@ REFLECTION_SIGNS = {
     "deriva": 1.0,
     "symmetry": 1.0,
 }
-# sigma >= 0.5 keeps the symmetry offsets (up to 6) inside the truncation window
-WIDE_SIGMAS = st.floats(min_value=0.5, max_value=1.5)
 NORMAL_SPECS = st.one_of(
-    st.builds(tm.Gaussian, MUS, WIDE_SIGMAS),
+    st.builds(tm.Gaussian, MUS, SIGMAS),
     st.builds(
         tm.GaussianMixture,
         st.floats(min_value=0.1, max_value=0.9),
         MUS,
-        WIDE_SIGMAS,
+        SIGMAS,
         MUS,
-        WIDE_SIGMAS,
+        SIGMAS,
     ),
 )
 
