@@ -47,13 +47,7 @@ from .medianlaw import (
     scan,
     sign_kernel_residual,
 )
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    NonFiniteIntegrandError,
-    QuadratureConfig,
-    QuadratureResult,
-    integrate,
-)
+from .numerics import NonFiniteIntegrandError, QuadratureResult, integrate
 from .symmetry import (
     QuadraticFit,
     SymmetryReport,
@@ -69,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseMeasure",
     "ConvolutionSetup",
-    "DEFAULT_QUADRATURE",
     "DIAGNOSTIC_NAMES",
     "DiagnosticReport",
     "Gaussian",
@@ -85,7 +78,6 @@ __all__ = [
     "PerturbedCosine",
     "PerturbedQuadratic",
     "QuadraticFit",
-    "QuadratureConfig",
     "QuadratureResult",
     "RatioOverflowError",
     "SymmetryReport",

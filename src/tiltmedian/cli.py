@@ -42,7 +42,6 @@ from .measures import (
     sample_to_grid,
 )
 from .medianlaw import DiagnosticReport, _scan_reports, lipschitz_bound, scan
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "parse_measure", "run"]
 
@@ -71,8 +70,7 @@ _DEFAULTED_OPTIONS = {
     "t_min": ("t_min", float), "t_max": ("t_max", float), "t_points": ("t_points", int),
     "format": ("output_format", str), "steps": ("steps", int), "halfwidth": ("halfwidth", float),
 }
-_CONFIG_KEYS = {"measure", "out", "quadrature", *_DEFAULTED_OPTIONS}
-_QUADRATURE_KEYS = {field.name for field in dataclasses.fields(QuadratureConfig)}
+_CONFIG_KEYS = {"measure", "out", *_DEFAULTED_OPTIONS}
 
 
 class ConfigError(Exception):
@@ -90,7 +88,6 @@ class ExperimentConfig:
     output_format: str = "csv"
     steps: int = 8
     halfwidth: float = 2.0
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE
 
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
@@ -218,11 +215,10 @@ def _trace_csv(rows: list[dict]) -> str:
 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment, write its report, print the summary line."""
-    measure = build_measure(config.measure, config.quadrature)
-    cfg = config.quadrature
+    measure = build_measure(config.measure)
 
     if config.command in SCAN_COMMANDS:
-        report = scan(measure, SCAN_COMMANDS[config.command], config.t_grid(), cfg)
+        report = scan(measure, SCAN_COMMANDS[config.command], config.t_grid())
         text = (
             _to_json(_report_payload(report)) + "\n"
             if config.output_format == "json"
@@ -233,7 +229,7 @@ def run(config: ExperimentConfig) -> int:
         payload = {}
         summary = (0.0, 0.0)
         best = -1.0
-        for report in _scan_reports(measure, FULL_REPORT_DIAGNOSTICS, config.t_grid(), cfg):
+        for report in _scan_reports(measure, FULL_REPORT_DIAGNOSTICS, config.t_grid()):
             payload[report.name] = _report_payload(report)
             if report.max_abs_residual > best:
                 best = report.max_abs_residual
@@ -258,7 +254,7 @@ def run(config: ExperimentConfig) -> int:
             text = _trace_csv(rows)
         summary = (trace.oscillations[-1], float(config.steps))
     elif config.command == "lipschitz":
-        bound = lipschitz_bound(measure, config.halfwidth, cfg)
+        bound = lipschitz_bound(measure, config.halfwidth)
         payload = {"halfwidth": config.halfwidth, "bound": bound}
         if config.output_format == "json":
             text = _to_json(payload) + "\n"
@@ -315,18 +311,6 @@ def _load_config_file(path: str) -> dict[str, Any]:
     return data
 
 
-def _quadrature_from(data: Any) -> QuadratureConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("quadrature overrides must be a json object")
-    unknown = set(data) - _QUADRATURE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown quadrature keys: {sorted(unknown)}")
-    try:
-        return QuadratureConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid quadrature overrides: {exc}") from exc
-
-
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     given: dict[str, Any] = {}
     if args.config is not None:
@@ -340,9 +324,6 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     out = given.get("out")
     if out is None:
         raise ConfigError("an output path is required (--out or config file)")
-    quadrature = DEFAULT_QUADRATURE
-    if "quadrature" in given:
-        quadrature = _quadrature_from(given["quadrature"])
 
     try:
         options = {
@@ -354,7 +335,6 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
             measure=parse_measure(str(measure_text)),
             command=args.command,
             output_path=str(out),
-            quadrature=quadrature,
             **options,
         )
     except (TypeError, ValueError) as exc:

@@ -8,7 +8,7 @@ iterating the convolution on the catalog density ratios flattens them
 visibly; the iteration trace records that empirical decay.
 
 Grid semantics: the kernel is truncated at a halfwidth where it falls below
-a tolerance, renormalized to unit discrete mass (trapezoid weights), and
+1e-10, renormalized to unit discrete mass (trapezoid weights), and
 applied only where the full stencil fits, so the valid window of the result
 shrinks by the kernel halfwidth on each side.
 
@@ -83,40 +83,32 @@ def _tail_radius(tol: float) -> float:
     return radius
 
 
+# the kernel is truncated where it drops below this value
+_KERNEL_TOL = 1e-10
+_KERNEL_RADIUS = _tail_radius(_KERNEL_TOL)
+
+
 @dataclass(frozen=True)
 class ConvolutionSetup:
-    """Kernel truncation and grid geometry for the discrete convolution.
+    """Grid step of the discrete convolution, which fixes the kernel truncation.
 
-    ``kernel_halfwidth`` defaults to the smallest whole number of grid steps
-    at which the kernel drops below ``kernel_tol``; an explicit value is
-    rounded up to a whole number of steps and must also satisfy that bound.
+    ``kernel_halfwidth`` is the smallest whole number of grid steps at which
+    the kernel drops below 1e-10.
     """
 
     step: float = 0.01
-    kernel_tol: float = 1e-10
-    kernel_halfwidth: float | None = None
 
     def __post_init__(self) -> None:
         if not self.step > 0:
             raise ValueError("step must be positive")
-        if not self.kernel_tol > 0:
-            raise ValueError("kernel_tol must be positive")
-        if self.kernel_halfwidth is None:
-            steps = math.ceil(_tail_radius(self.kernel_tol) / self.step - 1e-9)
-        else:
-            if not self.kernel_halfwidth > 0:
-                raise ValueError("kernel_halfwidth must be positive")
-            steps = math.ceil(self.kernel_halfwidth / self.step - 1e-9)
-        halfwidth = steps * self.step
-        if float(kernel(halfwidth)) > self.kernel_tol:
-            raise ValueError(
-                f"kernel exceeds tolerance {self.kernel_tol!r} at halfwidth {halfwidth!r}"
-            )
-        object.__setattr__(self, "kernel_halfwidth", halfwidth)
+
+    @property
+    def kernel_halfwidth(self) -> float:
+        return self.kernel_steps() * self.step
 
     def kernel_steps(self) -> int:
         """Number of grid steps from the kernel center to its truncation edge."""
-        return round(self.kernel_halfwidth / self.step)
+        return math.ceil(_KERNEL_RADIUS / self.step - 1e-9)
 
     def weights(self) -> np.ndarray:
         """Trapezoid-rule kernel weights renormalized to exact unit mass."""

@@ -10,7 +10,9 @@ argument, which is the standing assumption behind exponential tilting.
 Each family is defined once, as a spec dataclass that carries its literal
 name on the command line (its arguments are the dataclass fields), the
 builder of its ``log_g`` and truncation window, and its closed-form log
-Laplace transform.  ``MEASURE_FAMILIES`` lists them.
+Laplace transform.  ``MEASURE_FAMILIES`` lists them.  Windows and the
+unit-mass check use the fixed constants of ``numerics``, so a spec alone
+determines its measure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Any, Callable, ClassVar, Union
 
 import numpy as np
 
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate
+from .numerics import TRUNCATION_HALFWIDTH, integrate
 
 __all__ = [
     "BaseMeasure",
@@ -74,16 +76,15 @@ class RatioOverflowError(ValueError):
 class BaseMeasure:
     """A validated base measure with density ``exp(log_g(x)) * phi(x)``.
 
-    Integrals against the tilt-t reweighting are truncated to ``[-h, h]``
-    with ``h = window_offset + base * window_scale + tilt_gain * |t|``: the
-    window grows with |t| because tilting by t recenters a
+    Integrals against the tilt-t reweighting are truncated to ``[-h, h]`` with
+    ``h = window_offset + TRUNCATION_HALFWIDTH * window_scale + tilt_gain * |t|``:
+    the window grows with |t| because tilting by t recenters a
     Gaussian-enveloped density by (envelope sd)^2 per unit of t.
 
     The measure keeps the engine state of its most recent one-tilt request
     (``tilting.tilt``, ``log_partition``, the single-t diagnostics), so
-    further requests at the same tilt and quadrature settings share that
-    one panel pass.  Only one state is kept; it takes no part in ``==``,
-    ``hash`` or ``repr``.
+    further requests at the same tilt share that one panel pass.  Only one
+    state is kept; it takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     spec: MeasureSpec
@@ -103,9 +104,10 @@ class BaseMeasure:
     def pdf(self, x) -> np.ndarray:
         return np.exp(self.log_pdf(x))
 
-    def window_halfwidth(self, t: float = 0.0, base: float = 12.0) -> float:
+    def window_halfwidth(self, t: float = 0.0) -> float:
         """Truncation halfwidth for integrals against the tilt-t reweighting."""
-        return self.window_offset + base * self.window_scale + self.tilt_gain * abs(t)
+        scale = TRUNCATION_HALFWIDTH * self.window_scale
+        return self.window_offset + scale + self.tilt_gain * abs(t)
 
 
 def _check_finite(spec) -> None:
@@ -128,7 +130,7 @@ class Gaussian:
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
-    def _build(self, cfg: QuadratureConfig) -> BaseMeasure:
+    def _build(self) -> BaseMeasure:
         mu, sigma, log_sigma = self.mu, self.sigma, math.log(self.sigma)
 
         def log_g(x: np.ndarray) -> np.ndarray:
@@ -155,7 +157,7 @@ class PerturbedCosine:
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
 
-    def _build(self, cfg: QuadratureConfig) -> BaseMeasure:
+    def _build(self) -> BaseMeasure:
         eps, log_norm = self.eps, math.log1p(self.eps * math.exp(-0.5))
 
         def log_g(x: np.ndarray) -> np.ndarray:
@@ -184,7 +186,7 @@ class PerturbedQuadratic:
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
 
-    def _build(self, cfg: QuadratureConfig) -> BaseMeasure:
+    def _build(self) -> BaseMeasure:
         eps, log_norm = self.eps, math.log1p(self.eps)
 
         def log_g(x: np.ndarray) -> np.ndarray:
@@ -220,7 +222,7 @@ class GaussianMixture:
         log_w2 = math.log1p(-self.weight) if self.weight < 1 else -math.inf
         return log_w1, log_w2
 
-    def _build(self, cfg: QuadratureConfig) -> BaseMeasure:
+    def _build(self) -> BaseMeasure:
         log_w1, log_w2 = self._log_weights()
 
         def log_g(x: np.ndarray) -> np.ndarray:
@@ -259,7 +261,7 @@ class Tabulated:
     literal: ClassVar[str] = "tabulated"
     path: str
 
-    def _build(self, cfg: QuadratureConfig) -> BaseMeasure:
+    def _build(self) -> BaseMeasure:
         xs, gs = _load_table(self.path)
         if np.any(gs < 0):
             bad = xs[gs < 0][0]
@@ -269,7 +271,6 @@ class Tabulated:
             lambda x: np.interp(x, xs, gs, left=0.0, right=0.0)
             * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2 - LOG_SQRT_2PI),
             (float(xs[0]), float(xs[-1])),
-            cfg,
         ).value
         if not mass > 1e-300:
             raise NotNormalizableError("tabulated density has zero total mass")
@@ -388,7 +389,7 @@ def _check_table_tails(xs: np.ndarray, gs: np.ndarray) -> None:
         )
 
 
-def build_measure(spec: MeasureSpec, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> BaseMeasure:
+def build_measure(spec: MeasureSpec) -> BaseMeasure:
     """Construct and validate a ``BaseMeasure`` from its declarative spec.
 
     Validation checks the density ratio for negative values on a dense scan
@@ -397,8 +398,8 @@ def build_measure(spec: MeasureSpec, cfg: QuadratureConfig = DEFAULT_QUADRATURE)
     super-Gaussian growth at the table edges.
     """
     _check_family(spec)
-    measure = spec._build(cfg)
-    _validate(measure, cfg)
+    measure = spec._build()
+    _validate(measure)
     return measure
 
 
@@ -407,15 +408,15 @@ def _check_family(spec: MeasureSpec) -> None:
         raise TypeError(f"unknown measure spec {spec!r}")
 
 
-def _validate(measure: BaseMeasure, cfg: QuadratureConfig) -> None:
-    halfwidth = measure.window_halfwidth(0.0, cfg.truncation_halfwidth)
+def _validate(measure: BaseMeasure) -> None:
+    halfwidth = measure.window_halfwidth(0.0)
     scan = np.linspace(-halfwidth, halfwidth, _DENSITY_SCAN_POINTS)
     with np.errstate(over="ignore"):
         g_values = measure.g(scan)
     if np.any(np.isnan(g_values)):
         bad = scan[np.isnan(g_values)][0]
         raise NegativeDensityError(f"density ratio negative near x={bad!r}")
-    mass = integrate(measure.pdf, (-halfwidth, halfwidth), cfg)
+    mass = integrate(measure.pdf, (-halfwidth, halfwidth))
     if abs(mass.value - 1.0) > _NORMALIZATION_TOL:
         raise NotNormalizableError(
             f"density integrates to {mass.value!r}, expected 1 within {_NORMALIZATION_TOL}"

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .measures import BaseMeasure
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
+from .numerics import scaled_exp
 from .symmetry import _asymmetry_scores, default_offsets
 from .tilting import T_MAX, TiltGrid, _half_line, _tilt_row, tilt_grid
 
@@ -80,32 +80,30 @@ class DiagnosticReport:
             raise ValueError("error estimates must be nonnegative")
 
 
-_Evaluator = Callable[
-    [BaseMeasure, TiltGrid, QuadratureConfig], tuple[Sequence[float], Sequence[float]]
-]
+_Evaluator = Callable[[BaseMeasure, TiltGrid], tuple[Sequence[float], Sequence[float]]]
 
 
-def _median_gap(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
+def _median_gap(m: BaseMeasure, grid: TiltGrid):
     return grid.median - grid.t_grid, grid.median_error
 
 
-def _mean_median(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
+def _mean_median(m: BaseMeasure, grid: TiltGrid):
     return grid.median - grid.mean, grid.median_error + grid.mean_error
 
 
-def _symmetry(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
+def _symmetry(m: BaseMeasure, grid: TiltGrid):
     # the score gets no error estimate: 0 is reported
     return _asymmetry_scores(m, grid, default_offsets()), np.zeros(grid.t_grid.size)
 
 
-def _sign_kernel(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
+def _sign_kernel(m: BaseMeasure, grid: TiltGrid):
     # phi(t - x) g(x) = e^{-t^2/2} e^{tx} f(x), split at x = t
     ts = grid.t_grid
     scale = np.exp(grid.log_partition - 0.5 * ts**2)
     return scale * (2.0 * grid.cdf_at_t - 1.0), scale * 2.0 * grid.cdf_at_t_error
 
 
-def _convolution(m: BaseMeasure, grid: TiltGrid, cfg: QuadratureConfig):
+def _convolution(m: BaseMeasure, grid: TiltGrid):
     # q(t - x) g(x) = sqrt(pi/2) e^{-t^2/2} |t - x| e^{tx} f(x), and
     # E_t|X - t| = mean - t + 2 (t F_t(t) - E_t[X; X <= t])
     ts = grid.t_grid
@@ -130,46 +128,38 @@ DIAGNOSTIC_NAMES = tuple(_EVALUATORS)
 _NEEDS_MEDIAN = frozenset({"median_gap", "mean_median"})
 
 
-def _at_tilt(which: str, m: BaseMeasure, t: float, cfg: QuadratureConfig) -> float:
+def _at_tilt(which: str, m: BaseMeasure, t: float) -> float:
     """One diagnostic at a single tilt, from the measure's kept one-tilt state."""
-    row = _tilt_row(m, t, cfg, median=which in _NEEDS_MEDIAN)
-    return float(_EVALUATORS[which](m, row, cfg)[0][0])
+    row = _tilt_row(m, t, median=which in _NEEDS_MEDIAN)
+    return float(_EVALUATORS[which](m, row)[0][0])
 
 
-def median_gap(m: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def median_gap(m: BaseMeasure, t: float) -> float:
     """Tilted median minus the tilt parameter; identically zero only for N(0,1)."""
-    return _at_tilt("median_gap", m, t, cfg)
+    return _at_tilt("median_gap", m, t)
 
 
-def sign_kernel_residual(
-    m: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def sign_kernel_residual(m: BaseMeasure, t: float) -> float:
     """Integral of sign(t-x) * phi(t-x) against the density ratio."""
-    return _at_tilt("sign_kernel", m, t, cfg)
+    return _at_tilt("sign_kernel", m, t)
 
 
-def convolution_residual(
-    m: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def convolution_residual(m: BaseMeasure, t: float) -> float:
     """Density ratio at t minus its smoothing by the kernel |y|e^{-y^2/2}/2.
 
     Bounded ratios that are fixed points of this smoothing are constant, and
     the only constant admissible for a probability is 1, so this residual
     vanishing everywhere singles out the standard normal base.
     """
-    return _at_tilt("deriva", m, t, cfg)
+    return _at_tilt("deriva", m, t)
 
 
-def mean_median_gap(
-    m: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def mean_median_gap(m: BaseMeasure, t: float) -> float:
     """Tilted median minus tilted mean; zero for every Gaussian base."""
-    return _at_tilt("mean_median", m, t, cfg)
+    return _at_tilt("mean_median", m, t)
 
 
-def lipschitz_bound(
-    m: BaseMeasure, halfwidth: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def lipschitz_bound(m: BaseMeasure, halfwidth: float) -> float:
     """A constant c such that the base measure of (s, t) is at most c*(t-s).
 
     Valid for all -A <= s < t <= A with A = ``halfwidth``:
@@ -178,24 +168,22 @@ def lipschitz_bound(
     of the tilt-u law) increases and |dL/du| peaks at u = -A or u = A.  The
     |x| integral splits at 0 into half-line sums of the same two tilts:
     L(A) (mean_A - E_A[X; X <= 0]) - L(-A) E_{-A}[X; X <= 0].
+    A constant beyond the float64 range, L(A) included, is inf: a valid, if
+    vacuous, bound.
     """
     if not 0 < halfwidth <= T_MAX:
         raise ValueError(f"halfwidth must lie in (0, {T_MAX}]")
     max_slope = weighted_abs = 0.0
     for a, above in ((halfwidth, 1.0), (-halfwidth, 0.0)):
-        row = _tilt_row(m, a, cfg)
-        scale, mean = math.exp(row.log_partition[0]), float(row.mean[0])
-        below = float(_half_line(m, a, [0.0], cfg)[2][0])
+        row = _tilt_row(m, a)
+        scale, mean = scaled_exp(row.log_partition[0]), float(row.mean[0])
+        below = float(_half_line(m, a, [0.0])[2][0])
         max_slope = max(max_slope, abs(scale * mean))
         weighted_abs += scale * (above * mean - below)
     return math.exp(halfwidth**2) * (0.5 * max_slope + weighted_abs)
 
 
-def monotonicity_check(
-    m: BaseMeasure,
-    x_grid: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> list[tuple[float, float]]:
+def monotonicity_check(m: BaseMeasure, x_grid: Sequence[float]) -> list[tuple[float, float]]:
     """Flag adjacent grid intervals carrying base mass below ``_MASS_FLOOR`` (1e-12).
 
     An empty list certifies that the distribution function is strictly
@@ -208,31 +196,23 @@ def monotonicity_check(
     if not np.all(np.diff(xs) > 0):
         raise ValueError("grid must be strictly increasing")
     # a mass that could not be computed (nan) is flagged too
-    low = np.flatnonzero(~(_interval_masses(m, xs, cfg) >= _MASS_FLOOR))
+    low = np.flatnonzero(~(_interval_masses(m, xs) >= _MASS_FLOOR))
     return [(float(xs[k]), float(xs[k + 1])) for k in low]
 
 
-def _interval_masses(m: BaseMeasure, xs: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+def _interval_masses(m: BaseMeasure, xs: np.ndarray) -> np.ndarray:
     """Base mass of each interval between adjacent points of ``xs``: L(0) dF_0."""
-    cdf = _half_line(m, 0.0, xs, cfg)[0]
-    return math.exp(_tilt_row(m, 0.0, cfg).log_partition[0]) * np.diff(cdf)
+    cdf = _half_line(m, 0.0, xs)[0]
+    return math.exp(_tilt_row(m, 0.0).log_partition[0]) * np.diff(cdf)
 
 
-def scan(
-    m: BaseMeasure,
-    which: str,
-    t_grid: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> DiagnosticReport:
+def scan(m: BaseMeasure, which: str, t_grid: Sequence[float]) -> DiagnosticReport:
     """Evaluate one named diagnostic over a tilt grid."""
-    return _scan_reports(m, (which,), t_grid, cfg)[0]
+    return _scan_reports(m, (which,), t_grid)[0]
 
 
 def _scan_reports(
-    m: BaseMeasure,
-    names: Sequence[str],
-    t_grid: Sequence[float],
-    cfg: QuadratureConfig,
+    m: BaseMeasure, names: Sequence[str], t_grid: Sequence[float]
 ) -> list[DiagnosticReport]:
     """Evaluate several named diagnostics over a tilt grid from one engine pass."""
     for which in names:
@@ -241,8 +221,8 @@ def _scan_reports(
                 f"unknown diagnostic {which!r}; expected one of {DIAGNOSTIC_NAMES}"
             )
     ts = [float(t) for t in t_grid]
-    grid = tilt_grid(m, ts, cfg, median=not _NEEDS_MEDIAN.isdisjoint(names))
-    return [_report(which, ts, *_EVALUATORS[which](m, grid, cfg)) for which in names]
+    grid = tilt_grid(m, ts, median=not _NEEDS_MEDIAN.isdisjoint(names))
+    return [_report(which, ts, *_EVALUATORS[which](m, grid)) for which in names]
 
 
 def _report(

@@ -12,9 +12,9 @@ The same 15(7) rule is also exposed panel-wise (``anchored_edges``,
 which serves every tilted-law integral; ``integrate`` is left to the engine's
 unresolved panels and to the unit-mass checks in ``measures``.
 
-All improper integrals elsewhere in the package are truncated to a finite
-window before reaching this module; the truncation halfwidth carried by
-``QuadratureConfig`` is the base halfwidth those callers use.
+The quadrature settings are fixed constants: integrals stop at an error of
+``max(ABS_TOL, REL_TOL * |value|)``, and improper integrals elsewhere are
+truncated to windows of base halfwidth ``TRUNCATION_HALFWIDTH`` scale units.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "ABS_TOL",
     "NonFiniteIntegrandError",
-    "QuadratureConfig",
     "QuadratureResult",
-    "DEFAULT_QUADRATURE",
     "FIXED_PANEL_WIDTH",
+    "REL_TOL",
+    "TRUNCATION_HALFWIDTH",
     "anchored_edges",
     "integrate",
     "kronrod_sums",
@@ -81,33 +82,16 @@ FIXED_PANEL_WIDTH = 0.5
 _MAX_FIXED_PANELS = 4096
 # relative floor of a panel error estimate, so no panel ever claims exactness
 ROUNDING_FLOOR = 1.2e-16
+# base halfwidth of every truncation window, in units of the measure's scale
+TRUNCATION_HALFWIDTH = 12.0
+# an integral or engine panel is resolved at error <= max(ABS_TOL, REL_TOL * |value|)
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 2000  # bisections before integrate reports tolerance_met=False
 
 
 class NonFiniteIntegrandError(ValueError):
     """The integrand produced nan or +/-inf inside the window."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and the base truncation halfwidth for window construction."""
-
-    truncation_halfwidth: float = 12.0
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if not self.truncation_halfwidth > 0:
-            raise ValueError("truncation_halfwidth must be positive")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must lie in (0, 1)")
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 0:
-            raise ValueError("max_subdivisions must be nonnegative")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -175,17 +159,25 @@ def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     return kronrod, err
 
 
+def scaled_exp(log_scale: float, q: float = 1.0) -> float:
+    """q * exp(log_scale), formed as exp(log_scale + log|q|): it is +-inf, never
+    an OverflowError, only where the product itself passes the float64 range."""
+    if q == 0.0:
+        return q
+    try:
+        return math.copysign(math.exp(log_scale + math.log(abs(q))), q)
+    except OverflowError:
+        return math.copysign(math.inf, q)
+
+
 def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    window: tuple[float, float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    f: Callable[[np.ndarray], np.ndarray], window: tuple[float, float]
 ) -> QuadratureResult:
     """Integrate ``f`` over ``window`` adaptively.
 
     Refinement stops once the summed panel error estimate drops below
-    ``max(abs_tol, rel_tol * |value|)`` or ``max_subdivisions`` bisections
-    have been spent; the latter is reported via ``tolerance_met=False``
-    rather than raised.
+    ``max(ABS_TOL, REL_TOL * |value|)`` or 2000 bisections have been spent;
+    the latter is reported via ``tolerance_met=False`` rather than raised.
     """
     a, b = float(window[0]), float(window[1])
     if not a < b:
@@ -207,13 +199,13 @@ def integrate(
 
     splits = 0
     while True:
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        if total_err <= max(ABS_TOL, REL_TOL * abs(total)):
             # panel errors can span many orders of magnitude, and then the
             # running total drifts (even below zero): re-add it before stopping
             total_err = math.fsum(item[5] for item in heap)
-            if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            if total_err <= max(ABS_TOL, REL_TOL * abs(total)):
                 break
-        if splits >= cfg.max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             return QuadratureResult(total, total_err, evaluations, tolerance_met=False)
         neg_err, _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .measures import BaseMeasure
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
 from .tilting import TiltGrid, _tilt_row, tilt_grid
 
 __all__ = [
@@ -48,14 +47,11 @@ def default_offsets() -> np.ndarray:
 
 
 def asymmetry_score(
-    m: BaseMeasure,
-    t: float,
-    offsets: Sequence[float] | None = None,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    m: BaseMeasure, t: float, offsets: Sequence[float] | None = None
 ) -> SymmetryReport:
     """Max over offsets u of |pdf(center+u) - pdf(center-u)| for the tilt-t law."""
     offs = default_offsets() if offsets is None else np.asarray(offsets, dtype=float)
-    row = _tilt_row(m, t, cfg)
+    row = _tilt_row(m, t)
     return SymmetryReport(
         t=float(t),
         center=float(row.mean[0]),
@@ -82,13 +78,11 @@ def _asymmetry_scores(m: BaseMeasure, grid: TiltGrid, offs: np.ndarray) -> np.nd
     return np.max(np.abs(tilted_pdf(centers + offs) - tilted_pdf(centers - offs)), axis=1)
 
 
-def midpoint_residual(
-    m: BaseMeasure, t: float, s: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def midpoint_residual(m: BaseMeasure, t: float, s: float) -> float:
     """m(t+s) + m(t-s) - 2*m(t) for the tilted mean; zero iff the mean is locally affine."""
     if s == 0.0:
         return 0.0
-    mean_up, mean_down, mean_mid = tilt_grid(m, [t + s, t - s, t], cfg, median=False).mean
+    mean_up, mean_down, mean_mid = tilt_grid(m, [t + s, t - s, t], median=False).mean
     return float(mean_up + mean_down - 2.0 * mean_mid)
 
 
@@ -102,11 +96,7 @@ class QuadraticFit:
     max_residual: float
 
 
-def fit_quadratic_log_partition(
-    m: BaseMeasure,
-    t_grid: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> QuadraticFit:
+def fit_quadratic_log_partition(m: BaseMeasure, t_grid: Sequence[float]) -> QuadraticFit:
     """Fit constant + linear*t + quadratic*t^2 to the log Laplace transform.
 
     Uses the normal equations on the degree-2 Vandermonde design; the grids
@@ -117,7 +107,7 @@ def fit_quadratic_log_partition(
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 5:
         raise ValueError("need at least five grid points for a stable quadratic fit")
-    values = tilt_grid(m, ts, cfg, median=False).log_partition
+    values = tilt_grid(m, ts, median=False).log_partition
     design = np.column_stack([np.ones_like(ts), ts, ts**2])
     gram = design.T @ design
     coeffs = np.linalg.solve(gram, design.T @ values)

@@ -18,9 +18,10 @@ where the table crosses 1/2, run until its step reaches the rounding of x and
 reported with the error it reached.  A panel whose Kronrod-Gauss difference
 misses the tolerance, whole or partial, is integrated adaptively instead.
 
-A single-tilt request keeps its pass on the base measure, one (t, cfg) at a
-time, so every quantity of that tilt, the distribution function at any x
-included, comes from one set of panel tables whatever the order of requests.
+Windows and tolerances are the fixed constants of ``numerics``.  A single-tilt
+request keeps its pass on the base measure, keyed on t alone, so every
+quantity of that tilt, the distribution function at any x included, comes
+from one set of panel tables whatever the order of requests.
 """
 
 from __future__ import annotations
@@ -34,15 +35,16 @@ import numpy as np
 
 from .measures import BaseMeasure
 from .numerics import (
-    DEFAULT_QUADRATURE,
+    ABS_TOL,
     FIXED_PANEL_WIDTH,
+    REL_TOL,
     ROUNDING_FLOOR,
     NonFiniteIntegrandError,
-    QuadratureConfig,
     anchored_edges,
     integrate,
     kronrod_sums,
     panel_nodes,
+    scaled_exp,
 )
 
 __all__ = [
@@ -94,13 +96,7 @@ class TiltGrid:
     median_error: np.ndarray | None = None
 
 
-def tilt_grid(
-    measure: BaseMeasure,
-    t_grid: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    *,
-    median: bool = True,
-) -> TiltGrid:
+def tilt_grid(measure: BaseMeasure, t_grid: Sequence[float], *, median: bool = True) -> TiltGrid:
     """log L, mean, F_t(t), E_t[X; X <= t] and optionally the median of each tilt-t law.
 
     The panels cover the union of the per-tilt truncation windows, rounded
@@ -112,7 +108,7 @@ def tilt_grid(
     """
     ts = np.array([_check_tilt(t) for t in t_grid], dtype=float)
     grid = _empty_grid(ts, median)
-    for where, chunk in _chunks(measure, ts, cfg):
+    for where, chunk in _chunks(measure, ts):
         chunk.fill(grid, where)
         if median:
             grid.median[where], grid.median_error[where] = chunk._medians()
@@ -125,11 +121,11 @@ def _empty_grid(ts: np.ndarray, median: bool) -> TiltGrid:
     return TiltGrid(ts, **{name: np.empty(ts.size) for name in wanted})
 
 
-def _chunks(measure: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
+def _chunks(measure: BaseMeasure, ts: np.ndarray):
     """The engine's panel pass over ``ts``: yields (slice of ts, its _TiltChunk)."""
     if ts.size == 0:
         return
-    reach = max(measure.window_halfwidth(t, cfg.truncation_halfwidth) for t in ts)
+    reach = max(measure.window_halfwidth(t) for t in ts)
     reach = FIXED_PANEL_WIDTH * math.ceil(reach / FIXED_PANEL_WIDTH)
     edges = anchored_edges(-reach, reach)
     xs, half = panel_nodes(edges[:-1], edges[1:])
@@ -138,7 +134,7 @@ def _chunks(measure: BaseMeasure, ts: np.ndarray, cfg: QuadratureConfig):
     chunk = max(1, _CHUNK_ELEMENTS // xs.size)
     for start in range(0, ts.size, chunk):
         where = slice(start, start + chunk)
-        yield where, _TiltChunk(measure, cfg, edges, xs, half, log_pdf, ts[where])
+        yield where, _TiltChunk(measure, edges, xs, half, log_pdf, ts[where])
 
 
 def _check_log_values(xs: np.ndarray, values: np.ndarray) -> None:
@@ -158,9 +154,8 @@ class _TiltChunk:
     Values are in shifted units: each tilt's largest node value is 1.
     """
 
-    def __init__(self, measure, cfg, edges, xs, half, log_pdf, ts) -> None:
+    def __init__(self, measure, edges, xs, half, log_pdf, ts) -> None:
         self.measure = measure
-        self.cfg = cfg
         self.edges = edges
         self.ts = ts
         # one work array, updated in place, keeps the chunk's memory flat
@@ -175,8 +170,8 @@ class _TiltChunk:
         work *= xs
         moment_k, moment_g = kronrod_sums(work, half)
         mass_err, moment_err = _error(mass_k, mass_g), _error(moment_k, moment_g)
-        self.refined = (mass_err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(mass_k))) | (
-            moment_err > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(moment_k))
+        self.refined = (mass_err > np.maximum(ABS_TOL, REL_TOL * np.abs(mass_k))) | (
+            moment_err > np.maximum(ABS_TOL, REL_TOL * np.abs(moment_k))
         )
         tables = (mass_k, moment_k, mass_err, moment_err)
         rows, panels = np.nonzero(self.refined)
@@ -209,8 +204,8 @@ class _TiltChunk:
             # x * weight can vanish where an unresolved weight peaks, which
             # stops refinement early; x - c stays within [width, 2 width]
             c = 2.0 * window[0] - window[1]
-            mass = integrate(weight, window, self.cfg)
-            moment = integrate(lambda u: (u - c) * weight(u), window, self.cfg)
+            mass = integrate(weight, window)
+            moment = integrate(lambda u: (u - c) * weight(u), window)
             mass_k[k], mass_err[k] = mass.value, mass.abs_error_estimate
             moment_k[k] = moment.value + c * mass.value
             moment_err[k] = moment.abs_error_estimate + abs(c) * mass.abs_error_estimate
@@ -297,11 +292,7 @@ class _TiltChunk:
         return medians, errors
 
     def _newton(
-        self,
-        rows: np.ndarray,
-        panel: np.ndarray,
-        cdf_lo: np.ndarray,
-        cdf_hi: np.ndarray,
+        self, rows: np.ndarray, panel: np.ndarray, cdf_lo: np.ndarray, cdf_hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Safeguarded Newton for cdf(x) = 1/2 inside one panel per row.
 
@@ -358,14 +349,14 @@ class _TiltState:
     It holds the pass's ``_TiltChunk`` (panel tables, shift and mass) and the
     row it filled; the median is solved on those tables when first asked for
     and added to the row.  Each result equals the matching entry of a fresh
-    ``tilt_grid(measure, [t], cfg)``.
+    ``tilt_grid(measure, [t])``.
     """
 
-    def __init__(self, measure: BaseMeasure, t: float, cfg: QuadratureConfig) -> None:
-        self.key = (t, cfg)
+    def __init__(self, measure: BaseMeasure, t: float) -> None:
+        self.t = t
         ts = np.array([t])
         self.row = _empty_grid(ts, median=False)
-        ((where, self.chunk),) = _chunks(measure, ts, cfg)
+        ((where, self.chunk),) = _chunks(measure, ts)
         self.chunk.fill(self.row, where)
 
     def with_median(self) -> TiltGrid:
@@ -377,55 +368,45 @@ class _TiltState:
         return row
 
 
-def _tilt_state(measure: BaseMeasure, t: float, cfg: QuadratureConfig) -> _TiltState:
-    """The measure's kept state at (t, cfg); a new pass replaces a state at another (t, cfg).
+def _tilt_state(measure: BaseMeasure, t: float) -> _TiltState:
+    """The measure's kept state at t; a new pass replaces a state at another t.
 
     The state is read once: a caller racing another one at worst runs the pass again.
     """
     t = _check_tilt(t)
     state = measure._tilt_state
     # 0.0 and -0.0 share a state: no result depends on the sign of a zero tilt
-    if state is None or state.key != (t, cfg):
-        state = _TiltState(measure, t, cfg)
+    if state is None or state.t != t:
+        state = _TiltState(measure, t)
         object.__setattr__(measure, "_tilt_state", state)
     return state
 
 
-def _tilt_row(
-    measure: BaseMeasure,
-    t: float,
-    cfg: QuadratureConfig,
-    *,
-    median: bool = False,
-) -> TiltGrid:
-    """``tilt_grid(measure, [t], cfg, median=median)`` from the measure's kept state.
+def _tilt_row(measure: BaseMeasure, t: float, *, median: bool = False) -> TiltGrid:
+    """``tilt_grid(measure, [t], median=median)`` from the measure's kept state.
 
     Callers only read the row: its arrays are shared with the state.
     """
-    state = _tilt_state(measure, t, cfg)
+    state = _tilt_state(measure, t)
     return state.with_median() if median else state.row
 
 
-def _half_line(measure: BaseMeasure, t: float, xs, cfg: QuadratureConfig) -> tuple:
+def _half_line(measure: BaseMeasure, t: float, xs) -> tuple:
     """F_t(x), its error, E_t[X; X <= x] and its error at each x, from the kept state."""
     xs = np.asarray(xs, dtype=float)
-    return _tilt_state(measure, t, cfg).chunk.half_line(np.zeros(xs.size, dtype=int), xs)
+    return _tilt_state(measure, t).chunk.half_line(np.zeros(xs.size, dtype=int), xs)
 
 
-def log_partition(
-    measure: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def log_partition(measure: BaseMeasure, t: float) -> float:
     """log of the Laplace transform of the base measure at t."""
-    return float(_tilt_row(measure, t, cfg).log_partition[0])
+    return float(_tilt_row(measure, t).log_partition[0])
 
 
-def tilt(
-    measure: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> TiltedView:
+def tilt(measure: BaseMeasure, t: float) -> TiltedView:
     """Construct the tilt-t member of the family generated by ``measure``."""
     t = _check_tilt(t)
-    log_l = float(_tilt_row(measure, t, cfg).log_partition[0])
-    return TiltedView(base=measure, t=t, log_partition=log_l, cfg=cfg)
+    log_l = float(_tilt_row(measure, t).log_partition[0])
+    return TiltedView(base=measure, t=t, log_partition=log_l)
 
 
 @dataclass(frozen=True)
@@ -434,7 +415,7 @@ class TiltedView:
 
     ``mean()``, ``median()`` and ``cdf()`` read the base measure's kept
     one-tilt state (see ``BaseMeasure``): after :func:`tilt`, or any other
-    one-tilt request at the same (t, cfg), they run no second engine pass;
+    one-tilt request at the same t, they run no second engine pass;
     the median is solved on the kept panel tables once, to the rounding of
     x (``tilt_grid`` gives its error estimate).
     """
@@ -442,14 +423,13 @@ class TiltedView:
     base: BaseMeasure
     t: float
     log_partition: float
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.log_partition):
             raise ValueError("log_partition must be finite")
 
     def window_halfwidth(self) -> float:
-        return self.base.window_halfwidth(self.t, self.cfg.truncation_halfwidth)
+        return self.base.window_halfwidth(self.t)
 
     def log_pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -463,20 +443,18 @@ class TiltedView:
         x = float(x)
         if math.isnan(x):
             raise ValueError("cdf is undefined at nan")
-        value = float(_half_line(self.base, self.t, [x], self.cfg)[0][0])
+        value = float(_half_line(self.base, self.t, [x])[0][0])
         return min(1.0, max(0.0, value))
 
     def mean(self) -> float:
-        return float(_tilt_row(self.base, self.t, self.cfg).mean[0])
+        return float(_tilt_row(self.base, self.t).mean[0])
 
     def median(self) -> float:
         """Solve cdf(x) = 1/2; a flat stretch at 1/2 resolves to its midpoint."""
-        return float(_tilt_row(self.base, self.t, self.cfg, median=True).median[0])
+        return float(_tilt_row(self.base, self.t, median=True).median[0])
 
 
-def half_line_mgf(
-    measure: BaseMeasure, t: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> tuple[float, float]:
+def half_line_mgf(measure: BaseMeasure, t: float) -> tuple[float, float]:
     """Moment generating integral restricted to the half line ending at t.
 
     Returns ``(value, derivative)`` where the value is the integral of
@@ -485,8 +463,11 @@ def half_line_mgf(
     integral of x*exp(t*x) against the density over the same half line.
     The derivative formula follows from the quantile transform of the
     distribution function; tests cross-check it against finite differences.
+    Both are L(t) times a tilted-law quantity, formed as exp(log L + log |q|),
+    so L(t) may exceed the float64 range; a result that does is inf.
     """
-    row = _tilt_row(measure, t, cfg)
-    full = math.exp(row.log_partition[0])
-    boundary = math.exp(t * t + float(measure.log_pdf(np.array([t]))[0]))
-    return full * row.cdf_at_t[0], boundary + full * row.lower_moment_at_t[0]
+    row = _tilt_row(measure, t)
+    log_l = float(row.log_partition[0])
+    boundary = scaled_exp(t * t + float(measure.log_pdf(np.array([t]))[0]))
+    value = scaled_exp(log_l, float(row.cdf_at_t[0]))
+    return value, boundary + scaled_exp(log_l, float(row.lower_moment_at_t[0]))

@@ -289,6 +289,19 @@ def test_lipschitz_command(tmp_path, capsys):
     assert float(lines[1].split(",")[1]) == bound
 
 
+def test_lipschitz_bound_beyond_float_range(tmp_path, capsys):
+    # log L(8) = 3200 for N(0, 10^2): the bound is inf, a valid if vacuous one
+    base = ["lipschitz", "--measure", "gaussian(0,10)", "--halfwidth", "8"]
+    csv_out, json_out = tmp_path / "lip.csv", tmp_path / "lip.json"
+    code, stdout, err = run_cli(base + ["--out", str(csv_out)], capsys)
+    assert code == EXIT_OK, err
+    assert parse_summary(stdout) == (math.inf, 8.0)
+    assert csv_out.read_text() == "halfwidth,bound\n8,inf\n"
+    code, _, err = run_cli(base + ["--format", "json", "--out", str(json_out)], capsys)
+    assert code == EXIT_OK, err
+    assert json.loads(json_out.read_text()) == {"bound": None, "halfwidth": 8.0}
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(
@@ -299,7 +312,6 @@ def test_config_file_with_flag_override(tmp_path, capsys):
                 "t_max": 2,
                 "t_points": 5,
                 "out": str(tmp_path / "from_config.csv"),
-                "quadrature": {"rel_tol": 1e-9},
             }
         )
     )
@@ -405,6 +417,17 @@ def test_exit_code_unknown_config_key(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "colour" in err
+
+
+def test_exit_code_quadrature_config_key(tmp_path, capsys):
+    # quadrature settings are fixed constants, not config values
+    config = tmp_path / "quadrature.json"
+    config.write_text(json.dumps({"measure": "gaussian(0,1)", "quadrature": {"rel_tol": 1e-9}}))
+    code, _, err = run_cli(
+        ["median-gap", "--config", str(config), "--out", str(tmp_path / "x.csv")], capsys
+    )
+    assert code == EXIT_CONFIG
+    assert "unknown config keys: ['quadrature']" in err
 
 
 def test_json_determinism_full_report(tmp_path, capsys):

@@ -90,22 +90,12 @@ def test_laplace_range_validation():
 
 
 def test_setup_auto_halfwidth():
-    setup = tm.ConvolutionSetup(step=0.01, kernel_tol=1e-10)
+    setup = tm.ConvolutionSetup(step=0.01)
     assert float(tm.kernel(setup.kernel_halfwidth)) <= 1e-10
     steps = setup.kernel_steps()
     assert abs(steps * setup.step - setup.kernel_halfwidth) <= 1e-12
     # smallest such multiple: one step less violates the tolerance
     assert float(tm.kernel((steps - 1) * setup.step)) > 1e-10
-
-
-def test_setup_rounds_user_halfwidth_up():
-    setup = tm.ConvolutionSetup(step=0.01, kernel_tol=1e-10, kernel_halfwidth=7.005)
-    assert setup.kernel_halfwidth == pytest.approx(7.01)
-
-
-def test_setup_rejects_insufficient_halfwidth():
-    with pytest.raises(ValueError):
-        tm.ConvolutionSetup(step=0.01, kernel_tol=1e-10, kernel_halfwidth=5.0)
 
 
 def test_setup_weights_normalized():

@@ -1,5 +1,6 @@
 """The README's library quick start runs and gives the values its comments state,
-and every name the package exports resolves."""
+every name the package exports resolves, and the README's command examples and
+config-file keys match the CLI."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import re
 from pathlib import Path
 
 import tiltmedian as tm
+from tiltmedian import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +25,15 @@ def test_readme_quick_start_runs():
 def test_every_export_resolves():
     missing = [name for name in tm.__all__ if not hasattr(tm, name)]
     assert missing == []
+
+
+def test_readme_lists_the_config_file_keys():
+    text = " ".join(README.read_text().split())
+    (keys,) = re.findall(r"json config file may carry the same keys \(([^)]*)\)", text)
+    assert set(re.findall(r"`(\w+)`", keys)) == cli._CONFIG_KEYS
+
+
+def test_readme_shows_every_command():
+    shown = re.findall(r"^tiltmedian ([\w-]+)", README.read_text(), flags=re.MULTILINE)
+    assert set(shown) <= set(cli.COMMANDS), set(shown) - set(cli.COMMANDS)
+    assert set(cli.COMMANDS) <= set(shown), set(cli.COMMANDS) - set(shown)

@@ -75,6 +75,22 @@ def test_convolution_residual_quadratic_is_constant(quadratic_one):
         assert abs(tm.convolution_residual(quadratic_one, t) + 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("eps", [1e-6, 0.3, 1.0, 5.0])
+def test_quadratic_residuals_match_exact_linear_response(eps):
+    # g = (1 + eps x^2) / (1 + eps): the sign kernel keeps -2 t E|Y| of the
+    # x^2 term and smoothing adds the kernel's second moment 2, for every eps
+    measure = tm.build_measure(tm.PerturbedQuadratic(eps))
+    ts = np.linspace(-6.0, 6.0, 49)
+    exact = {
+        "sign_kernel": -2.0 * math.sqrt(2.0 / math.pi) * eps / (1.0 + eps) * ts,
+        "deriva": np.full(ts.size, -2.0 * eps / (1.0 + eps)),
+    }
+    for name, values in exact.items():
+        report = tm.scan(measure, name, ts)
+        gaps = np.abs(np.array(report.residuals) - values)
+        assert np.all(gaps <= np.array(report.error_estimates)), (name, gaps.max())
+
+
 def test_convolution_residual_cosine_matches_oracle(cosine_half):
     recomputed = oracles.convolution_residual(
         lambda x: oracles.g_perturbed_cosine(x, 0.5), 0.0
@@ -180,7 +196,7 @@ def test_monotonicity_flags_every_interval_without_mass():
 def test_interval_masses_match_adaptive_quadrature(catalog):
     xs = np.linspace(-6.0, 6.0, 200)
     for measure in catalog:
-        masses = tm.medianlaw._interval_masses(measure, xs, tm.DEFAULT_QUADRATURE)
+        masses = tm.medianlaw._interval_masses(measure, xs)
         for lo, hi, mass in zip(xs[:-1], xs[1:], masses):
             expected = tm.integrate(measure.pdf, (float(lo), float(hi))).value
             assert abs(mass - expected) <= 1e-15, (measure.spec, lo)
@@ -188,9 +204,9 @@ def test_interval_masses_match_adaptive_quadrature(catalog):
 
 def test_interval_masses_over_the_window_sum_to_one(catalog):
     for measure in catalog:
-        halfwidth = measure.window_halfwidth(0.0, tm.DEFAULT_QUADRATURE.truncation_halfwidth)
+        halfwidth = measure.window_halfwidth(0.0)
         xs = np.linspace(-halfwidth, halfwidth, 301)
-        masses = tm.medianlaw._interval_masses(measure, xs, tm.DEFAULT_QUADRATURE)
+        masses = tm.medianlaw._interval_masses(measure, xs)
         assert abs(masses.sum() - 1.0) <= 1e-12, measure.spec
 
 

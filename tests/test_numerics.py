@@ -8,7 +8,6 @@ import pytest
 import oracles
 from tiltmedian import (
     NonFiniteIntegrandError,
-    QuadratureConfig,
     QuadratureResult,
     integrate,
 )
@@ -75,31 +74,17 @@ def test_nonfinite_integrand_raises():
 
 
 def test_tolerance_not_met_flag():
-    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=2)
-    result = integrate(phi, (-10.0, 10.0), cfg)
+    # 2000 bisections cannot resolve some 16000 oscillations
+    result = integrate(lambda x: np.cos(1e5 * np.asarray(x)), (0.0, 1.0))
     assert not result.tolerance_met
-    # the value itself is still a usable estimate
-    assert abs(result.value - 1.0) <= 1e-6
+    # the error estimate still covers the value's true error
+    truth = math.sin(1e5) / 1e5
+    assert abs(result.value - truth) <= result.abs_error_estimate
 
 
 def test_invalid_window_rejected():
     with pytest.raises(ValueError):
         integrate(phi, (1.0, 1.0))
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"truncation_halfwidth": 0.0},
-        {"rel_tol": 0.0},
-        {"rel_tol": 1.5},
-        {"abs_tol": 0.0},
-        {"max_subdivisions": -1},
-    ],
-)
-def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        QuadratureConfig(**kwargs)
 
 
 def test_result_validation():

@@ -10,8 +10,10 @@ The sign-kernel and convolution residuals are checked against their closed
 forms too, error estimates included, and each median lies within its reported
 error, here and for ``PerturbedQuadratic``, whose tilted CDF has a closed form.
 
-Also: measure literals round-trip through ``parse_measure``, and reflecting
-a base measure (g(x) -> g(-x)) maps each residual at t to the residual at -t.
+Also: measure literals round-trip through ``parse_measure``, reflecting a
+base measure (g(x) -> g(-x)) maps each residual at t to the residual at -t,
+and on any base the convolution residual is sqrt(pi/2) times the slope of the
+sign-kernel residual.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -138,6 +142,37 @@ def test_parse_measure_round_trips(spec):
     args = [getattr(spec, field.name) for field in dataclasses.fields(spec)]
     text = f"{spec.literal}({','.join(a if isinstance(a, str) else repr(a) for a in args)})"
     assert parse_measure(text) == spec
+
+
+@functools.lru_cache(maxsize=None)
+def identity_measures() -> tuple[tm.BaseMeasure, ...]:
+    """The test catalog, N(0.3, 0.8^2) and a tabulated ratio whose kinks sit
+    at |x| = 5.5, out of reach of the difference stencils below."""
+    specs = [
+        tm.Gaussian(0.0, 1.0),
+        tm.PerturbedCosine(0.5),
+        tm.PerturbedQuadratic(1.0),
+        tm.GaussianMixture(0.5, -1.0, 1.0, 1.0, 1.0),
+        tm.Gaussian(0.3, 0.8),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ratio.txt"
+        path.write_text("-7 0.2\n-5.5 0.5\n5.5 1.6\n7 1.2\n")
+        # the table is read once, when the measure is built
+        return tuple(tm.build_measure(spec) for spec in specs + [tm.Tabulated(str(path))])
+
+
+@PROPERTY
+@given(index=st.integers(min_value=0, max_value=5), t=st.floats(min_value=-5.0, max_value=5.0))
+def test_convolution_residual_is_sign_kernel_slope(index, t):
+    # deriva(t) = sqrt(pi/2) d/dt sign_kernel(t), for any ratio: differentiating
+    # sign(y) phi(y) gives 2 phi(0) delta(y) - |y| phi(y)
+    measure = identity_measures()[index]
+    h = 1e-3
+    s = tm.scan(measure, "sign_kernel", [t - h, t + h, t - h / 2, t + h / 2]).residuals
+    slope = (4.0 * (s[3] - s[2]) / h - (s[1] - s[0]) / (2.0 * h)) / 3.0
+    residual = tm.convolution_residual(measure, t)
+    assert abs(residual - math.sqrt(0.5 * math.pi) * slope) <= 1e-8 * max(1.0, abs(residual))
 
 
 # residual at t of the reflected measure = sign * residual at -t of the original
