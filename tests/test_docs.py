@@ -37,3 +37,11 @@ def test_readme_shows_every_command():
     shown = re.findall(r"^tiltmedian ([\w-]+)", README.read_text(), flags=re.MULTILINE)
     assert set(shown) <= set(cli.COMMANDS), set(shown) - set(cli.COMMANDS)
     assert set(cli.COMMANDS) <= set(shown), set(cli.COMMANDS) - set(shown)
+
+
+def test_readme_names_resolve():
+    modules = {"tm": tm, "numerics": tm.numerics, "tilting": tm.tilting, "measures": tm.measures}
+    named = re.findall(r"\b(tm|numerics|tilting|measures)\.([A-Za-z_]\w*)", README.read_text())
+    assert named
+    missing = [f"{module}.{name}" for module, name in named if not hasattr(modules[module], name)]
+    assert missing == []

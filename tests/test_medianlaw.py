@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +68,29 @@ def test_convolution_residual_standard_gaussian(std_gaussian):
     # the last four sit just below a panel edge, where |t - x| has its kink
     for t in (-5.0, -2.0, 0.0, 1.0, 4.0, 0.99575, 1.99575, 3.99575, -2.0042):
         assert abs(tm.convolution_residual(std_gaussian, t)) <= 1e-9
+
+
+def test_residuals_beyond_float_range_are_infinite_without_warnings():
+    # for N(0, 10^2), log L(t) - t^2/2 = 49.5 t^2 passes the float64 range near
+    # |t| = 3.79; the suite turns a numpy overflow warning into an error
+    measure = tm.build_measure(tm.Gaussian(0.0, 10.0))
+    assert tm.sign_kernel_residual(measure, 6.0) == -math.inf
+    ts = np.linspace(-6.0, 6.0, 49)
+    grid = tm.tilt_grid(measure, ts, median=False)
+    log_scale = grid.log_partition - 0.5 * ts**2
+    spread = grid.mean - ts + 2.0 * (ts * grid.cdf_at_t - grid.lower_moment_at_t)
+    factors = {"sign_kernel": 1.0, "deriva": math.sqrt(0.5 * math.pi)}
+    products = {"sign_kernel": 2.0 * grid.cdf_at_t - 1.0, "deriva": -spread}
+    for name, q in products.items():
+        residuals = np.array(tm.scan(measure, name, ts).residuals)
+        with np.errstate(divide="ignore"):
+            log_value = log_scale + math.log(factors[name]) + np.log(np.abs(q))
+        assert np.array_equal(np.isinf(residuals), log_value > math.log(sys.float_info.max))
+        # entries whose scale is finite are the plain product, bit for bit
+        small = log_scale < 700.0
+        scale = factors[name] * np.exp(log_scale[small])
+        base = measure.g(ts[small]) if name == "deriva" else 0.0
+        assert np.array_equal(residuals[small], base + scale * q[small]), name
 
 
 def test_convolution_residual_quadratic_is_constant(quadratic_one):
@@ -146,7 +170,7 @@ def test_lipschitz_mass_inequality(catalog):
             lo, hi = np.sort(rng.uniform(-halfwidth, halfwidth, size=2))
             if hi - lo < 1e-12:
                 continue
-            mass = tm.integrate(measure.pdf, (float(lo), float(hi))).value
+            mass = oracles.quad(measure.pdf, float(lo), float(hi))
             assert mass <= bound * (hi - lo) + 1e-12
 
 
@@ -198,7 +222,7 @@ def test_interval_masses_match_adaptive_quadrature(catalog):
     for measure in catalog:
         masses = tm.medianlaw._interval_masses(measure, xs)
         for lo, hi, mass in zip(xs[:-1], xs[1:], masses):
-            expected = tm.integrate(measure.pdf, (float(lo), float(hi))).value
+            expected = oracles.quad(measure.pdf, float(lo), float(hi))
             assert abs(mass - expected) <= 1e-15, (measure.spec, lo)
 
 

@@ -2,9 +2,9 @@
 tilted quantity has a closed form: P = N(mu, sigma^2) tilts to
 N(mu + sigma^2 t, sigma^2) and log L(t) = mu t + sigma^2 t^2 / 2.
 
-Below sigma of about 0.1 the fixed 0.5-wide panels miss the quadrature
-tolerance near the peak, so the drawn range covers both the fixed-panel
-path and the per-panel adaptive fallback.
+Below sigma = 0.5 the panel lattice has edges at mu + k sigma, |k| <= 12, so
+the drawn ranges cover both the plain 0.5-wide lattice and lattices built
+around a narrow peak, down to sigma = 1e-5 for the median's error.
 
 The sign-kernel and convolution residuals are checked against their closed
 forms too, error estimates included, and each median lies within its reported
@@ -54,6 +54,14 @@ def test_median_gap_closed_form(mu, sigma, t):
 @PROPERTY
 @given(mu=MUS, sigma=st.floats(min_value=0.05, max_value=1.25), t=TILTS)
 def test_median_within_its_error(mu, sigma, t):
+    grid = tm.tilt_grid(gaussian(mu, sigma), [t])
+    assert abs(grid.median[0] - (mu + sigma**2 * t)) <= grid.median_error[0]
+
+
+@PROPERTY
+@given(mu=MUS, log_sigma=st.floats(min_value=-5.0, max_value=math.log10(0.05)), t=TILTS)
+def test_narrow_median_within_its_error(mu, log_sigma, t):
+    sigma = 10.0**log_sigma
     grid = tm.tilt_grid(gaussian(mu, sigma), [t])
     assert abs(grid.median[0] - (mu + sigma**2 * t)) <= grid.median_error[0]
 

@@ -225,7 +225,7 @@ def test_pdf_normalization_across_tilts(catalog):
         for t in (-6.0, -3.0, 0.0, 3.0, 6.0):
             view = tm.tilt(measure, t)
             halfwidth = view.window_halfwidth()
-            mass = tm.integrate(view.pdf, (-halfwidth, halfwidth)).value
+            mass = oracles.quad(view.pdf, -halfwidth, halfwidth)
             assert abs(mass - 1.0) <= 1e-8, (measure.spec, t)
 
 
@@ -354,8 +354,8 @@ def test_tilt_grid_empty_and_without_medians(std_gaussian):
 
 
 def test_tilt_grid_narrow_measure_uses_adaptive_panels():
-    # sigma = 0.05 is too narrow for the fixed 0.5-wide panels: the panels
-    # that miss tolerance are integrated adaptively, and the results stay exact
+    # sigma = 0.05 is too narrow for the fixed 0.5-wide panels: the lattice
+    # has edges at mu + k sigma, |k| <= 12, and the results stay exact
     mu, sigma = 0.3, 0.05
     measure = tm.build_measure(tm.Gaussian(mu, sigma))
     ts = np.linspace(-6.0, 6.0, 9)
@@ -367,9 +367,9 @@ def test_tilt_grid_narrow_measure_uses_adaptive_panels():
 
 
 def test_refined_panel_moment_error_is_honest():
-    # the tail of N(0.1, 0.02^2) below 0 fills an unresolved panel [-0.5, 0],
-    # where the moment integrand x * weight vanishes at the tail's peak; the
-    # mean error must still cover the error, and so must the half-line sums'
+    # the tail of N(0.1, 0.02^2) below 0 ends at a lattice edge at 0, where
+    # the moment integrand x * weight vanishes at the tail's peak; the mean
+    # error must still cover the error, and so must the half-line sums'
     mu, sigma = 0.1, 0.02
     measure = tm.build_measure(tm.Gaussian(mu, sigma))
     grid = tm.tilt_grid(measure, [0.0], median=False)
@@ -381,17 +381,40 @@ def test_refined_panel_moment_error_is_honest():
 
 
 def test_spike_between_panel_nodes():
-    # sigma = 1e-4: the spike at 0.3 falls between the fixed-panel nodes, so
-    # its panel is integrated adaptively, where the running error total
-    # spans ~80 orders of magnitude before it converges
+    # sigma = 1e-4: the spike at 0.3 falls between the nodes of the anchored
+    # panels, and the lattice resolves it on edges at mu + k sigma
     mu, sigma = 0.3, 1e-4
     measure = tm.build_measure(tm.Gaussian(mu, sigma))
     ts = np.array([0.0, 1.0, 2.0])
     grid = tm.tilt_grid(measure, ts)
     assert np.all(np.abs(grid.log_partition - (mu * ts + 0.5 * sigma**2 * ts**2)) <= 1e-8)
     assert np.all(np.abs(grid.mean - (mu + sigma**2 * ts)) <= 1e-8)
-    # the median solve does not resolve the spike, and its error says so
+    # the median lies within its error
     assert np.all(np.abs(grid.median - (mu + sigma**2 * ts)) <= grid.median_error)
+    assert np.all(grid.median_error <= 1e-12)
+
+
+def test_narrow_gaussians_build_with_unit_mass():
+    # spikes that every node of the anchored panels misses
+    for mu, sigma in ((0.25, 1e-4), (0.3, 1e-5)):
+        measure = tm.build_measure(tm.Gaussian(mu, sigma))
+        assert abs(tm.log_partition(measure, 0.0)) <= 1e-12
+
+
+def test_lattice_covers_every_window_where_the_stride_doubles():
+    # the window of N(0, 20^2) at T_MAX needs more than 4096 panels of width
+    # 0.5, so the lattice's anchored stride is 2, and each pass slices it
+    sigma = 20.0
+    measure = tm.build_measure(tm.Gaussian(0.0, sigma))
+    ts = np.array([-8.0, -0.3, 0.0, 3.3, 8.0])
+    for t in ts:
+        ((_, chunk),) = tm.tilting._chunks(measure, np.array([t]))
+        halfwidth = measure.window_halfwidth(t)
+        assert chunk.edges[0] <= -halfwidth and chunk.edges[-1] >= halfwidth, t
+    grid = tm.tilt_grid(measure, ts)
+    exact = 0.5 * sigma**2 * ts**2
+    assert np.all(np.abs(grid.log_partition - exact) <= 1e-10 * np.maximum(1.0, exact))
+    assert np.all(np.abs(grid.median - sigma**2 * ts) <= grid.median_error)
 
 
 def test_log_partition_nonfinite_and_vanishing_integrands():
