@@ -21,6 +21,7 @@ normalization of tables read log L(0) from that engine.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Union
@@ -241,13 +242,13 @@ class GaussianMixture:
         if not (self.sigma1 > 0 and self.sigma2 > 0):
             raise ValueError("component sigmas must be positive")
 
-    def _log_mixing(self) -> tuple[float, float]:
+    def _log_weights(self) -> tuple[float, float]:
         log_w1 = math.log(self.weight) if self.weight > 0 else -math.inf
         log_w2 = math.log1p(-self.weight) if self.weight < 1 else -math.inf
         return log_w1, log_w2
 
     def _build(self) -> BaseMeasure:
-        log_w1, log_w2 = self._log_mixing()
+        log_w1, log_w2 = self._log_weights()
 
         def log_g(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
@@ -267,7 +268,7 @@ class GaussianMixture:
         )
 
     def closed_form_log_partition(self, t: float) -> float:
-        log_w1, log_w2 = self._log_mixing()
+        log_w1, log_w2 = self._log_weights()
         a = log_w1 + self.mu1 * t + 0.5 * (self.sigma1 * t) ** 2
         b = log_w2 + self.mu2 * t + 0.5 * (self.sigma2 * t) ** 2
         return float(np.logaddexp(a, b))
@@ -295,27 +296,24 @@ class Tabulated:
         _check_table_tails(xs, gs)
         halfwidth = float(max(abs(xs[0]), abs(xs[-1])))
 
-        def measure(ratio: np.ndarray) -> BaseMeasure:
-            def log_g(x: np.ndarray) -> np.ndarray:
-                vals = np.interp(np.asarray(x, dtype=float), xs, ratio, left=0.0, right=0.0)
-                with np.errstate(divide="ignore"):
-                    return np.log(vals)
-
-            return BaseMeasure(
-                self,
-                log_g,
-                window_offset=halfwidth,
-                window_scale=0.0,
-                tilt_gain=0.0,
-                breakpoints=tuple(xs.tolist()),
-            )
+        def log_g(x: np.ndarray, ratio: np.ndarray = gs) -> np.ndarray:
+            vals = np.interp(np.asarray(x, dtype=float), xs, ratio, left=0.0, right=0.0)
+            with np.errstate(divide="ignore"):
+                return np.log(vals)
 
         from .tilting import log_partition  # tilting imports this module
 
-        mass = float(scaled_exp(log_partition(measure(gs), 0.0)))
+        raw = BaseMeasure(
+            self, log_g, window_offset=halfwidth, window_scale=0.0, tilt_gain=0.0,
+            breakpoints=tuple(xs.tolist()),
+        )
+        mass = float(scaled_exp(log_partition(raw, 0.0)))
         if not mass > 1e-300:
             raise NotNormalizableError("tabulated density has zero total mass")
-        return measure(gs / mass)
+        normalized = dataclasses.replace(raw, log_g=functools.partial(log_g, ratio=gs / mass))
+        # tests in units of the largest node value: the lattice ignores a constant factor
+        object.__setattr__(normalized, "_lattice", raw._lattice)
+        return normalized
 
     def closed_form_log_partition(self, t: float) -> None:
         return None

@@ -417,6 +417,41 @@ def test_lattice_covers_every_window_where_the_stride_doubles():
     assert np.all(np.abs(grid.median - sigma**2 * ts) <= grid.median_error)
 
 
+def _anchored_lattice(measure) -> np.ndarray:
+    """The anchored grid over the window at T_MAX, before any bisection."""
+    width = tm.numerics.FIXED_PANEL_WIDTH
+    reach = width * math.ceil(measure.window_halfwidth(tm.T_MAX) / width)
+    return tm.numerics.anchored_edges(-reach, reach)
+
+
+@pytest.mark.parametrize("sigma", [20.0, 40.0, 100.0])
+def test_wide_gaussian_lattice_is_not_bisected_on_rounding(sigma):
+    # far out (x near 8 sigma^2 at t = 8) log_pdf holds 0.5 x^2 only to eps;
+    # |Kronrod - Gauss| there is rounding noise, which no bisection reduces
+    measure = tm.build_measure(tm.Gaussian(0.0, sigma))
+    assert np.array_equal(tm.tilting._lattice(measure), _anchored_lattice(measure))
+    ts = np.array([-8.0, -1.0, 0.0, 4.0, 8.0])
+    grid = tm.tilt_grid(measure, ts)
+    exact = 0.5 * sigma**2 * ts**2
+    assert np.all(np.abs(grid.log_partition - exact) <= 1e-10 * np.maximum(1.0, exact))
+    assert np.all(np.abs(grid.mean - sigma**2 * ts) <= grid.mean_error)
+    assert np.all(np.abs(grid.median - sigma**2 * ts) <= grid.median_error)
+
+
+def test_lattice_bisections_stop_at_the_budget():
+    # a ratio wiggling at period 6e-9: no panel wider than the minimum
+    # width resolves it, so only the bisection budget ends the lattice
+    def log_g(x):
+        return 1e-7 * np.sin(1e9 * np.asarray(x, dtype=float))
+
+    measure = tm.BaseMeasure(spec=tm.Gaussian(0.0, 1.0), log_g=log_g)
+    panels = tm.tilting._lattice(measure).size - 1
+    assert panels <= _anchored_lattice(measure).size - 1 + tm.tilting._MAX_BISECTIONS
+    # the true median is 0 to about 1e-16; the panels left carry the miss
+    grid = tm.tilt_grid(measure, [0.0])
+    assert abs(grid.median[0]) <= grid.median_error[0] <= 1e-6
+
+
 def test_log_partition_nonfinite_and_vanishing_integrands():
     def measure(log_g):
         return tm.BaseMeasure(spec=tm.Gaussian(0.0, 1.0), log_g=log_g)
