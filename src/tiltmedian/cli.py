@@ -5,16 +5,15 @@ Usage::
     tiltmedian median-gap --measure 'gaussian(0,1)' --out report.csv
     tiltmedian choquet-iterate --measure 'perturbed_cosine(0.5)' --steps 8 \
         --out trace.csv
-    tiltmedian full-report --measure 'perturbed_quadratic(1)' --format json \
-        --out all.json
+    tiltmedian full-report --measure 'perturbed_quadratic(1)' --out all.json
 
 Commands: median-gap, sign-kernel, deriva, mean-median, symmetry-sweep,
 choquet-iterate, lipschitz, full-report.  Options may also be supplied via
 ``--config file.json``; explicit flags win over file values.  Every run
-writes one report file (csv or json, floats serialized with 17 significant
-digits so identical runs are byte-identical; json writes nan and infinity as
-null) and prints a one-line summary
-``max|residual| = <value> at t = <value>`` on stdout.
+writes one report file (csv by default, or json; ``full-report`` writes json
+only; floats serialized with 17 significant digits so identical runs are
+byte-identical; json writes nan and infinity as null) and prints a one-line
+summary ``max|residual| = <value> at t = <value>`` on stdout.
 
 Exit codes: 0 success, 2 configuration problem, 3 measure construction
 failure, 4 output write failure.
@@ -33,7 +32,7 @@ from typing import Any
 
 import numpy as np
 
-from .convolution import ConvolutionSetup, IterationTrace, iterate_fixed_point
+from .convolution import ConvolutionSetup, iterate_fixed_point
 from .measures import (
     MEASURE_FAMILIES,
     MeasureError,
@@ -85,13 +84,16 @@ class ExperimentConfig:
     t_min: float = -6.0
     t_max: float = 6.0
     t_points: int = 49
-    output_format: str = "csv"
+    output_format: str | None = None  # csv, or json for full-report
     steps: int = 8
     halfwidth: float = 2.0
 
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        if self.output_format is None:
+            default = "json" if self.command == "full-report" else "csv"
+            object.__setattr__(self, "output_format", default)
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.output_format!r}")
         if self.command == "full-report" and self.output_format != "json":
@@ -184,89 +186,60 @@ def _report_payload(report: DiagnosticReport) -> dict[str, Any]:
     }
 
 
+def _csv(header: tuple[str, ...], rows) -> str:
+    """A header line, then one line per row, every value written by ``_format_float``."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_format_float(value) for value in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _report_csv(report: DiagnosticReport) -> str:
-    lines = ["t,residual,error_estimate"]
-    for t, residual, err in zip(report.t_grid, report.residuals, report.error_estimates):
-        lines.append(f"{_format_float(t)},{_format_float(residual)},{_format_float(err)}")
-    return "\n".join(lines) + "\n"
-
-
-def _trace_rows(trace: IterationTrace, grid_x_min: float, grid_step: float) -> list[dict]:
-    return [
-        {
-            "step": index + 1,
-            "oscillation": osc,
-            "window_lo": grid_x_min + grid_step * lo,
-            "window_hi": grid_x_min + grid_step * hi,
-        }
-        for index, (osc, (lo, hi)) in enumerate(zip(trace.oscillations, trace.windows))
-    ]
-
-
-def _trace_csv(rows: list[dict]) -> str:
-    lines = ["step,oscillation,window_lo,window_hi"]
-    for row in rows:
-        lines.append(
-            f"{row['step']},{_format_float(row['oscillation'])},"
-            f"{_format_float(row['window_lo'])},{_format_float(row['window_hi'])}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = zip(report.t_grid, report.residuals, report.error_estimates)
+    return _csv(("t", "residual", "error_estimate"), rows)
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment, write its report, print the summary line."""
     measure = build_measure(config.measure)
+    csv = None  # full-report is json only
 
     if config.command in SCAN_COMMANDS:
         report = scan(measure, SCAN_COMMANDS[config.command], config.t_grid())
-        text = (
-            _to_json(_report_payload(report)) + "\n"
-            if config.output_format == "json"
-            else _report_csv(report)
-        )
+        payload, csv = _report_payload(report), _report_csv(report)
         summary = (report.max_abs_residual, report.argmax_t)
     elif config.command == "full-report":
-        payload = {}
-        summary = (0.0, 0.0)
-        best = -1.0
-        for report in _scan_reports(measure, FULL_REPORT_DIAGNOSTICS, config.t_grid()):
-            payload[report.name] = _report_payload(report)
+        reports = _scan_reports(measure, FULL_REPORT_DIAGNOSTICS, config.t_grid())
+        payload = {report.name: _report_payload(report) for report in reports}
+        # the first report with the largest residual; a nan never wins
+        best, summary = -1.0, (0.0, 0.0)
+        for report in reports:
             if report.max_abs_residual > best:
                 best = report.max_abs_residual
-                summary = (report.max_abs_residual, report.argmax_t)
-        text = _to_json(payload) + "\n"
+                summary = (best, report.argmax_t)
     elif config.command == "choquet-iterate":
         points = round(2 * _CHOQUET_X_HALFWIDTH / _CHOQUET_STEP) + 1
         grid = sample_to_grid(measure, -_CHOQUET_X_HALFWIDTH, _CHOQUET_X_HALFWIDTH, points)
         trace = iterate_fixed_point(grid, config.steps, ConvolutionSetup(step=_CHOQUET_STEP))
-        rows = _trace_rows(trace, grid.x_min, grid.step)
-        if config.output_format == "json":
-            text = (
-                _to_json(
-                    {
-                        "trace": rows,
-                        "window_shrink_per_step": trace.window_shrink_per_step,
-                    }
-                )
-                + "\n"
-            )
-        else:
-            text = _trace_csv(rows)
+        header = ("step", "oscillation", "window_lo", "window_hi")
+        rows = [
+            (step, osc, grid.x_min + grid.step * lo, grid.x_min + grid.step * hi)
+            for step, (osc, (lo, hi)) in enumerate(zip(trace.oscillations, trace.windows), 1)
+        ]
+        payload = {
+            "trace": [dict(zip(header, row)) for row in rows],
+            "window_shrink_per_step": trace.window_shrink_per_step,
+        }
+        csv = _csv(header, rows)
         summary = (trace.oscillations[-1], float(config.steps))
     elif config.command == "lipschitz":
         bound = lipschitz_bound(measure, config.halfwidth)
         payload = {"halfwidth": config.halfwidth, "bound": bound}
-        if config.output_format == "json":
-            text = _to_json(payload) + "\n"
-        else:
-            text = (
-                "halfwidth,bound\n"
-                f"{_format_float(config.halfwidth)},{_format_float(bound)}\n"
-            )
+        csv = _csv(("halfwidth", "bound"), [(config.halfwidth, bound)])
         summary = (bound, config.halfwidth)
     else:  # pragma: no cover - guarded by ExperimentConfig
         raise ConfigError(f"unknown command {config.command!r}")
 
+    text = _to_json(payload) + "\n" if config.output_format == "json" else csv
     with open(config.output_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
     print(f"max|residual| = {_format_float(summary[0])} at t = {_format_float(summary[1])}")

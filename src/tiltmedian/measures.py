@@ -10,12 +10,16 @@ argument, which is the standing assumption behind exponential tilting.
 Each family is defined once, as a spec dataclass that carries its literal
 name on the command line (its arguments are the dataclass fields), the
 builder of its ``log_g`` and truncation window, and its closed-form log
-Laplace transform.  ``MEASURE_FAMILIES`` lists them.  Windows use the fixed
-constants of ``numerics``, so a spec alone determines its measure.  The
-builder also lists the points where the tilt-grid engine's panel lattice
-must have an edge: the knots of a table, and a grid over each Gaussian
-component too narrow for the anchored panels.  The unit-mass check and the
-normalization of tables read log L(0) from that engine.
+Laplace transform.  ``MEASURE_FAMILIES`` lists them.  The two normal
+families list their ``(log weight, mu, sigma)`` components, and one builder
+and one closed form serve both.  Windows use the fixed constants of
+``numerics``, so a spec alone determines its measure.  The builder also
+lists the points where the tilt-grid engine's panel lattice must have an
+edge: the knots of a table, and a grid over each normal component too narrow
+for the anchored panels.  Nonnegativity is checked exactly on the parameters
+(``PerturbedCosine`` needs ``eps <= 1``, tables need values ``>= 0``); the
+unit-mass check and the normalization of tables read log L(0) from the
+engine.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ __all__ = [
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _NORMALIZATION_TOL = 1e-10
-_DENSITY_SCAN_POINTS = 4001
 
 
 class MeasureError(Exception):
@@ -81,9 +84,9 @@ class BaseMeasure:
     """A validated base measure with density ``exp(log_g(x)) * phi(x)``.
 
     Integrals against the tilt-t reweighting are truncated to ``[-h, h]`` with
-    ``h = window_offset + TRUNCATION_HALFWIDTH * window_scale + tilt_gain * |t|``:
-    the window grows with |t| because tilting by t recenters a
-    Gaussian-enveloped density by (envelope sd)^2 per unit of t.
+    ``h = window_offset + TRUNCATION_HALFWIDTH * window_scale + window_scale**2 * |t|``:
+    the window grows with |t| because tilting by t recenters a density with a
+    Gaussian envelope of sd ``window_scale`` by that sd squared per unit of t.
 
     ``breakpoints`` are points where the engine's panel lattice has an edge:
     kinks of the density, or a grid over a peak too narrow for the anchored
@@ -100,7 +103,6 @@ class BaseMeasure:
     log_g: Callable[[np.ndarray], np.ndarray]
     window_offset: float = 0.0
     window_scale: float = 1.0
-    tilt_gain: float = 1.0
     breakpoints: tuple[float, ...] = ()
     _lattice: Any = dataclasses.field(default=None, init=False, compare=False, repr=False)
     _tilt_state: Any = dataclasses.field(default=None, init=False, compare=False, repr=False)
@@ -117,8 +119,8 @@ class BaseMeasure:
 
     def window_halfwidth(self, t: float = 0.0) -> float:
         """Truncation halfwidth for integrals against the tilt-t reweighting."""
-        scale = TRUNCATION_HALFWIDTH * self.window_scale
-        return self.window_offset + scale + self.tilt_gain * abs(t)
+        scale = self.window_scale
+        return self.window_offset + TRUNCATION_HALFWIDTH * scale + scale**2 * abs(t)
 
 
 def _peak_breakpoints(mu: float, sigma: float) -> tuple[float, ...]:
@@ -137,8 +139,42 @@ def _check_finite(spec) -> None:
             raise ValueError(f"{field.name} must be finite")
 
 
+class _NormalComponents:
+    """A family whose density is a mixture of normal components, which
+    ``_components`` lists as ``(log weight, mu, sigma)``.
+
+    The window takes the largest |mu| and the largest sigma of the components.
+    """
+
+    def _build(self) -> BaseMeasure:
+        parts = self._components()
+        log_sigmas = [math.log(sigma) for _, _, sigma in parts]
+
+        def log_g(x: np.ndarray) -> np.ndarray:
+            x = np.asarray(x, dtype=float)
+            # log sum_i w_i phi((x - mu_i) / sigma_i) / sigma_i + x^2 / 2: exactly 0 for N(0, 1)
+            terms = (
+                log_w - 0.5 * ((x - mu) / sigma) ** 2 - log_sigma
+                for (log_w, mu, sigma), log_sigma in zip(parts, log_sigmas)
+            )
+            return functools.reduce(np.logaddexp, terms) + 0.5 * x**2
+
+        return BaseMeasure(
+            self,
+            log_g,
+            window_offset=max(abs(mu) for _, mu, _ in parts),
+            window_scale=max(sigma for _, _, sigma in parts),
+            breakpoints=sum((_peak_breakpoints(mu, sigma) for _, mu, sigma in parts), ()),
+        )
+
+    def closed_form_log_partition(self, t: float) -> float:
+        parts = self._components()
+        terms = (log_w + mu * t + 0.5 * (sigma * t) ** 2 for log_w, mu, sigma in parts)
+        return float(functools.reduce(np.logaddexp, terms))
+
+
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_NormalComponents):
     """Normal law N(mu, sigma^2)."""
 
     literal: ClassVar[str] = "gaussian"
@@ -150,24 +186,8 @@ class Gaussian:
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
-    def _build(self) -> BaseMeasure:
-        mu, sigma, log_sigma = self.mu, self.sigma, math.log(self.sigma)
-
-        def log_g(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            return 0.5 * x**2 - 0.5 * ((x - mu) / sigma) ** 2 - log_sigma
-
-        return BaseMeasure(
-            self,
-            log_g,
-            window_offset=abs(mu),
-            window_scale=sigma,
-            tilt_gain=sigma**2,
-            breakpoints=_peak_breakpoints(mu, sigma),
-        )
-
-    def closed_form_log_partition(self, t: float) -> float:
-        return self.mu * t + 0.5 * (self.sigma * t) ** 2
+    def _components(self) -> tuple[tuple[float, float, float], ...]:
+        return ((0.0, self.mu, self.sigma),)
 
 
 @dataclass(frozen=True)
@@ -183,13 +203,16 @@ class PerturbedCosine:
             raise ValueError("eps must be nonnegative")
 
     def _build(self) -> BaseMeasure:
+        # 1 + eps*cos(x) >= 0 for every x exactly when eps <= 1
+        if self.eps > 1:
+            raise NegativeDensityError(
+                f"density ratio 1 + eps*cos(x) is negative at x = pi for eps = {self.eps!r} > 1"
+            )
         eps, log_norm = self.eps, math.log1p(self.eps * math.exp(-0.5))
 
         def log_g(x: np.ndarray) -> np.ndarray:
             x = np.asarray(x, dtype=float)
-            # log of a negative ratio yields nan, which construction-time
-            # validation turns into NegativeDensityError
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore"):  # log 0 = -inf at the zeros of eps = 1
                 return np.log(1.0 + eps * np.cos(x)) - log_norm
 
         return BaseMeasure(self, log_g)
@@ -225,7 +248,7 @@ class PerturbedQuadratic:
 
 
 @dataclass(frozen=True)
-class GaussianMixture:
+class GaussianMixture(_NormalComponents):
     """Two-component normal mixture: weight on the first component."""
 
     literal: ClassVar[str] = "gaussian_mixture"
@@ -242,36 +265,10 @@ class GaussianMixture:
         if not (self.sigma1 > 0 and self.sigma2 > 0):
             raise ValueError("component sigmas must be positive")
 
-    def _log_weights(self) -> tuple[float, float]:
+    def _components(self) -> tuple[tuple[float, float, float], ...]:
         log_w1 = math.log(self.weight) if self.weight > 0 else -math.inf
         log_w2 = math.log1p(-self.weight) if self.weight < 1 else -math.inf
-        return log_w1, log_w2
-
-    def _build(self) -> BaseMeasure:
-        log_w1, log_w2 = self._log_weights()
-
-        def log_g(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            a = log_w1 - 0.5 * ((x - self.mu1) / self.sigma1) ** 2 - math.log(self.sigma1)
-            b = log_w2 - 0.5 * ((x - self.mu2) / self.sigma2) ** 2 - math.log(self.sigma2)
-            return np.logaddexp(a, b) + 0.5 * x**2
-
-        sigma = max(self.sigma1, self.sigma2)
-        return BaseMeasure(
-            self,
-            log_g,
-            window_offset=max(abs(self.mu1), abs(self.mu2)),
-            window_scale=sigma,
-            tilt_gain=sigma**2,
-            breakpoints=_peak_breakpoints(self.mu1, self.sigma1)
-            + _peak_breakpoints(self.mu2, self.sigma2),
-        )
-
-    def closed_form_log_partition(self, t: float) -> float:
-        log_w1, log_w2 = self._log_weights()
-        a = log_w1 + self.mu1 * t + 0.5 * (self.sigma1 * t) ** 2
-        b = log_w2 + self.mu2 * t + 0.5 * (self.sigma2 * t) ** 2
-        return float(np.logaddexp(a, b))
+        return ((log_w1, self.mu1, self.sigma1), (log_w2, self.mu2, self.sigma2))
 
 
 @dataclass(frozen=True)
@@ -304,7 +301,7 @@ class Tabulated:
         from .tilting import log_partition  # tilting imports this module
 
         raw = BaseMeasure(
-            self, log_g, window_offset=halfwidth, window_scale=0.0, tilt_gain=0.0,
+            self, log_g, window_offset=halfwidth, window_scale=0.0,
             breakpoints=tuple(xs.tolist()),
         )
         mass = float(scaled_exp(log_partition(raw, 0.0)))
@@ -417,10 +414,11 @@ def _check_table_tails(xs: np.ndarray, gs: np.ndarray) -> None:
 def build_measure(spec: MeasureSpec) -> BaseMeasure:
     """Construct and validate a ``BaseMeasure`` from its declarative spec.
 
-    Validation checks the density ratio for negative values on a dense scan
-    grid and the full density for unit mass, as L(0) from the tilt-grid
-    engine.  Tabulated input is renormalized before the mass check and
-    additionally screened for super-Gaussian growth at the table edges.
+    Each family's builder rejects parameters that make the density ratio
+    negative; validation then checks the full density for unit mass, as L(0)
+    from the tilt-grid engine.  Tabulated input is renormalized before the
+    mass check and additionally screened for super-Gaussian growth at the
+    table edges.
     """
     _check_family(spec)
     measure = spec._build()
@@ -434,13 +432,6 @@ def _check_family(spec: MeasureSpec) -> None:
 
 
 def _validate(measure: BaseMeasure) -> None:
-    halfwidth = measure.window_halfwidth(0.0)
-    scan = np.linspace(-halfwidth, halfwidth, _DENSITY_SCAN_POINTS)
-    with np.errstate(over="ignore"):
-        g_values = measure.g(scan)
-    if np.any(np.isnan(g_values)):
-        bad = scan[np.isnan(g_values)][0]
-        raise NegativeDensityError(f"density ratio negative near x={bad!r}")
     from .tilting import log_partition  # tilting imports this module
 
     mass = float(scaled_exp(log_partition(measure, 0.0)))

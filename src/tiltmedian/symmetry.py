@@ -66,8 +66,8 @@ def _asymmetry_scores(m: BaseMeasure, grid: TiltGrid, offs: np.ndarray) -> np.nd
     The score reads the tilted density at the offsets, which is defined past
     the truncation window too, so offsets may reach beyond it.
     """
-    if offs.size == 0 or np.any(offs <= 0):
-        raise ValueError("offsets must be positive")
+    if offs.size == 0 or not np.all(np.isfinite(offs) & (offs > 0)):
+        raise ValueError("offsets must be finite and positive")
     if not np.all(np.isfinite(grid.log_partition)):
         raise ValueError("log_partition must be finite")
     t, log_l, centers = grid.t_grid[:, None], grid.log_partition[:, None], grid.mean[:, None]

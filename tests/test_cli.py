@@ -180,6 +180,17 @@ def test_full_report_requires_json(tmp_path, capsys):
     assert "json" in err
 
 
+def test_full_report_defaults_to_json(tmp_path, capsys):
+    base = ["full-report", "--measure", "gaussian(0,1)", "--t-points", "5"]
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    code, out_default, _ = run_cli(base + ["--out", str(default)], capsys)
+    assert code == EXIT_OK
+    code, out_explicit, _ = run_cli(base + ["--format", "json", "--out", str(explicit)], capsys)
+    assert code == EXIT_OK
+    assert default.read_bytes() == explicit.read_bytes()
+    assert out_default == out_explicit
+
+
 def test_choquet_iterate(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code, _, _ = run_cli(
@@ -363,12 +374,14 @@ def test_exit_code_bad_measure(tmp_path, capsys, text):
 
 
 def test_exit_code_measure_build_failure(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["median-gap", "--measure", "perturbed_cosine(1.5)", "--out", str(tmp_path / "x.csv")],
-        capsys,
-    )
-    assert code == EXIT_MEASURE
-    assert "measure" in err
+    # 1 + eps cos x is negative near every odd multiple of pi for eps > 1
+    for text in ("perturbed_cosine(1.5)", "perturbed_cosine(1.000000001)"):
+        code, _, err = run_cli(
+            ["median-gap", "--measure", text, "--out", str(tmp_path / "x.csv")], capsys
+        )
+        assert code == EXIT_MEASURE, text
+        assert "measure" in err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_exit_code_unwritable_output(tmp_path, capsys):

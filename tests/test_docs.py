@@ -1,10 +1,11 @@
 """The README's library quick start runs and gives the values its comments state,
-every name the package exports resolves, and the README's command examples and
-config-file keys match the CLI."""
+every name the package exports resolves, the README's command examples run and
+name every command, and its config-file keys match the CLI."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import tiltmedian as tm
@@ -37,6 +38,18 @@ def test_readme_shows_every_command():
     shown = re.findall(r"^tiltmedian ([\w-]+)", README.read_text(), flags=re.MULTILINE)
     assert set(shown) <= set(cli.COMMANDS), set(shown) - set(cli.COMMANDS)
     assert set(cli.COMMANDS) <= set(shown), set(cli.COMMANDS) - set(shown)
+
+
+def test_readme_command_lines_run(tmp_path, capsys):
+    lines = re.findall(r"^tiltmedian (.*)$", README.read_text(), flags=re.MULTILINE)
+    assert lines
+    for line in lines:
+        argv = shlex.split(line)
+        out = argv.index("--out") + 1
+        report = tmp_path / argv[out]
+        argv[out] = str(report)
+        assert cli.main(argv) == 0, (line, capsys.readouterr().err)
+        assert report.exists(), line
 
 
 def test_readme_names_resolve():

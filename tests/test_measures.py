@@ -26,8 +26,14 @@ def test_cosine_normalization(cosine_half):
 
 
 def test_cosine_negative_density_rejected():
-    with pytest.raises(tm.NegativeDensityError):
-        tm.build_measure(tm.PerturbedCosine(1.5))
+    # for any eps > 1, however close, 1 + eps cos x < 0 on an interval about
+    # each odd multiple of pi; at eps = 1 it only touches 0 there
+    for eps in (1.5, 1 + 1e-8):
+        with pytest.raises(tm.NegativeDensityError):
+            tm.build_measure(tm.PerturbedCosine(eps))
+    measure = tm.build_measure(tm.PerturbedCosine(1.0))
+    assert float(measure.g(np.pi)) == 0.0
+    assert float(measure.g(0.0)) > 0.0
 
 
 @pytest.mark.parametrize(

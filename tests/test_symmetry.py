@@ -53,6 +53,11 @@ def test_asymmetry_offsets_validation(std_gaussian):
         tm.asymmetry_score(std_gaussian, 0.0, offsets=[0.0, 1.0])
     with pytest.raises(ValueError):
         tm.asymmetry_score(std_gaussian, 0.0, offsets=[])
+    # a non-finite offset would make the score nan
+    with pytest.raises(ValueError):
+        tm.asymmetry_score(std_gaussian, 0.5, offsets=[np.inf])
+    with pytest.raises(ValueError):
+        tm.asymmetry_score(std_gaussian, 0.5, offsets=[1.0, np.nan])
     # the score is a closed-form density difference, so offsets past the
     # truncation window are allowed
     assert tm.asymmetry_score(std_gaussian, 0.0, offsets=[50.0]).asymmetry_score < 1e-12
