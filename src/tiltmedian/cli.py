@@ -69,7 +69,12 @@ _DEFAULTED_OPTIONS = {
     "t_min": ("t_min", float), "t_max": ("t_max", float), "t_points": ("t_points", int),
     "format": ("output_format", str), "steps": ("steps", int), "halfwidth": ("halfwidth", float),
 }
-_CONFIG_KEYS = {"measure", "out", *_DEFAULTED_OPTIONS}
+# every config key -> the type its flag takes
+_CONFIG_TYPES = {
+    "measure": str, "out": str, **{key: kind for key, (_, kind) in _DEFAULTED_OPTIONS.items()}
+}
+# the json values a config key of each flag type takes (never a json bool)
+_JSON_TYPES = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str)}
 
 
 class ConfigError(Exception):
@@ -278,9 +283,14 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a json object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_CONFIG_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        name, accepted = _JSON_TYPES[_CONFIG_TYPES[key]]
+        # json true and false load as Python bools, which are ints
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"config key {key!r} must be a json {name}, got {json.dumps(value)}")
     return data
 
 
@@ -310,7 +320,8 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
             output_path=str(out),
             **options,
         )
-    except (TypeError, ValueError) as exc:
+    # a json integer for a float key may pass the float range
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid option value: {exc}") from exc
 
 

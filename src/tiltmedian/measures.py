@@ -92,11 +92,15 @@ class BaseMeasure:
     kinks of the density, or a grid over a peak too narrow for the anchored
     panels.
 
-    The measure keeps its panel lattice, built on first use, and the engine
-    state of its most recent one-tilt request (``tilting.tilt``,
-    ``log_partition``, the single-t diagnostics), so further requests at the
-    same tilt share that one panel pass.  Only one state is kept; neither
-    takes part in ``==``, ``hash`` or ``repr``.
+    The measure keeps its panel lattice and the lattice's node table (the
+    Kronrod nodes of every panel and ``log_pdf`` there), both built on first
+    use, so the engine evaluates the base log-density on those nodes once per
+    measure, not once per pass.  It also keeps the engine state of its most
+    recent one-tilt request (``tilting.tilt``, ``log_partition``, the single-t
+    diagnostics), so further requests at the same tilt share that one panel
+    pass; the median and the half-line sums at x = t are formed there on
+    first read.  Only one state is kept; none of the three takes part in
+    ``==``, ``hash`` or ``repr``.
     """
 
     spec: MeasureSpec
@@ -105,6 +109,7 @@ class BaseMeasure:
     window_scale: float = 1.0
     breakpoints: tuple[float, ...] = ()
     _lattice: Any = dataclasses.field(default=None, init=False, compare=False, repr=False)
+    _node_table: Any = dataclasses.field(default=None, init=False, compare=False, repr=False)
     _tilt_state: Any = dataclasses.field(default=None, init=False, compare=False, repr=False)
 
     def g(self, x) -> np.ndarray:
@@ -308,7 +313,8 @@ class Tabulated:
         if not mass > 1e-300:
             raise NotNormalizableError("tabulated density has zero total mass")
         normalized = dataclasses.replace(raw, log_g=functools.partial(log_g, ratio=gs / mass))
-        # tests in units of the largest node value: the lattice ignores a constant factor
+        # tests in units of the largest node value: the lattice ignores a constant
+        # factor, but the node table holds log_pdf, so only the edges are shared
         object.__setattr__(normalized, "_lattice", raw._lattice)
         return normalized
 

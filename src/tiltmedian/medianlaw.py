@@ -34,7 +34,7 @@ import numpy as np
 
 from .measures import BaseMeasure
 from .numerics import scaled_exp
-from .symmetry import _asymmetry_scores, default_offsets
+from .symmetry import _asymmetry_scores, _default_offsets
 from .tilting import T_MAX, TiltGrid, _half_line, _tilt_row, tilt_grid
 
 __all__ = [
@@ -93,7 +93,7 @@ def _mean_median(m: BaseMeasure, grid: TiltGrid):
 
 def _symmetry(m: BaseMeasure, grid: TiltGrid):
     # the score gets no error estimate: 0 is reported
-    return _asymmetry_scores(m, grid, default_offsets()), np.zeros(grid.t_grid.size)
+    return _asymmetry_scores(m, grid, _default_offsets()), np.zeros(grid.t_grid.size)
 
 
 def _sign_kernel(m: BaseMeasure, grid: TiltGrid):
@@ -128,11 +128,15 @@ _EVALUATORS: dict[str, _Evaluator] = {
 DIAGNOSTIC_NAMES = tuple(_EVALUATORS)
 # the evaluators that read the median, so their pass must solve for it
 _NEEDS_MEDIAN = frozenset({"median_gap", "mean_median"})
+# the evaluators that read the half-line sums at x = t
+_NEEDS_AT_T = frozenset({"sign_kernel", "deriva"})
 
 
 def _at_tilt(which: str, m: BaseMeasure, t: float) -> float:
-    """One diagnostic at a single tilt, from the measure's kept one-tilt state."""
-    row = _tilt_row(m, t, median=which in _NEEDS_MEDIAN)
+    """One diagnostic at a single tilt, from the measure's kept one-tilt state,
+    which forms the median and the sums at x = t only for the evaluators that
+    read them."""
+    row = _tilt_row(m, t, median=which in _NEEDS_MEDIAN, at_t=which in _NEEDS_AT_T)
     return float(_EVALUATORS[which](m, row)[0][0])
 
 

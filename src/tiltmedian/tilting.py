@@ -9,21 +9,26 @@ between the two a testable property instead of a definition.
 
 Every tilted quantity comes from one engine, :func:`tilt_grid`, on one panel
 lattice per measure, built once from the base log-density and kept on the
-measure (see ``_lattice``).  A pass over a tilt grid evaluates the base
-log-density once on the Kronrod nodes of the lattice panels that cover its
-window, and each tilt is one shift, one exponential and a few panel sums on
-those values.  The panel sums give log L(t), the tilted mean and running
-tables at the panel edges; one partial panel on top of them gives the
-half-line sums F_t(x) and E_t[X; X <= x] at x = t or any x, and the median is
-a safeguarded Newton solve on partial panels where the table crosses 1/2, run
-until its step reaches the rounding of x and reported with the error it
-reached.  Every error estimate is a sum of panel |Kronrod - Gauss|
-differences.
+measure (see ``_lattice``), together with its node table: the Kronrod nodes
+of every lattice panel and the checked base log-density there, evaluated once
+per measure (see ``_node_table``).  A pass over a tilt grid slices the panels
+that cover its window out of that table, and each tilt is one shift, one
+exponential and a few panel sums on those values.  The panel sums give
+log L(t), the tilted mean and running tables at the panel edges; one partial
+panel on top of them gives the half-line sums F_t(x) and E_t[X; X <= x] at
+x = t or any x, and the median is a safeguarded Newton solve on partial
+panels where the table crosses 1/2, run until its step reaches the rounding
+of x and reported with the error it reached.  Every error estimate is a sum
+of panel |Kronrod - Gauss| differences.
 
 Windows and tolerances are the fixed constants of ``numerics``.  A single-tilt
 request keeps its pass on the base measure, keyed on t alone, so every
 quantity of that tilt, the distribution function at any x included, comes
-from one set of panel tables whatever the order of requests.
+from one set of panel tables whatever the order of requests.  That pass forms
+log L(t) and the mean; the median and the half-line sums at x = t are formed
+when first read.  The kept pass holds no reference to its measure, which its
+methods take as an argument, so a measure is freed as soon as its last
+reference goes.
 """
 
 from __future__ import annotations
@@ -63,6 +68,8 @@ T_MAX = 8.0
 # Elements of one (tilts, panels, 15) work array: tilts are processed in
 # chunks of this many node values so memory stays flat in the grid size.
 _CHUNK_ELEMENTS = 1 << 13
+# the TiltGrid fields of the half-line sums at x = t, in ``half_line``'s order
+_AT_T_FIELDS = ("cdf_at_t", "cdf_at_t_error", "lower_moment_at_t", "lower_moment_at_t_error")
 # Newton iterations before giving up; bisection alone needs ~50 to go from a
 # 0.5-wide panel to the rounding of x.
 _MAX_NEWTON_STEPS = 100
@@ -88,17 +95,19 @@ class TiltGrid:
 
     ``cdf_at_t`` is F_t(t) and ``lower_moment_at_t`` is E_t[X; X <= t].  The
     ``*_error`` fields are propagated quadrature error estimates; the median
-    fields are None when medians were not requested.
+    fields are None when medians were not requested.  ``tilt_grid`` fills
+    every other field; the engine's kept one-tilt rows hold None in the fields
+    of the sums at x = t too until they are read.
     """
 
     t_grid: np.ndarray
     log_partition: np.ndarray
     mean: np.ndarray
     mean_error: np.ndarray
-    cdf_at_t: np.ndarray
-    cdf_at_t_error: np.ndarray
-    lower_moment_at_t: np.ndarray
-    lower_moment_at_t_error: np.ndarray
+    cdf_at_t: np.ndarray | None
+    cdf_at_t_error: np.ndarray | None
+    lower_moment_at_t: np.ndarray | None
+    lower_moment_at_t_error: np.ndarray | None
     median: np.ndarray | None = None
     median_error: np.ndarray | None = None
 
@@ -115,18 +124,25 @@ def tilt_grid(measure: BaseMeasure, t_grid: Sequence[float], *, median: bool = T
     median.
     """
     ts = np.array([_check_tilt(t) for t in t_grid], dtype=float)
-    grid = _empty_grid(ts, median)
+    grid = _empty_grid(ts, median=median, at_t=True)
+    log_pdf = measure.log_pdf
     for where, chunk in _chunks(measure, ts):
         chunk.fill(grid, where)
+        for name, values in chunk.at_t(log_pdf).items():
+            getattr(grid, name)[where] = values
         if median:
-            grid.median[where], grid.median_error[where] = chunk._medians()
+            grid.median[where], grid.median_error[where] = chunk._medians(log_pdf)
     return grid
 
 
-def _empty_grid(ts: np.ndarray, median: bool) -> TiltGrid:
-    names = [field.name for field in dataclasses.fields(TiltGrid)[1:]]
-    wanted = [name for name in names if median or not name.startswith("median")]
-    return TiltGrid(ts, **{name: np.empty(ts.size) for name in wanted})
+def _empty_grid(ts: np.ndarray, *, median: bool, at_t: bool) -> TiltGrid:
+    """A TiltGrid of unfilled arrays, with None in the fields that are not wanted."""
+    wanted = {"median": median, "cdf_at_t": at_t, "lower_moment_at_t": at_t}
+    arrays = {}
+    for field in dataclasses.fields(TiltGrid)[1:]:
+        keep = wanted.get(field.name.removesuffix("_error"), True)
+        arrays[field.name] = np.empty(ts.size) if keep else None
+    return TiltGrid(ts, **arrays)
 
 
 def _chunks(measure: BaseMeasure, ts: np.ndarray):
@@ -134,17 +150,35 @@ def _chunks(measure: BaseMeasure, ts: np.ndarray):
     if ts.size == 0:
         return
     reach = max(measure.window_halfwidth(t) for t in ts)
-    lattice = _lattice(measure)
+    lattice, xs, half, log_pdf = _node_table(measure)
     first = np.searchsorted(lattice, -reach, side="right") - 1
     last = np.searchsorted(lattice, reach, side="left")
-    edges = lattice[first : last + 1]
-    xs, half = panel_nodes(edges[:-1], edges[1:])
-    log_pdf = np.asarray(measure.log_pdf(xs), dtype=float)
-    _check_log_values(xs, log_pdf)
+    edges, panels = lattice[first : last + 1], slice(first, last)
+    xs, half, log_pdf = xs[panels], half[panels], log_pdf[panels]
     chunk = max(1, _CHUNK_ELEMENTS // xs.size)
     for start in range(0, ts.size, chunk):
         where = slice(start, start + chunk)
-        yield where, _TiltChunk(measure, edges, xs, half, log_pdf, ts[where])
+        yield where, _TiltChunk(edges, xs, half, log_pdf, ts[where])
+
+
+def _node_table(measure: BaseMeasure) -> tuple[np.ndarray, ...]:
+    """The lattice edges, the Kronrod nodes and half-widths of its panels and the
+    checked base log-density at those nodes, built on first use and kept on the
+    measure.  Every pass slices the node arrays, so they are read-only."""
+    table = measure._node_table
+    if table is None:
+        table = _build_node_table(measure, _lattice(measure))
+        object.__setattr__(measure, "_node_table", table)
+    return table
+
+
+def _build_node_table(measure: BaseMeasure, edges: np.ndarray) -> tuple[np.ndarray, ...]:
+    xs, half = panel_nodes(edges[:-1], edges[1:])
+    log_pdf = np.asarray(measure.log_pdf(xs), dtype=float)
+    _check_log_values(xs, log_pdf)
+    for array in (xs, half, log_pdf):
+        array.flags.writeable = False
+    return edges, xs, half, log_pdf
 
 
 def _lattice(measure: BaseMeasure) -> np.ndarray:
@@ -216,11 +250,12 @@ def _error(kronrod: np.ndarray, gauss: np.ndarray) -> np.ndarray:
 class _TiltChunk:
     """Panel sums of exp(t*x + log_pdf(x) - shift(t)) for a chunk of tilts.
 
-    Values are in shifted units: each tilt's largest node value is 1.
+    Values are in shifted units: each tilt's largest node value is 1.  The
+    chunk keeps no reference to its measure: the methods that evaluate the
+    base log-density off the node table take it as ``log_pdf``.
     """
 
-    def __init__(self, measure, edges, xs, half, log_pdf, ts) -> None:
-        self.measure = measure
+    def __init__(self, edges, xs, half, log_pdf, ts) -> None:
         self.edges = edges
         self.ts = ts
         # one work array, updated in place, keeps the chunk's memory flat
@@ -241,12 +276,12 @@ class _TiltChunk:
         self.below = np.zeros((4, ts.size, edges.size))
         np.cumsum(tables, axis=2, out=self.below[:, :, 1:])
 
-    def _partial(self, rows: np.ndarray, panel: np.ndarray, x: np.ndarray):
+    def _partial(self, log_pdf, rows: np.ndarray, panel: np.ndarray, x: np.ndarray):
         """Mass and first moment from each panel's left edge to x, their errors and
         the weight at x, in shifted units."""
         nodes, half = panel_nodes(self.edges[panel], x)
         nodes = np.concatenate([nodes, x[:, None]], axis=1)
-        log_values = self.ts[rows, None] * nodes + self.measure.log_pdf(nodes)
+        log_values = self.ts[rows, None] * nodes + log_pdf(nodes)
         _check_log_values(nodes, log_values)
         values = np.exp(log_values - self.shift[rows, None])
         mass_k, mass_g = kronrod_sums(values[:, :15], half)
@@ -254,18 +289,20 @@ class _TiltChunk:
         return mass_k, moment_k, _error(mass_k, mass_g), _error(moment_k, moment_g), values[:, 15]
 
     def fill(self, grid: TiltGrid, where: slice) -> None:
-        """Every field of ``grid`` but the median, for this chunk's tilts."""
+        """log L, the mean and its error in ``grid``, for this chunk's tilts."""
         with np.errstate(divide="ignore", invalid="ignore"):
             mean = self.moment / self.mass
             grid.log_partition[where] = self.shift + np.log(self.mass)
             grid.mean[where] = mean
             grid.mean_error[where] = (self.moment_err + np.abs(mean) * self.mass_err) / self.mass
-            at_t = self.half_line(np.arange(self.ts.size), self.ts)
-            grid.cdf_at_t[where], grid.cdf_at_t_error[where] = at_t[:2]
-            grid.lower_moment_at_t[where], grid.lower_moment_at_t_error[where] = at_t[2:]
+
+    def at_t(self, log_pdf) -> dict[str, np.ndarray]:
+        """The ``TiltGrid`` fields of the half-line sums at x = t, for this chunk's tilts."""
+        values = self.half_line(log_pdf, np.arange(self.ts.size), self.ts)
+        return dict(zip(_AT_T_FIELDS, values))
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def half_line(self, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    def half_line(self, log_pdf, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """F_t(x), its error, E_t[X; X <= x] and its error for the tilt of each row.
 
         The sums come from the panels below x and one partial panel; x is
@@ -278,7 +315,7 @@ class _TiltChunk:
         panel = np.minimum(np.searchsorted(self.edges, x, side="right") - 1, n_panels - 1)
         mass, moment, mass_err, moment_err = (
             table[rows, panel] + part
-            for table, part in zip(self.below, self._partial(rows, panel, x))
+            for table, part in zip(self.below, self._partial(log_pdf, rows, panel, x))
         )
         total, total_err = self.mass[rows], self.mass_err[rows]
         lower_moment = moment / total
@@ -290,7 +327,7 @@ class _TiltChunk:
         )
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def _medians(self) -> tuple[np.ndarray, np.ndarray]:
+    def _medians(self, log_pdf) -> tuple[np.ndarray, np.ndarray]:
         """Median of each tilted law and its error estimate.
 
         The error of the CDF table is its quadrature error plus the rounding
@@ -319,14 +356,16 @@ class _TiltChunk:
         rows = np.nonzero(~plateau & (self.mass > 0))[0]
         if rows.size:
             panel = np.minimum(np.sum(cdf[rows] < 0.5, axis=1) - 1, n_panels - 1)
-            x, density, move = self._newton(rows, panel, cdf[rows, panel], cdf[rows, panel + 1])
+            x, density, move = self._newton(
+                log_pdf, rows, panel, cdf[rows, panel], cdf[rows, panel + 1]
+            )
             medians[rows] = x
             rounding = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
             errors[rows] = np.maximum(move + cdf_err[rows] / density, rounding)
         return medians, errors
 
     def _newton(
-        self, rows: np.ndarray, panel: np.ndarray, cdf_lo: np.ndarray, cdf_hi: np.ndarray
+        self, log_pdf, rows: np.ndarray, panel: np.ndarray, cdf_lo: np.ndarray, cdf_hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Safeguarded Newton for cdf(x) = 1/2 inside one panel per row.
 
@@ -348,7 +387,9 @@ class _TiltChunk:
         for _ in range(_MAX_NEWTON_STEPS):
             if active.size == 0:
                 break
-            partial, _, _, _, weight = self._partial(rows[active], panel[active], x[active])
+            partial, _, _, _, weight = self._partial(
+                log_pdf, rows[active], panel[active], x[active]
+            )
             cdf = cdf_lo[active] + partial / mass[active]
             xa = x[active]
             below = cdf < 0.5
@@ -373,7 +414,7 @@ class _TiltChunk:
             x[active] = np.where(exact, xa, proposal)
             active = active[~(exact | converged | (width <= 2.0 * rounding))]
         # density at the returned root (the last Newton step moved x)
-        density = np.exp(self.ts[rows] * x + self.measure.log_pdf(x) - self.shift[rows]) / mass
+        density = np.exp(self.ts[rows] * x + log_pdf(x) - self.shift[rows]) / mass
         return x, density, move
 
 
@@ -381,24 +422,31 @@ class _TiltState:
     """The engine pass of one tilt, kept so later requests at the same tilt reuse it.
 
     It holds the pass's ``_TiltChunk`` (panel tables, shift and mass) and the
-    row it filled; the median is solved on those tables when first asked for
-    and added to the row.  Each result equals the matching entry of a fresh
-    ``tilt_grid(measure, [t])``.
+    row it filled with log L, the mean and its error; the median and the
+    half-line sums at x = t are formed on those tables when first asked for,
+    and a new row carries them.  Each result equals the matching entry of a
+    fresh ``tilt_grid(measure, [t])``.
     """
 
     def __init__(self, measure: BaseMeasure, t: float) -> None:
         self.t = t
         ts = np.array([t])
-        self.row = _empty_grid(ts, median=False)
+        row = _empty_grid(ts, median=False, at_t=False)
         ((where, self.chunk),) = _chunks(measure, ts)
-        self.chunk.fill(self.row, where)
+        self.chunk.fill(row, where)
+        self.row = row
 
-    def with_median(self) -> TiltGrid:
-        row = self.row
-        # a caller racing another one at worst solves the same median twice
-        if row.median is None:
-            median, error = self.chunk._medians()
-            row = self.row = dataclasses.replace(row, median=median, median_error=error)
+    def read(self, measure: BaseMeasure, *, median: bool, at_t: bool) -> TiltGrid:
+        """The kept row, with the median and the sums at x = t if asked for."""
+        row, filled = self.row, {}
+        if median and row.median is None:
+            filled["median"], filled["median_error"] = self.chunk._medians(measure.log_pdf)
+        if at_t and row.cdf_at_t is None:
+            filled.update(self.chunk.at_t(measure.log_pdf))
+        # the row is replaced, never written: a caller racing another one at
+        # worst forms the same values twice, and no reader sees an unfilled one
+        if filled:
+            row = self.row = dataclasses.replace(row, **filled)
         return row
 
 
@@ -416,19 +464,24 @@ def _tilt_state(measure: BaseMeasure, t: float) -> _TiltState:
     return state
 
 
-def _tilt_row(measure: BaseMeasure, t: float, *, median: bool = False) -> TiltGrid:
+def _tilt_row(
+    measure: BaseMeasure, t: float, *, median: bool = False, at_t: bool = False
+) -> TiltGrid:
     """``tilt_grid(measure, [t], median=median)`` from the measure's kept state.
 
-    Callers only read the row: its arrays are shared with the state.
+    The median fields hold None unless ``median`` and the fields of the
+    half-line sums at x = t hold None unless ``at_t`` (or an earlier request
+    formed them).  Callers only read the row: its arrays are shared with the
+    state.
     """
-    state = _tilt_state(measure, t)
-    return state.with_median() if median else state.row
+    return _tilt_state(measure, t).read(measure, median=median, at_t=at_t)
 
 
 def _half_line(measure: BaseMeasure, t: float, xs) -> tuple:
     """F_t(x), its error, E_t[X; X <= x] and its error at each x, from the kept state."""
     xs = np.asarray(xs, dtype=float)
-    return _tilt_state(measure, t).chunk.half_line(np.zeros(xs.size, dtype=int), xs)
+    rows = np.zeros(xs.size, dtype=int)
+    return _tilt_state(measure, t).chunk.half_line(measure.log_pdf, rows, xs)
 
 
 def log_partition(measure: BaseMeasure, t: float) -> float:
@@ -500,7 +553,7 @@ def half_line_mgf(measure: BaseMeasure, t: float) -> tuple[float, float]:
     Both are L(t) times a tilted-law quantity, formed by ``scaled_exp``, so
     L(t) may exceed the float64 range; a result that does is inf.
     """
-    row = _tilt_row(measure, t)
+    row = _tilt_row(measure, t, at_t=True)
     log_l, boundary = row.log_partition[0], scaled_exp(t * t + measure.log_pdf(t))
     value, lower = scaled_exp(log_l, [row.cdf_at_t[0], row.lower_moment_at_t[0]])
     return float(value), float(boundary + lower)

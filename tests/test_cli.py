@@ -443,6 +443,39 @@ def test_exit_code_quadrature_config_key(tmp_path, capsys):
     assert "unknown config keys: ['quadrature']" in err
 
 
+@pytest.mark.parametrize(
+    "command, key, value, wanted",
+    [
+        ("median-gap", "t_points", 3.7, "integer"),
+        ("median-gap", "t_points", True, "integer"),
+        ("choquet-iterate", "steps", 2.9, "integer"),
+        ("median-gap", "t_min", True, "number"),
+        ("median-gap", "t_points", "5", "integer"),
+    ],
+)
+def test_exit_code_config_value_of_the_wrong_json_type(
+    tmp_path, capsys, command, key, value, wanted
+):
+    # each value was once truncated or coerced, where the matching flag exits 2
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps({"measure": "perturbed_cosine(0.5)", key: value}))
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli([command, "--config", str(config), "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert f"config key {key!r} must be a json {wanted}" in err
+    assert not out.exists()
+
+
+def test_exit_code_config_integer_beyond_float_range(tmp_path, capsys):
+    config = tmp_path / "huge.json"
+    config.write_text('{"measure": "gaussian(0,1)", "t_min": -1' + "0" * 400 + "}")
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(["median-gap", "--config", str(config), "--out", str(out)], capsys)
+    assert code == EXIT_CONFIG
+    assert "invalid option value" in err
+    assert not out.exists()
+
+
 def test_json_determinism_full_report(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     base = [

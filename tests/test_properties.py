@@ -220,6 +220,7 @@ def test_reflection_maps_residuals(spec, t):
 ONE_TILT_CALLS = {
     "tilt_median": lambda m, t: (tm.tilt(m, t).log_partition, tm.tilt(m, t).median()),
     "mean": lambda m, t: tm.TiltedView(base=m, t=t, log_partition=0.0).mean(),
+    "cdf": lambda m, t: tm.TiltedView(base=m, t=t, log_partition=0.0).cdf(0.3),
     "log_partition": tm.log_partition,
     "sign_kernel": tm.sign_kernel_residual,
     "convolution": tm.convolution_residual,
@@ -227,6 +228,8 @@ ONE_TILT_CALLS = {
     "mean_median_gap": tm.mean_median_gap,
     "half_line_mgf": tm.half_line_mgf,
     "asymmetry": tm.asymmetry_score,
+    # the two end tilts +-max(|t|, 0.5), each read without its sums at x = t
+    "lipschitz": lambda m, t: tm.lipschitz_bound(m, max(abs(t), 0.5)),
 }
 
 

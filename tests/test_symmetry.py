@@ -134,3 +134,14 @@ def test_asymmetric_tilts_detected_for_all_non_gaussian(catalog, std_gaussian):
             continue
         scores = [tm.asymmetry_score(measure, float(t)).asymmetry_score for t in (-2.0, 1.0, 3.0)]
         assert max(scores) > 1e-4, measure.spec
+
+
+def test_default_offsets_are_a_fresh_copy(cosine_half):
+    offsets = tm.default_offsets()
+    assert offsets.flags.writeable
+    assert np.array_equal(offsets, np.geomspace(0.05, 6.0, 50))
+    before = tm.asymmetry_score(cosine_half, 1.0)
+    offsets[:] = 1.0
+    assert tm.asymmetry_score(cosine_half, 1.0) == before
+    assert before.offsets_tested == 50
+    assert np.array_equal(tm.default_offsets(), np.geomspace(0.05, 6.0, 50))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -78,7 +80,9 @@ def test_one_tilt_requests_share_one_engine_pass(catalog, engine_calls):
             bare = tm.TiltedView(base=measure, t=t, log_partition=view.log_partition)
             assert (bare.median(), bare.mean(), bare.median()) == (got[2], got[1], got[2])
             assert bare == view
-            assert engine_calls == {"passes": 1}
+            # one pass, whose sums at x = t both residuals share
+            counts = (engine_calls["passes"], engine_calls["tilt_grid"], engine_calls["at_t"])
+            assert counts == (1, 0, 1)
             # a fresh pass gives the same bits
             row = tm.tilt_grid(measure, [t])
             expected = (
@@ -94,7 +98,7 @@ def test_one_tilt_requests_share_one_engine_pass(catalog, engine_calls):
             assert tm.log_partition(measure, t + 0.25) == float(
                 tm.tilt_grid(measure, [t + 0.25]).log_partition[0]
             )
-            assert engine_calls == {"passes": 2, "tilt_grid": 1}
+            assert (engine_calls["passes"], engine_calls["tilt_grid"]) == (2, 1)
 
 
 def test_kept_state_under_concurrent_callers(cosine_half):
@@ -123,6 +127,96 @@ def test_kept_state_under_concurrent_callers(cosine_half):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+CATALOG_SPECS = (
+    tm.Gaussian(0.0, 1.0),
+    tm.PerturbedCosine(0.5),
+    tm.PerturbedQuadratic(1.0),
+    tm.GaussianMixture(0.5, -1.0, 0.5, 1.0, 1.5),
+)
+
+
+def test_reads_that_skip_the_sums_at_t_form_none(engine_calls):
+    for spec in CATALOG_SPECS:
+        engine_calls.clear()
+        measure = tm.build_measure(spec)
+        tm.log_partition(measure, 1.0)
+        view = tm.tilt(measure, -2.0)
+        view.mean()
+        tm.asymmetry_score(measure, 0.5)
+        # no partial panel at all: one pass each for t = 0 (the unit-mass check), 1, -2, 0.5
+        assert engine_calls == {"passes": 4, "node_tables": 1}, spec
+        # Newton's partial panels, in a new pass at -2
+        view.median()
+        # two passes; the Lipschitz |x| integral splits at x = 0, not at x = +-A
+        tm.lipschitz_bound(measure, 2.0)
+        assert engine_calls["at_t"] == 0, spec
+        assert engine_calls["passes"] == 7, spec
+
+
+def test_sums_at_t_are_one_partial_panel_on_the_kept_pass(catalog, engine_calls):
+    for measure in catalog:
+        for t in (-2.5, 0.0, 1.0):
+            tm.tilt(measure, t)
+            engine_calls.clear()
+            first = tm.sign_kernel_residual(measure, t)
+            assert engine_calls == {"partials": 1, "at_t": 1}
+            # the convolution residual and half_line_mgf read the same sums
+            tm.convolution_residual(measure, t)
+            tm.half_line_mgf(measure, t)
+            assert tm.sign_kernel_residual(measure, t) == first
+            assert engine_calls == {"partials": 1, "at_t": 1}
+
+
+def test_node_table_is_built_once_per_measure(engine_calls):
+    measure = tm.build_measure(tm.PerturbedCosine(0.5))
+    for t in np.linspace(-7.0, 7.0, 10):
+        tm.tilt(measure, float(t)).median()
+    tm.tilt_grid(measure, [-8.0, 0.0, 8.0])
+    assert engine_calls["node_tables"] == 1
+    assert engine_calls["passes"] == 12
+    edges, xs, half, log_pdf = measure._node_table
+    assert edges is measure._lattice
+    assert xs.shape == (edges.size - 1, 15) and half.shape == (edges.size - 1,)
+    assert np.array_equal(log_pdf, measure.log_pdf(xs))
+    assert not any(array.flags.writeable for array in (xs, half, log_pdf))
+
+
+def test_tabulated_measure_builds_its_own_node_table(engine_calls, tmp_path):
+    # the hat ratio has mass about 1.6 before normalization, so the raw
+    # measure's log_pdf is off from the normalized one's by log(1.6)
+    path = tmp_path / "hat.txt"
+    path.write_text("-4 0\n0 2\n4 0\n")
+    measure = tm.build_measure(tm.Tabulated(str(path)))
+    # one table for the raw ratio, whose mass normalizes it, and one of its own
+    assert engine_calls["node_tables"] == 2
+    edges, xs, _, log_pdf = measure._node_table
+    assert edges is measure._lattice
+    assert np.array_equal(log_pdf, measure.log_pdf(xs))
+    assert abs(tm.log_partition(measure, 0.0)) <= 1e-12
+
+
+def test_measures_are_freed_by_reference_counting():
+    # a kept pass that pointed back at its measure would leave the measure to
+    # the cyclic collector; with that collector off it must still go at del
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for spec in CATALOG_SPECS:
+            measure = tm.build_measure(spec)
+            ref = weakref.ref(measure)
+            del measure
+            assert ref() is None, spec
+            measure = tm.build_measure(spec)
+            tm.tilt(measure, 1.0).median()
+            tm.sign_kernel_residual(measure, 1.0)
+            ref = weakref.ref(measure)
+            del measure
+            assert ref() is None, spec
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_kept_state_stays_out_of_equality(cosine_half):
@@ -216,7 +310,7 @@ def test_tilt_median_and_cdf_share_one_engine_pass(catalog, engine_calls):
         view = tm.tilt(measure, 0.75)
         median = view.median()
         values = [view.cdf(x) for x in sorted((-2.0, 0.0, 1.0, 3.0, median))]
-        assert engine_calls == {"passes": 1}
+        assert (engine_calls["passes"], engine_calls["tilt_grid"]) == (1, 0)
         assert values == sorted(values)
 
 
