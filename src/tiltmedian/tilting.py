@@ -104,10 +104,10 @@ class TiltGrid:
     log_partition: np.ndarray
     mean: np.ndarray
     mean_error: np.ndarray
-    cdf_at_t: np.ndarray | None
-    cdf_at_t_error: np.ndarray | None
-    lower_moment_at_t: np.ndarray | None
-    lower_moment_at_t_error: np.ndarray | None
+    cdf_at_t: np.ndarray | None = None
+    cdf_at_t_error: np.ndarray | None = None
+    lower_moment_at_t: np.ndarray | None = None
+    lower_moment_at_t_error: np.ndarray | None = None
     median: np.ndarray | None = None
     median_error: np.ndarray | None = None
 
@@ -124,25 +124,17 @@ def tilt_grid(measure: BaseMeasure, t_grid: Sequence[float], *, median: bool = T
     median.
     """
     ts = np.array([_check_tilt(t) for t in t_grid], dtype=float)
-    grid = _empty_grid(ts, median=median, at_t=True)
+    names = [field.name for field in dataclasses.fields(TiltGrid)[1:]]
+    wanted = [name for name in names if median or not name.startswith("median")]
+    grid = TiltGrid(ts, **{name: np.empty(ts.size) for name in wanted})
     log_pdf = measure.log_pdf
     for where, chunk in _chunks(measure, ts):
-        chunk.fill(grid, where)
-        for name, values in chunk.at_t(log_pdf).items():
-            getattr(grid, name)[where] = values
+        columns = chunk.moments() | chunk.at_t(log_pdf)
         if median:
-            grid.median[where], grid.median_error[where] = chunk._medians(log_pdf)
+            columns["median"], columns["median_error"] = chunk._medians(log_pdf)
+        for name, values in columns.items():
+            getattr(grid, name)[where] = values
     return grid
-
-
-def _empty_grid(ts: np.ndarray, *, median: bool, at_t: bool) -> TiltGrid:
-    """A TiltGrid of unfilled arrays, with None in the fields that are not wanted."""
-    wanted = {"median": median, "cdf_at_t": at_t, "lower_moment_at_t": at_t}
-    arrays = {}
-    for field in dataclasses.fields(TiltGrid)[1:]:
-        keep = wanted.get(field.name.removesuffix("_error"), True)
-        arrays[field.name] = np.empty(ts.size) if keep else None
-    return TiltGrid(ts, **arrays)
 
 
 def _chunks(measure: BaseMeasure, ts: np.ndarray):
@@ -288,13 +280,15 @@ class _TiltChunk:
         moment_k, moment_g = kronrod_sums(values[:, :15] * nodes[:, :15], half)
         return mass_k, moment_k, _error(mass_k, mass_g), _error(moment_k, moment_g), values[:, 15]
 
-    def fill(self, grid: TiltGrid, where: slice) -> None:
-        """log L, the mean and its error in ``grid``, for this chunk's tilts."""
+    def moments(self) -> dict[str, np.ndarray]:
+        """The ``TiltGrid`` fields of log L, the mean and its error, for this chunk's tilts."""
         with np.errstate(divide="ignore", invalid="ignore"):
             mean = self.moment / self.mass
-            grid.log_partition[where] = self.shift + np.log(self.mass)
-            grid.mean[where] = mean
-            grid.mean_error[where] = (self.moment_err + np.abs(mean) * self.mass_err) / self.mass
+            return {
+                "log_partition": self.shift + np.log(self.mass),
+                "mean": mean,
+                "mean_error": (self.moment_err + np.abs(mean) * self.mass_err) / self.mass,
+            }
 
     def at_t(self, log_pdf) -> dict[str, np.ndarray]:
         """The ``TiltGrid`` fields of the half-line sums at x = t, for this chunk's tilts."""
@@ -431,10 +425,8 @@ class _TiltState:
     def __init__(self, measure: BaseMeasure, t: float) -> None:
         self.t = t
         ts = np.array([t])
-        row = _empty_grid(ts, median=False, at_t=False)
-        ((where, self.chunk),) = _chunks(measure, ts)
-        self.chunk.fill(row, where)
-        self.row = row
+        ((_, self.chunk),) = _chunks(measure, ts)
+        self.row = TiltGrid(ts, **self.chunk.moments())
 
     def read(self, measure: BaseMeasure, *, median: bool, at_t: bool) -> TiltGrid:
         """The kept row, with the median and the sums at x = t if asked for."""

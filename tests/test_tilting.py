@@ -147,7 +147,7 @@ def test_reads_that_skip_the_sums_at_t_form_none(engine_calls):
         tm.asymmetry_score(measure, 0.5)
         # no partial panel at all: one pass each for t = 0 (the unit-mass check), 1, -2, 0.5
         assert engine_calls == {"passes": 4, "node_tables": 1}, spec
-        # Newton's partial panels, in a new pass at -2
+        # Newton's partial panels, in a new pass: asymmetry_score replaced the one at -2
         view.median()
         # two passes; the Lipschitz |x| integral splits at x = 0, not at x = +-A
         tm.lipschitz_bound(measure, 2.0)
