@@ -7,7 +7,8 @@ normal; for the perturbed catalog entries they are visibly nonzero at
 ordinary grid resolution.  Each is an evaluator of one pass of
 ``tilting.tilt_grid`` over a tilt grid, the sign-kernel and convolution
 residuals through its half-line sums F_t(t) and E_t[X; X <= t] at x = t;
-several diagnostics over one grid share that pass, and the single-t
+several diagnostics over one grid share that pass, which forms the medians
+and those sums only when one of them reads them, and the single-t
 functions read the measure's kept one-tilt state.
 
 - ``median_gap``: tilted median minus the tilt parameter.
@@ -35,7 +36,7 @@ import numpy as np
 from .measures import BaseMeasure
 from .numerics import scaled_exp
 from .symmetry import _asymmetry_scores, _default_offsets
-from .tilting import T_MAX, TiltGrid, _half_line, _tilt_row, tilt_grid
+from .tilting import T_MAX, TiltGrid, _half_line, _tilt_grid, _tilt_row
 
 __all__ = [
     "DIAGNOSTIC_NAMES",
@@ -227,7 +228,9 @@ def _scan_reports(
                 f"unknown diagnostic {which!r}; expected one of {DIAGNOSTIC_NAMES}"
             )
     ts = [float(t) for t in t_grid]
-    grid = tilt_grid(m, ts, median=not _NEEDS_MEDIAN.isdisjoint(names))
+    grid = _tilt_grid(
+        m, ts, median=not _NEEDS_MEDIAN.isdisjoint(names), at_t=not _NEEDS_AT_T.isdisjoint(names)
+    )
     return [_report(which, ts, *_EVALUATORS[which](m, grid)) for which in names]
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import BaseMeasure
-from .tilting import TiltGrid, _tilt_row, tilt_grid
+from .tilting import TiltGrid, _tilt_grid, _tilt_row
 
 __all__ = [
     "QuadraticFit",
@@ -81,18 +81,18 @@ def _asymmetry_scores(m: BaseMeasure, grid: TiltGrid, offs: np.ndarray) -> np.nd
     if not np.all(np.isfinite(grid.log_partition)):
         raise ValueError("log_partition must be finite")
     t, log_l, centers = grid.t_grid[:, None], grid.log_partition[:, None], grid.mean[:, None]
-
-    def tilted_pdf(x: np.ndarray) -> np.ndarray:
-        return np.exp(t * x + m.log_pdf(x) - log_l)
-
-    return np.max(np.abs(tilted_pdf(centers + offs) - tilted_pdf(centers - offs)), axis=1)
+    # the tilted density at centers + offs and centers - offs, from one log_pdf call
+    x = centers + np.concatenate([offs, -offs])
+    density = np.exp(t * x + m.log_pdf(x) - log_l)
+    return np.max(np.abs(density[:, : offs.size] - density[:, offs.size :]), axis=1)
 
 
 def midpoint_residual(m: BaseMeasure, t: float, s: float) -> float:
     """m(t+s) + m(t-s) - 2*m(t) for the tilted mean; zero iff the mean is locally affine."""
     if s == 0.0:
         return 0.0
-    mean_up, mean_down, mean_mid = tilt_grid(m, [t + s, t - s, t], median=False).mean
+    grid = _tilt_grid(m, [t + s, t - s, t], median=False, at_t=False)
+    mean_up, mean_down, mean_mid = grid.mean
     return float(mean_up + mean_down - 2.0 * mean_mid)
 
 
@@ -117,7 +117,7 @@ def fit_quadratic_log_partition(m: BaseMeasure, t_grid: Sequence[float]) -> Quad
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 5:
         raise ValueError("need at least five grid points for a stable quadratic fit")
-    values = tilt_grid(m, ts, median=False).log_partition
+    values = _tilt_grid(m, ts, median=False, at_t=False).log_partition
     design = np.column_stack([np.ones_like(ts), ts, ts**2])
     gram = design.T @ design
     coeffs = np.linalg.solve(gram, design.T @ values)

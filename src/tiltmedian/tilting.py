@@ -18,8 +18,10 @@ log L(t), the tilted mean and running tables at the panel edges; one partial
 panel on top of them gives the half-line sums F_t(x) and E_t[X; X <= x] at
 x = t or any x, and the median is a safeguarded Newton solve on partial
 panels where the table crosses 1/2, run until its step reaches the rounding
-of x and reported with the error it reached.  Every error estimate is a sum
-of panel |Kronrod - Gauss| differences.
+of x and reported with the error it reached.  A grid's medians and its sums
+at x = t are solved once over all its tilts: ``_CHUNK_ELEMENTS`` bounds only
+the work array of the panel sums, not the partial-panel calls.  Every error
+estimate is a sum of panel |Kronrod - Gauss| differences.
 
 Windows and tolerances are the fixed constants of ``numerics``.  A single-tilt
 request keeps its pass on the base measure, keyed on t alone, so every
@@ -65,8 +67,9 @@ __all__ = [
 
 T_MAX = 8.0
 
-# Elements of one (tilts, panels, 15) work array: tilts are processed in
-# chunks of this many node values so memory stays flat in the grid size.
+# Elements of one (tilts, panels, 15) work array: the panel sums of a grid
+# are formed in chunks of this many node values, so the work array stays
+# bounded whatever the grid size.
 _CHUNK_ELEMENTS = 1 << 13
 # the TiltGrid fields of the half-line sums at x = t, in ``half_line``'s order
 _AT_T_FIELDS = ("cdf_at_t", "cdf_at_t_error", "lower_moment_at_t", "lower_moment_at_t_error")
@@ -96,8 +99,9 @@ class TiltGrid:
     ``cdf_at_t`` is F_t(t) and ``lower_moment_at_t`` is E_t[X; X <= t].  The
     ``*_error`` fields are propagated quadrature error estimates; the median
     fields are None when medians were not requested.  ``tilt_grid`` fills
-    every other field; the engine's kept one-tilt rows hold None in the fields
-    of the sums at x = t too until they are read.
+    every other field; the engine's kept one-tilt rows, and the grids of the
+    scans and fits that never read them, hold None in the fields of the sums
+    at x = t too.
     """
 
     t_grid: np.ndarray
@@ -116,41 +120,38 @@ def tilt_grid(measure: BaseMeasure, t_grid: Sequence[float], *, median: bool = T
     """log L, mean, F_t(t), E_t[X; X <= t] and optionally the median of each tilt-t law.
 
     The panels are the measure's lattice panels that cover the union of the
-    per-tilt truncation windows, so a tilt's result does not depend on which
-    other tilts share the call, up to the last bit.  Each median is solved to
-    the rounding of x; its ``median_error`` is the solve's last move plus the
-    CDF table's error over the density there, floored at the rounding of x,
-    or half the width of a flat stretch at 1/2, whose midpoint is then the
+    per-tilt truncation windows, and the medians and the sums at x = t take
+    their partial panels in one call over every tilt, whose rounding can
+    depend on how many rows share it.  So the other tilts of the call move a
+    tilt's results by rounding only: log L, the mean, the median, F_t(t) and
+    E_t[X; X <= t] stay within 16 eps max(1, |value|) of a one-tilt call on
+    the catalog measures (at most 2.7 eps measured); the error estimates,
+    which count the panels, may move more.  Each median is solved to the
+    rounding of x; its ``median_error`` is the solve's last move plus the CDF
+    table's error over the density there, floored at the rounding of x, or
+    half the width of a flat stretch at 1/2, whose midpoint is then the
     median.
     """
+    return _tilt_grid(measure, t_grid, median=median, at_t=True)
+
+
+def _tilt_grid(
+    measure: BaseMeasure, t_grid: Sequence[float], *, median: bool, at_t: bool
+) -> TiltGrid:
+    """``tilt_grid``, whose fields of the half-line sums at x = t hold None
+    unless ``at_t``: the scans and fits that never read them skip them."""
     ts = np.array([_check_tilt(t) for t in t_grid], dtype=float)
-    names = [field.name for field in dataclasses.fields(TiltGrid)[1:]]
-    wanted = [name for name in names if median or not name.startswith("median")]
-    grid = TiltGrid(ts, **{name: np.empty(ts.size) for name in wanted})
-    log_pdf = measure.log_pdf
-    for where, chunk in _chunks(measure, ts):
-        columns = chunk.moments() | chunk.at_t(log_pdf)
-        if median:
-            columns["median"], columns["median_error"] = chunk._medians(log_pdf)
-        for name, values in columns.items():
-            getattr(grid, name)[where] = values
-    return grid
-
-
-def _chunks(measure: BaseMeasure, ts: np.ndarray):
-    """The engine's panel pass over ``ts``: yields (slice of ts, its _TiltChunk)."""
     if ts.size == 0:
-        return
-    reach = max(measure.window_halfwidth(t) for t in ts)
-    lattice, xs, half, log_pdf = _node_table(measure)
-    first = np.searchsorted(lattice, -reach, side="right") - 1
-    last = np.searchsorted(lattice, reach, side="left")
-    edges, panels = lattice[first : last + 1], slice(first, last)
-    xs, half, log_pdf = xs[panels], half[panels], log_pdf[panels]
-    chunk = max(1, _CHUNK_ELEMENTS // xs.size)
-    for start in range(0, ts.size, chunk):
-        where = slice(start, start + chunk)
-        yield where, _TiltChunk(edges, xs, half, log_pdf, ts[where])
+        names = [field.name for field in dataclasses.fields(TiltGrid)[1:]]
+        wanted = [name for name in names if median or not name.startswith("median")]
+        return TiltGrid(ts, **{n: np.empty(0) for n in wanted if at_t or n not in _AT_T_FIELDS})
+    sums = _TiltPass(measure, ts, at_t=at_t)
+    columns = sums.moments()
+    if at_t:
+        columns |= sums.at_t(measure.log_pdf)
+    if median:
+        columns["median"], columns["median_error"] = sums._medians(measure.log_pdf)
+    return TiltGrid(ts, **columns)
 
 
 def _node_table(measure: BaseMeasure) -> tuple[np.ndarray, ...]:
@@ -239,34 +240,70 @@ def _error(kronrod: np.ndarray, gauss: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(kronrod - gauss), ROUNDING_FLOOR * np.abs(kronrod))
 
 
-class _TiltChunk:
-    """Panel sums of exp(t*x + log_pdf(x) - shift(t)) for a chunk of tilts.
+class _TiltPass:
+    """Panel sums of exp(t*x + log_pdf(x) - shift(t)) over a grid of tilts.
 
     Values are in shifted units: each tilt's largest node value is 1.  The
-    chunk keeps no reference to its measure: the methods that evaluate the
+    panels are the lattice panels that cover every tilt's window.  Only the
+    (tilts, panels, 15) work array is formed in chunks, of at most
+    ``_CHUNK_ELEMENTS`` node values; each chunk writes its tilts' shift,
+    mass, moment, their errors and the running mass table at the panel edges
+    into arrays over the whole grid.  With ``tables`` the running tables of
+    the moment and of both errors are kept too, for half-line sums at any x
+    (the kept one-tilt pass); with ``at_t`` each chunk gathers its tilts'
+    entries of the four tables below x = t.  The median solve and the sums
+    at x = t then take one partial-panel call per step over every tilt.  The
+    pass keeps no reference to its measure: the methods that evaluate the
     base log-density off the node table take it as ``log_pdf``.
     """
 
-    def __init__(self, edges, xs, half, log_pdf, ts) -> None:
-        self.edges = edges
+    def __init__(
+        self, measure: BaseMeasure, ts: np.ndarray, *, tables: bool = False, at_t: bool = False
+    ) -> None:
+        reach = max(measure.window_halfwidth(t) for t in ts)
+        lattice, xs, half, log_pdf = _node_table(measure)
+        first = np.searchsorted(lattice, -reach, side="right") - 1
+        last = np.searchsorted(lattice, reach, side="left")
+        self.edges, panels = lattice[first : last + 1], slice(first, last)
+        xs, half, log_pdf = xs[panels], half[panels], log_pdf[panels]
         self.ts = ts
-        # one work array, updated in place, keeps the chunk's memory flat
-        work = ts[:, None, None] * xs
-        work += log_pdf
-        shift = work.max(axis=(1, 2))
-        # a tilt whose integrand vanishes on every node has log L = -inf
-        self.shift = np.where(np.isfinite(shift), shift, 0.0)
-        work -= self.shift[:, None, None]
-        np.exp(work, out=work)
-        mass_k, mass_g = kronrod_sums(work, half)
-        work *= xs
-        moment_k, moment_g = kronrod_sums(work, half)
-        mass_err, moment_err = _error(mass_k, mass_g), _error(moment_k, moment_g)
-        tables = (mass_k, moment_k, mass_err, moment_err)
-        self.mass, self.moment, self.mass_err, self.moment_err = np.sum(tables, axis=2)
-        # sums over the panels below every edge, shared by the median and x = t
-        self.below = np.zeros((4, ts.size, edges.size))
-        np.cumsum(tables, axis=2, out=self.below[:, :, 1:])
+        self.shift = np.empty(ts.size)
+        self.mass, self.moment, self.mass_err, self.moment_err = sums = np.empty((4, ts.size))
+        # sums over the panels below every edge: the mass table, which the
+        # median reads, or with ``tables`` all four
+        self.below = np.zeros((4 if tables else 1, ts.size, self.edges.size))
+        if at_t:
+            # each tilt's x = t clipped to the panels, its panel and the four
+            # sums over the panels below it
+            self.t_x, self.t_panel = self._locate(ts)
+            self.t_below = np.empty((4, ts.size))
+        step = max(1, _CHUNK_ELEMENTS // xs.size)
+        for start in range(0, ts.size, step):
+            where = slice(start, start + step)
+            # one work array, updated in place, keeps the chunk's memory flat
+            work = ts[where, None, None] * xs
+            work += log_pdf
+            shift = work.max(axis=(1, 2))
+            # a tilt whose integrand vanishes on every node has log L = -inf
+            shift = self.shift[where] = np.where(np.isfinite(shift), shift, 0.0)
+            work -= shift[:, None, None]
+            np.exp(work, out=work)
+            mass_k, mass_g = kronrod_sums(work, half)
+            work *= xs
+            moment_k, moment_g = kronrod_sums(work, half)
+            chunk = np.array((mass_k, moment_k, _error(mass_k, mass_g), _error(moment_k, moment_g)))
+            sums[:, where] = chunk.sum(axis=2)
+            below = np.zeros((4, shift.size, self.edges.size))
+            chunk.cumsum(axis=2, out=below[:, :, 1:])
+            self.below[:, where] = below[: self.below.shape[0]]
+            if at_t:
+                self.t_below[:, where] = below[:, np.arange(shift.size), self.t_panel[where]]
+
+    def _locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x clipped to the panels, which hold all but the truncated tails, and
+        the panel that holds it."""
+        x = np.minimum(np.maximum(x, self.edges[0]), self.edges[-1])
+        return x, np.minimum(self.edges.searchsorted(x, side="right") - 1, self.edges.size - 2)
 
     def _partial(self, log_pdf, rows: np.ndarray, panel: np.ndarray, x: np.ndarray):
         """Mass and first moment from each panel's left edge to x, their errors and
@@ -281,7 +318,7 @@ class _TiltChunk:
         return mass_k, moment_k, _error(mass_k, mass_g), _error(moment_k, moment_g), values[:, 15]
 
     def moments(self) -> dict[str, np.ndarray]:
-        """The ``TiltGrid`` fields of log L, the mean and its error, for this chunk's tilts."""
+        """The ``TiltGrid`` fields of log L, the mean and its error."""
         with np.errstate(divide="ignore", invalid="ignore"):
             mean = self.moment / self.mass
             return {
@@ -291,31 +328,32 @@ class _TiltChunk:
             }
 
     def at_t(self, log_pdf) -> dict[str, np.ndarray]:
-        """The ``TiltGrid`` fields of the half-line sums at x = t, for this chunk's tilts."""
-        values = self.half_line(log_pdf, np.arange(self.ts.size), self.ts)
+        """The ``TiltGrid`` fields of the half-line sums at x = t, for a pass made
+        with ``at_t``."""
+        rows = np.arange(self.ts.size)
+        values = self._half_line_sums(log_pdf, rows, self.t_x, self.t_panel, self.t_below)
         return dict(zip(_AT_T_FIELDS, values))
 
-    @np.errstate(divide="ignore", invalid="ignore")
     def half_line(self, log_pdf, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """F_t(x), its error, E_t[X; X <= x] and its error for the tilt of each row.
+        """F_t(x), its error, E_t[X; X <= x] and its error for the tilt of each row,
+        from a pass that keeps its ``tables``."""
+        x, panel = self._locate(x)
+        return self._half_line_sums(log_pdf, rows, x, panel, self.below[:, rows, panel])
 
-        The sums come from the panels below x and one partial panel; x is
-        clipped to the panels, which hold all but the truncated tails.  F's
-        error counts the whole mass error (it bounds the error F and log L
-        share) and the rounding of a running sum, as the median's table does.
-        """
-        n_panels = self.edges.size - 1
-        x = np.clip(x, self.edges[0], self.edges[-1])
-        panel = np.minimum(np.searchsorted(self.edges, x, side="right") - 1, n_panels - 1)
+    @np.errstate(divide="ignore", invalid="ignore")
+    def _half_line_sums(self, log_pdf, rows, x, panel, below) -> tuple[np.ndarray, ...]:
+        """The half-line sums at x in ``panel``: the four sums ``below`` it plus one
+        partial panel.  F's error counts the whole mass error (it bounds the
+        error F and log L share) and the rounding of a running sum, as the
+        median's table does."""
         mass, moment, mass_err, moment_err = (
-            table[rows, panel] + part
-            for table, part in zip(self.below, self._partial(log_pdf, rows, panel, x))
+            table + part for table, part in zip(below, self._partial(log_pdf, rows, panel, x))
         )
         total, total_err = self.mass[rows], self.mass_err[rows]
         lower_moment = moment / total
         return (
             mass / total,
-            (mass_err + total_err) / total + n_panels * _EPS,
+            (mass_err + total_err) / total + (self.edges.size - 1) * _EPS,
             lower_moment,
             (moment_err + np.abs(lower_moment) * total_err) / total,
         )
@@ -415,7 +453,7 @@ class _TiltChunk:
 class _TiltState:
     """The engine pass of one tilt, kept so later requests at the same tilt reuse it.
 
-    It holds the pass's ``_TiltChunk`` (panel tables, shift and mass) and the
+    It holds the pass's ``_TiltPass`` (panel tables, shift and mass) and the
     row it filled with log L, the mean and its error; the median and the
     half-line sums at x = t are formed on those tables when first asked for,
     and a new row carries them.  Each result equals the matching entry of a
@@ -424,17 +462,17 @@ class _TiltState:
 
     def __init__(self, measure: BaseMeasure, t: float) -> None:
         self.t = t
-        ts = np.array([t])
-        ((_, self.chunk),) = _chunks(measure, ts)
-        self.row = TiltGrid(ts, **self.chunk.moments())
+        self.sums = _TiltPass(measure, np.array([t]), tables=True)
+        self.row = TiltGrid(self.sums.ts, **self.sums.moments())
 
     def read(self, measure: BaseMeasure, *, median: bool, at_t: bool) -> TiltGrid:
         """The kept row, with the median and the sums at x = t if asked for."""
         row, filled = self.row, {}
         if median and row.median is None:
-            filled["median"], filled["median_error"] = self.chunk._medians(measure.log_pdf)
+            filled["median"], filled["median_error"] = self.sums._medians(measure.log_pdf)
         if at_t and row.cdf_at_t is None:
-            filled.update(self.chunk.at_t(measure.log_pdf))
+            values = self.sums.half_line(measure.log_pdf, np.zeros(1, dtype=int), self.sums.ts)
+            filled.update(zip(_AT_T_FIELDS, values))
         # the row is replaced, never written: a caller racing another one at
         # worst forms the same values twice, and no reader sees an unfilled one
         if filled:
@@ -473,7 +511,7 @@ def _half_line(measure: BaseMeasure, t: float, xs) -> tuple:
     """F_t(x), its error, E_t[X; X <= x] and its error at each x, from the kept state."""
     xs = np.asarray(xs, dtype=float)
     rows = np.zeros(xs.size, dtype=int)
-    return _tilt_state(measure, t).chunk.half_line(measure.log_pdf, rows, xs)
+    return _tilt_state(measure, t).sums.half_line(measure.log_pdf, rows, xs)
 
 
 def log_partition(measure: BaseMeasure, t: float) -> float:

@@ -37,29 +37,30 @@ def catalog(std_gaussian, cosine_half, quadratic_one, symmetric_mixture):
 @pytest.fixture
 def engine_calls(monkeypatch) -> collections.Counter:
     """Counts, from every module that calls the engine: engine panel passes
-    (``"passes"``: ``_TiltChunk`` constructions), ``"tilt_grid"`` calls,
-    partial-panel evaluations (``"partials"``: ``_TiltChunk._partial`` calls,
+    (``"passes"``: ``_TiltPass`` constructions), grid calls (``"tilt_grid"``:
+    ``tilt_grid`` and the scans' and fits' private ``_tilt_grid``),
+    partial-panel evaluations (``"partials"``: ``_TiltPass._partial`` calls,
     each one partial panel per row, for a half-line sum or a Newton step),
-    half-line sums that include x = t (``"at_t"``: ``_TiltChunk.half_line``
+    half-line sums that include x = t (``"at_t"``: ``_TiltPass._half_line_sums``
     calls where some x is its row's t) and node-table builds (``"node_tables"``)."""
     calls: collections.Counter = collections.Counter()
-    chunk = tm.tilting._TiltChunk
-    engine = tm.tilting.tilt_grid
+    tilt_pass = tm.tilting._TiltPass
+    engine = tm.tilting._tilt_grid
     build_node_table = tm.tilting._build_node_table
 
-    class CountingChunk(chunk):
-        def __init__(self, *args) -> None:
+    class CountingPass(tilt_pass):
+        def __init__(self, *args, **kwargs) -> None:
             calls["passes"] += 1
-            super().__init__(*args)
+            super().__init__(*args, **kwargs)
 
         def _partial(self, *args):
             calls["partials"] += 1
             return super()._partial(*args)
 
-        def half_line(self, log_pdf, rows, x):
+        def _half_line_sums(self, log_pdf, rows, x, *args):
             if np.any(np.asarray(x) == self.ts[rows]):
                 calls["at_t"] += 1
-            return super().half_line(log_pdf, rows, x)
+            return super()._half_line_sums(log_pdf, rows, x, *args)
 
     def counting_engine(*args, **kwargs):
         calls["tilt_grid"] += 1
@@ -69,9 +70,9 @@ def engine_calls(monkeypatch) -> collections.Counter:
         calls["node_tables"] += 1
         return build_node_table(*args)
 
-    monkeypatch.setattr(tm.tilting, "_TiltChunk", CountingChunk)
+    monkeypatch.setattr(tm.tilting, "_TiltPass", CountingPass)
     monkeypatch.setattr(tm.tilting, "_build_node_table", counting_build)
-    for module in (tm, tm.tilting, tm.medianlaw, tm.symmetry):
-        if getattr(module, "tilt_grid", None) is engine:
-            monkeypatch.setattr(module, "tilt_grid", counting_engine)
+    for module in (tm.tilting, tm.medianlaw, tm.symmetry):
+        if getattr(module, "_tilt_grid", None) is engine:
+            monkeypatch.setattr(module, "_tilt_grid", counting_engine)
     return calls

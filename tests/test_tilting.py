@@ -426,15 +426,57 @@ def test_median_on_panel_edge(std_gaussian):
         assert abs(tm.tilt(std_gaussian, t).median() - t) <= 1e-14
 
 
+# the dense grid of the scans
+SCAN_GRID = np.linspace(-6.0, 6.0, 97)
+
+
 def test_tilt_grid_matches_single_tilts(catalog):
-    ts = np.linspace(-6.0, 6.0, 13)
-    for measure in catalog:
-        grid = tm.tilt_grid(measure, ts)
-        for k, t in enumerate(ts):
-            view = tm.tilt(measure, float(t))
-            assert abs(grid.log_partition[k] - view.log_partition) <= 1e-12
-            assert abs(grid.mean[k] - view.mean()) <= 1e-12
-            assert abs(grid.median[k] - view.median()) <= 1e-12
+    # a grid's panels cover every tilt's window and its partial panels share
+    # one call, so a value moves from a one-tilt call's by rounding only
+    eps = np.finfo(float).eps
+    extra = (tm.GaussianMixture(0.5, -1.0, 0.5, 1.0, 1.5), tm.Gaussian(0.3, 0.05))
+    for measure in catalog + tuple(tm.build_measure(spec) for spec in extra):
+        grid = tm.tilt_grid(measure, SCAN_GRID)
+        for k, t in enumerate(SCAN_GRID):
+            single = tm.tilt_grid(measure, [t])
+            for name in ("log_partition", "mean", "median", "cdf_at_t", "lower_moment_at_t"):
+                value = getattr(single, name)[0]
+                bound = 16.0 * eps * max(1.0, abs(value))
+                assert abs(getattr(grid, name)[k] - value) <= bound, (measure.spec, t, name)
+
+
+def test_tilt_grid_does_not_depend_on_the_chunk_size(monkeypatch):
+    # chunks bound only the work array: the medians and the sums at x = t
+    # are solved over the whole grid, so one tilt a chunk gives the same bits
+    for spec in CATALOG_SPECS:
+        measure = tm.build_measure(spec)
+        default = tm.tilt_grid(measure, SCAN_GRID)
+        with monkeypatch.context() as patch:
+            patch.setattr(tm.tilting, "_CHUNK_ELEMENTS", 1)
+            one_tilt_chunks = tm.tilt_grid(measure, SCAN_GRID)
+        for field in dataclasses.fields(tm.TiltGrid):
+            got, expected = getattr(one_tilt_chunks, field.name), getattr(default, field.name)
+            assert np.array_equal(got, expected), (spec, field.name)
+
+
+def test_a_grid_solves_its_medians_and_sums_at_t_once(engine_calls):
+    # the sigma = 1.5 mixture has 148 panels, so a chunk holds 3 tilts; the
+    # Newton solve and the partial panel at x = t still run once per grid
+    measure = tm.build_measure(tm.GaussianMixture(0.5, -1.0, 0.5, 1.0, 1.5))
+    engine_calls.clear()
+    tm.scan(measure, "median_gap", SCAN_GRID)
+    assert engine_calls["passes"] == 1
+    assert engine_calls["partials"] <= 8 and engine_calls["at_t"] == 0
+    engine_calls.clear()
+    tm.scan(measure, "sign_kernel", SCAN_GRID)
+    assert (engine_calls["passes"], engine_calls["partials"], engine_calls["at_t"]) == (1, 1, 1)
+    # scans and fits that read neither medians nor the sums at x = t form
+    # no partial panel
+    engine_calls.clear()
+    tm.scan(measure, "symmetry", SCAN_GRID)
+    tm.fit_quadratic_log_partition(measure, SCAN_GRID)
+    tm.midpoint_residual(measure, 0.5, 0.25)
+    assert engine_calls == {"passes": 3, "tilt_grid": 3}
 
 
 def test_tilt_grid_empty_and_without_medians(std_gaussian):
@@ -502,9 +544,9 @@ def test_lattice_covers_every_window_where_the_stride_doubles():
     measure = tm.build_measure(tm.Gaussian(0.0, sigma))
     ts = np.array([-8.0, -0.3, 0.0, 3.3, 8.0])
     for t in ts:
-        ((_, chunk),) = tm.tilting._chunks(measure, np.array([t]))
+        edges = tm.tilting._TiltPass(measure, np.array([t])).edges
         halfwidth = measure.window_halfwidth(t)
-        assert chunk.edges[0] <= -halfwidth and chunk.edges[-1] >= halfwidth, t
+        assert edges[0] <= -halfwidth and edges[-1] >= halfwidth, t
     grid = tm.tilt_grid(measure, ts)
     exact = 0.5 * sigma**2 * ts**2
     assert np.all(np.abs(grid.log_partition - exact) <= 1e-10 * np.maximum(1.0, exact))
