@@ -4,8 +4,9 @@ The rule is Gauss-Kronrod 15(7), applied panel-wise: ``anchored_edges`` lays
 out panels of width ``FIXED_PANEL_WIDTH`` at fixed coordinates,
 ``panel_nodes`` gives each panel's 15 Kronrod abscissae and ``kronrod_sums``
 its Kronrod estimate together with the embedded 7-point Gauss estimate, whose
-difference is the panel's error estimate.  The tilt-grid engine in
-``tilting`` builds every integral of the package from these three.
+difference is the panel's error estimate (``_error``, floored at the
+rounding of the sum).  The panel lattice of ``lattice`` and the tilt-grid
+engine in ``tilting`` build every integral of the package from these three.
 
 The quadrature settings are fixed constants: a panel is resolved at an error
 of ``max(ABS_TOL, REL_TOL * |value|)``, and improper integrals are truncated
@@ -70,6 +71,7 @@ FIXED_PANEL_WIDTH = 0.5
 _MAX_FIXED_PANELS = 4096
 # relative floor of a panel error estimate, so no panel ever claims exactness
 ROUNDING_FLOOR = 1.2e-16
+_EPS = np.finfo(float).eps
 # base halfwidth of every truncation window, in units of the measure's scale
 TRUNCATION_HALFWIDTH = 12.0
 # an engine panel is resolved at error <= max(ABS_TOL, REL_TOL * |value|)
@@ -111,6 +113,17 @@ def panel_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
 def kronrod_sums(values: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod and embedded Gauss panel integrals from values on ``panel_nodes``."""
     return half * (values @ _KRONROD_W), half * (values @ _GAUSS_W)
+
+
+def _error(kronrod: np.ndarray, gauss: np.ndarray) -> np.ndarray:
+    """|Kronrod - Gauss|, floored so that no panel claims exactness."""
+    return np.maximum(np.abs(kronrod - gauss), ROUNDING_FLOOR * np.abs(kronrod))
+
+
+def _check_log_values(xs: np.ndarray, values: np.ndarray) -> None:
+    bad = np.isnan(values) | np.isposinf(values)
+    if np.any(bad):
+        raise NonFiniteIntegrandError(f"log-integrand is nan or +inf at x={xs[bad][0]!r}")
 
 
 def scaled_exp(log_scale, q=1.0, factor: float = 1.0) -> np.ndarray:

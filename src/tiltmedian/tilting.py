@@ -9,11 +9,11 @@ between the two a testable property instead of a definition.
 
 Every tilted quantity comes from one engine, :func:`tilt_grid`, on one panel
 lattice per measure, built once from the base log-density and kept on the
-measure (see ``_lattice``), together with its node table: the Kronrod nodes
-of every lattice panel and the checked base log-density there, evaluated once
-per measure (see ``_node_table``).  A pass over a tilt grid slices the panels
-that cover its window out of that table, and each tilt is one shift, one
-exponential and a few panel sums on those values.  The panel sums give
+measure, together with its node table: the Kronrod nodes of every lattice
+panel and the checked base log-density there, evaluated once per measure
+(see ``lattice``).  A pass over a tilt grid slices the panels that cover its
+window out of that table, and each tilt is one shift, one exponential and a
+few panel sums on those values.  The panel sums give
 log L(t), the tilted mean and running tables at the panel edges; one partial
 panel on top of them gives the half-line sums F_t(x) and E_t[X; X <= x] at
 x = t or any x, and the median is a safeguarded Newton solve on partial
@@ -42,18 +42,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .lattice import T_MAX, _node_table
 from .measures import BaseMeasure
-from .numerics import (
-    ABS_TOL,
-    FIXED_PANEL_WIDTH,
-    REL_TOL,
-    ROUNDING_FLOOR,
-    NonFiniteIntegrandError,
-    anchored_edges,
-    kronrod_sums,
-    panel_nodes,
-    scaled_exp,
-)
+from .numerics import _EPS, _check_log_values, _error, kronrod_sums, panel_nodes, scaled_exp
 
 __all__ = [
     "T_MAX",
@@ -65,8 +56,6 @@ __all__ = [
     "tilt_grid",
 ]
 
-T_MAX = 8.0
-
 # Elements of one (tilts, panels, 15) work array: the panel sums of a grid
 # are formed in chunks of this many node values, so the work array stays
 # bounded whatever the grid size.
@@ -76,13 +65,6 @@ _AT_T_FIELDS = ("cdf_at_t", "cdf_at_t_error", "lower_moment_at_t", "lower_moment
 # Newton iterations before giving up; bisection alone needs ~50 to go from a
 # 0.5-wide panel to the rounding of x.
 _MAX_NEWTON_STEPS = 100
-_EPS = np.finfo(float).eps
-# a lattice panel is resolved when it passes at each of these tilts
-_LATTICE_TILTS = (-T_MAX, 0.0, T_MAX)
-# panels are not bisected below this width, and a lattice takes at most this
-# many bisections: a round that would pass the budget is not made
-_MIN_PANEL_WIDTH = 1e-10
-_MAX_BISECTIONS = 4096
 
 
 def _check_tilt(t: float) -> float:
@@ -145,120 +127,58 @@ def _tilt_grid(
         names = [field.name for field in dataclasses.fields(TiltGrid)[1:]]
         wanted = [name for name in names if median or not name.startswith("median")]
         return TiltGrid(ts, **{n: np.empty(0) for n in wanted if at_t or n not in _AT_T_FIELDS})
-    sums = _TiltPass(measure, ts, at_t=at_t)
+    sums = _TiltPass(measure, ts, median=median, at_t=at_t)
     columns = sums.moments()
     if at_t:
         columns |= sums.at_t(measure.log_pdf)
     if median:
-        columns["median"], columns["median_error"] = sums._medians(measure.log_pdf)
+        columns["median"], columns["median_error"] = sums._medians(measure.log_pdf, sums.bracket)
     return TiltGrid(ts, **columns)
 
 
-def _node_table(measure: BaseMeasure) -> tuple[np.ndarray, ...]:
-    """The lattice edges, the Kronrod nodes and half-widths of its panels and the
-    checked base log-density at those nodes, built on first use and kept on the
-    measure.  Every pass slices the node arrays, so they are read-only."""
-    table = measure._node_table
-    if table is None:
-        table = _build_node_table(measure, _lattice(measure))
-        object.__setattr__(measure, "_node_table", table)
-    return table
-
-
-def _build_node_table(measure: BaseMeasure, edges: np.ndarray) -> tuple[np.ndarray, ...]:
-    xs, half = panel_nodes(edges[:-1], edges[1:])
-    log_pdf = np.asarray(measure.log_pdf(xs), dtype=float)
-    _check_log_values(xs, log_pdf)
-    for array in (xs, half, log_pdf):
-        array.flags.writeable = False
-    return edges, xs, half, log_pdf
-
-
-def _lattice(measure: BaseMeasure) -> np.ndarray:
-    """The measure's panel edges, built on first use and kept on the measure.
-
-    They cover the window of every tilt up to ``T_MAX``: the anchored grid
-    over the window at ``T_MAX``, with the measure's breakpoints inserted.
-    A panel is bisected while, at a tilt of ``_LATTICE_TILTS``, the
-    |Kronrod - Gauss| difference of its mass or first moment, in units where
-    that tilt's largest node value is 1, exceeds ``max(ABS_TOL, REL_TOL *
-    |Kronrod|)`` and the rounding of its node values, and the panel is wider
-    than ``_MIN_PANEL_WIDTH``.  (Far out, as for N(0, 40^2) at t = 8, log_pdf
-    holds 0.5 x^2 only to eps, and no bisection would gain.)  No round takes
-    the bisections past ``_MAX_BISECTIONS``; error estimates carry the rest.
-    """
-    edges = measure._lattice
-    if edges is not None:
-        return edges
-    reach = FIXED_PANEL_WIDTH * math.ceil(measure.window_halfwidth(T_MAX) / FIXED_PANEL_WIDTH)
-    inside = [x for x in measure.breakpoints if -reach < x < reach]
-    # np.sort rather than np.unique, which loads more code on first use
-    edges = np.sort(np.concatenate([anchored_edges(-reach, reach), inside]))
-    edges = edges[np.concatenate([[True], np.diff(edges) > 0])]
-    lo, hi = edges[:-1], edges[1:]
-    shift = np.full(len(_LATTICE_TILTS), -np.inf)
-    added, budget = [], _MAX_BISECTIONS
-    while lo.size:
-        xs, half = panel_nodes(lo, hi)
-        log_pdf = np.asarray(measure.log_pdf(xs), dtype=float)
-        _check_log_values(xs, log_pdf)
-        missed = np.zeros(lo.size, dtype=bool)
-        for k, t in enumerate(_LATTICE_TILTS):
-            # a larger shift only shrinks the differences of panels already passed
-            values = t * xs + log_pdf
-            shift[k] = max(shift[k], values.max())
-            values -= shift[k] if np.isfinite(shift[k]) else 0.0
-            np.exp(values, out=values)
-            # a node value is off by eps times the size of its exponent's terms:
-            # t x and the two 0.5 x^2 of log_pdf, one of them inside log_g
-            noise = _EPS * (np.abs(t * xs) + xs * xs)
-            for integrand in (values, values * xs):
-                kronrod, gauss = kronrod_sums(integrand, half)
-                floor = kronrod_sums(np.abs(integrand) * noise, half)[0]
-                tol = np.maximum(np.maximum(ABS_TOL, REL_TOL * np.abs(kronrod)), floor)
-                missed |= _error(kronrod, gauss) > tol
-        missed &= hi - lo > _MIN_PANEL_WIDTH
-        budget -= np.count_nonzero(missed)
-        if budget < 0:
-            break
-        mid = 0.5 * (lo[missed] + hi[missed])
-        added.append(mid)
-        lo, hi = np.concatenate([lo[missed], mid]), np.concatenate([mid, hi[missed]])
-    edges = np.sort(np.concatenate([edges] + added))
-    object.__setattr__(measure, "_lattice", edges)
-    return edges
-
-
-def _check_log_values(xs: np.ndarray, values: np.ndarray) -> None:
-    bad = np.isnan(values) | np.isposinf(values)
-    if np.any(bad):
-        raise NonFiniteIntegrandError(f"log-integrand is nan or +inf at x={xs[bad][0]!r}")
-
-
-def _error(kronrod: np.ndarray, gauss: np.ndarray) -> np.ndarray:
-    """|Kronrod - Gauss|, floored so that no panel claims exactness."""
-    return np.maximum(np.abs(kronrod - gauss), ROUNDING_FLOOR * np.abs(kronrod))
+def _panel_sums(ts, xs, half, log_pdf) -> tuple[np.ndarray, np.ndarray]:
+    """Each tilt's shift, and the Kronrod panel sums of its mass and moment
+    and their errors, shape (4, tilts, panels), in shifted units."""
+    # one work array, updated in place, keeps the chunk's memory flat
+    work = ts[:, None, None] * xs
+    work += log_pdf
+    shift = work.max(axis=(1, 2))
+    # a tilt whose integrand vanishes on every node has log L = -inf
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    work -= shift[:, None, None]
+    np.exp(work, out=work)
+    mass_k, mass_g = kronrod_sums(work, half)
+    work *= xs
+    moment_k, moment_g = kronrod_sums(work, half)
+    return shift, np.array((mass_k, moment_k, _error(mass_k, mass_g), _error(moment_k, moment_g)))
 
 
 class _TiltPass:
     """Panel sums of exp(t*x + log_pdf(x) - shift(t)) over a grid of tilts.
 
     Values are in shifted units: each tilt's largest node value is 1.  The
-    panels are the lattice panels that cover every tilt's window.  Only the
-    (tilts, panels, 15) work array is formed in chunks, of at most
-    ``_CHUNK_ELEMENTS`` node values; each chunk writes its tilts' shift,
-    mass, moment, their errors and the running mass table at the panel edges
-    into arrays over the whole grid.  With ``tables`` the running tables of
-    the moment and of both errors are kept too, for half-line sums at any x
-    (the kept one-tilt pass); with ``at_t`` each chunk gathers its tilts'
-    entries of the four tables below x = t.  The median solve and the sums
-    at x = t then take one partial-panel call per step over every tilt.  The
-    pass keeps no reference to its measure: the methods that evaluate the
-    base log-density off the node table take it as ``log_pdf``.
+    panels are the lattice panels that cover every tilt's window.  The
+    (tilts, panels, 15) work array and the running sums at the panel edges
+    are formed in chunks of at most ``_CHUNK_ELEMENTS`` node values; each
+    chunk writes its tilts' shift, mass, moment and their errors into arrays
+    over the whole grid and keeps of its running tables what the pass was
+    made for: all four with ``tables`` (the kept one-tilt pass, which reads
+    half-line sums at any x), each tilt's median ``_bracket`` with
+    ``median`` and its four sums below x = t with ``at_t``.  The median solve
+    and the sums at x = t then take one partial-panel call per step over
+    every tilt.  The pass keeps no reference to its measure: the methods
+    that evaluate the base log-density off the node table take it as
+    ``log_pdf``.
     """
 
     def __init__(
-        self, measure: BaseMeasure, ts: np.ndarray, *, tables: bool = False, at_t: bool = False
+        self,
+        measure: BaseMeasure,
+        ts: np.ndarray,
+        *,
+        tables: bool = False,
+        median: bool = False,
+        at_t: bool = False,
     ) -> None:
         reach = max(measure.window_halfwidth(t) for t in ts)
         lattice, xs, half, log_pdf = _node_table(measure)
@@ -269,35 +189,29 @@ class _TiltPass:
         self.ts = ts
         self.shift = np.empty(ts.size)
         self.mass, self.moment, self.mass_err, self.moment_err = sums = np.empty((4, ts.size))
-        # sums over the panels below every edge: the mass table, which the
-        # median reads, or with ``tables`` all four
-        self.below = np.zeros((4 if tables else 1, ts.size, self.edges.size))
+        if tables:
+            self.below = np.empty((4, ts.size, self.edges.size))
+        if median:
+            self.bracket = np.empty((7, ts.size))
         if at_t:
-            # each tilt's x = t clipped to the panels, its panel and the four
-            # sums over the panels below it
+            # each tilt's x = t clipped to the panels, and its panel
             self.t_x, self.t_panel = self._locate(ts)
             self.t_below = np.empty((4, ts.size))
         step = max(1, _CHUNK_ELEMENTS // xs.size)
         for start in range(0, ts.size, step):
             where = slice(start, start + step)
-            # one work array, updated in place, keeps the chunk's memory flat
-            work = ts[where, None, None] * xs
-            work += log_pdf
-            shift = work.max(axis=(1, 2))
-            # a tilt whose integrand vanishes on every node has log L = -inf
-            shift = self.shift[where] = np.where(np.isfinite(shift), shift, 0.0)
-            work -= shift[:, None, None]
-            np.exp(work, out=work)
-            mass_k, mass_g = kronrod_sums(work, half)
-            work *= xs
-            moment_k, moment_g = kronrod_sums(work, half)
-            chunk = np.array((mass_k, moment_k, _error(mass_k, mass_g), _error(moment_k, moment_g)))
+            self.shift[where], chunk = _panel_sums(ts[where], xs, half, log_pdf)
             sums[:, where] = chunk.sum(axis=2)
-            below = np.zeros((4, shift.size, self.edges.size))
+            # the four sums over the panels below every edge
+            below = np.zeros((4, chunk.shape[1], self.edges.size))
             chunk.cumsum(axis=2, out=below[:, :, 1:])
-            self.below[:, where] = below[: self.below.shape[0]]
+            if tables:
+                self.below[:, where] = below
+            if median:
+                self.bracket[:, where] = self._bracket(below[0], where)
             if at_t:
-                self.t_below[:, where] = below[:, np.arange(shift.size), self.t_panel[where]]
+                rows = np.arange(chunk.shape[1])
+                self.t_below[:, where] = below[:, rows, self.t_panel[where]]
 
     def _locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x clipped to the panels, which hold all but the truncated tails, and
@@ -305,10 +219,10 @@ class _TiltPass:
         x = np.minimum(np.maximum(x, self.edges[0]), self.edges[-1])
         return x, np.minimum(self.edges.searchsorted(x, side="right") - 1, self.edges.size - 2)
 
-    def _partial(self, log_pdf, rows: np.ndarray, panel: np.ndarray, x: np.ndarray):
-        """Mass and first moment from each panel's left edge to x, their errors and
-        the weight at x, in shifted units."""
-        nodes, half = panel_nodes(self.edges[panel], x)
+    def _partial(self, log_pdf, rows: np.ndarray, left: np.ndarray, x: np.ndarray):
+        """Mass and first moment from ``left``, a panel's left edge, to x, their
+        errors and the weight at x, in shifted units."""
+        nodes, half = panel_nodes(left, x)
         nodes = np.concatenate([nodes, x[:, None]], axis=1)
         log_values = self.ts[rows, None] * nodes + log_pdf(nodes)
         _check_log_values(nodes, log_values)
@@ -330,24 +244,25 @@ class _TiltPass:
     def at_t(self, log_pdf) -> dict[str, np.ndarray]:
         """The ``TiltGrid`` fields of the half-line sums at x = t, for a pass made
         with ``at_t``."""
-        rows = np.arange(self.ts.size)
-        values = self._half_line_sums(log_pdf, rows, self.t_x, self.t_panel, self.t_below)
+        rows, left = np.arange(self.ts.size), self.edges[self.t_panel]
+        values = self._half_line_sums(log_pdf, rows, self.t_x, left, self.t_below)
         return dict(zip(_AT_T_FIELDS, values))
 
     def half_line(self, log_pdf, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """F_t(x), its error, E_t[X; X <= x] and its error for the tilt of each row,
-        from a pass that keeps its ``tables``."""
+        for a pass made with ``tables``."""
         x, panel = self._locate(x)
-        return self._half_line_sums(log_pdf, rows, x, panel, self.below[:, rows, panel])
+        below = self.below[:, rows, panel]
+        return self._half_line_sums(log_pdf, rows, x, self.edges[panel], below)
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def _half_line_sums(self, log_pdf, rows, x, panel, below) -> tuple[np.ndarray, ...]:
-        """The half-line sums at x in ``panel``: the four sums ``below`` it plus one
-        partial panel.  F's error counts the whole mass error (it bounds the
-        error F and log L share) and the rounding of a running sum, as the
-        median's table does."""
+    def _half_line_sums(self, log_pdf, rows, x, left, below) -> tuple[np.ndarray, ...]:
+        """The half-line sums at x: the four sums ``below`` the panel from
+        ``left`` that holds x, plus one partial panel.  F's error counts the
+        whole mass error (it bounds the error F and log L share) and the
+        rounding of a running sum, as the median's table does."""
         mass, moment, mass_err, moment_err = (
-            table + part for table, part in zip(below, self._partial(log_pdf, rows, panel, x))
+            table + part for table, part in zip(below, self._partial(log_pdf, rows, left, x))
         )
         total, total_err = self.mass[rows], self.mass_err[rows]
         lower_moment = moment / total
@@ -359,37 +274,56 @@ class _TiltPass:
         )
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def _medians(self, log_pdf) -> tuple[np.ndarray, np.ndarray]:
-        """Median of each tilted law and its error estimate.
+    def _bracket(self, cdf_below: np.ndarray, where) -> np.ndarray:
+        """Where the median of each tilt of ``where`` lies, from its running mass
+        table ``cdf_below``.
 
         The error of the CDF table is its quadrature error plus the rounding
         of a running sum over the panels.  Table edges within that error of
         1/2 form a plateau whose midpoint is the median, with half the width
-        between the edges just outside it as its error; otherwise Newton
-        runs in the panel where the table crosses 1/2, and the median error is
-        the solve's last move plus ``cdf_err / pdf(median)``, at least the
-        rounding of the median, ``4 eps max(1, |x|)``.
+        between the edges just outside it as its error.  The rows: that
+        median and error (nan and inf off a plateau), the edges of the panel
+        where the table crosses 1/2, the table there, and the table's error.
         """
-        n_panels = self.edges.size - 1
+        edges, n_panels = self.edges, self.edges.size - 1
+        mass = self.mass[where]
         # distribution function at every panel edge
-        cdf = self.below[0] / self.mass[:, None]
+        cdf = cdf_below / mass[:, None]
         # F = C / S at 1/2 is off by at most (dC + dS / 2) / S
-        cdf_err = 1.5 * self.mass_err / self.mass + n_panels * _EPS
+        cdf_err = 1.5 * self.mass_err[where] / mass + n_panels * _EPS
         flat = np.abs(cdf - 0.5) <= cdf_err[:, None]
-        medians = np.full(self.ts.size, np.nan)
-        errors = np.full(self.ts.size, np.inf)
-        plateau = flat.sum(axis=1) >= 2
-        for row in np.nonzero(plateau)[0]:
+        rows = np.arange(mass.size)
+        panel = np.minimum(np.sum(cdf < 0.5, axis=1) - 1, n_panels - 1)
+        bracket = np.array([
+            np.full(mass.size, np.nan),
+            np.full(mass.size, np.inf),
+            edges[panel],
+            edges[panel + 1],
+            cdf[rows, panel],
+            cdf[rows, panel + 1],
+            cdf_err,
+        ])
+        for row in np.nonzero(flat.sum(axis=1) >= 2)[0]:
             first, last = np.nonzero(flat[row])[0][[0, -1]]
-            medians[row] = 0.5 * (self.edges[first] + self.edges[last])
             # the plateau's true ends lie within one panel of the flagged edges
-            outer = self.edges[max(first - 1, 0)], self.edges[min(last + 1, n_panels)]
-            errors[row] = 0.5 * (outer[1] - outer[0])
-        rows = np.nonzero(~plateau & (self.mass > 0))[0]
+            outer = edges[max(first - 1, 0)], edges[min(last + 1, n_panels)]
+            bracket[:2, row] = 0.5 * (edges[first] + edges[last]), 0.5 * (outer[1] - outer[0])
+        return bracket
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def _medians(self, log_pdf, bracket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Median of each tilted law and its error estimate, from its ``_bracket``.
+
+        Off a plateau, Newton runs in the panel where the table crosses 1/2,
+        and the median error is the solve's last move plus
+        ``cdf_err / pdf(median)``, at least the rounding of the median,
+        ``4 eps max(1, |x|)``.
+        """
+        medians, errors, left, right, cdf_lo, cdf_hi, cdf_err = bracket
+        rows = np.nonzero(np.isnan(medians) & (self.mass > 0))[0]
         if rows.size:
-            panel = np.minimum(np.sum(cdf[rows] < 0.5, axis=1) - 1, n_panels - 1)
             x, density, move = self._newton(
-                log_pdf, rows, panel, cdf[rows, panel], cdf[rows, panel + 1]
+                log_pdf, rows, left[rows], right[rows], cdf_lo[rows], cdf_hi[rows]
             )
             medians[rows] = x
             rounding = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
@@ -397,20 +331,19 @@ class _TiltPass:
         return medians, errors
 
     def _newton(
-        self, log_pdf, rows: np.ndarray, panel: np.ndarray, cdf_lo: np.ndarray, cdf_hi: np.ndarray
+        self, log_pdf, rows: np.ndarray, left, right, cdf_lo: np.ndarray, cdf_hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Safeguarded Newton for cdf(x) = 1/2 inside one panel per row.
 
-        ``cdf_lo`` and ``cdf_hi`` are the table values at the panel's edges.
-        A step leaving the current bracket becomes a bisection.  A row stops
-        when cdf(x) is exactly 1/2, when its step is within the rounding of x,
-        ``4 eps max(1, |x|)``, or when its bracket is no wider than twice that.
-        Returns the roots, the tilted density there and each row's last move:
-        the length of the last step, or the bracket width if the bracket ended
-        the solve.
+        Each row's panel runs from ``left`` to ``right``, where the table
+        reads ``cdf_lo`` and ``cdf_hi``.  A step leaving the current bracket
+        becomes a bisection.  A row stops when cdf(x) is exactly 1/2, when its
+        step is within the rounding of x, ``4 eps max(1, |x|)``, or when its
+        bracket is no wider than twice that.  Returns the roots, the tilted
+        density there and each row's last move: the length of the last step,
+        or the bracket width if the bracket ended the solve.
         """
-        lo = self.edges[panel].copy()
-        hi = self.edges[panel + 1].copy()
+        lo, hi = left.copy(), right.copy()
         # secant start; the root may sit on a panel edge, so the bracket is closed
         x = np.clip(lo + (0.5 - cdf_lo) / (cdf_hi - cdf_lo) * (hi - lo), lo, hi)
         mass = self.mass[rows]
@@ -420,7 +353,7 @@ class _TiltPass:
             if active.size == 0:
                 break
             partial, _, _, _, weight = self._partial(
-                log_pdf, rows[active], panel[active], x[active]
+                log_pdf, rows[active], left[active], x[active]
             )
             cdf = cdf_lo[active] + partial / mass[active]
             xa = x[active]
@@ -468,11 +401,12 @@ class _TiltState:
     def read(self, measure: BaseMeasure, *, median: bool, at_t: bool) -> TiltGrid:
         """The kept row, with the median and the sums at x = t if asked for."""
         row, filled = self.row, {}
+        sums, log_pdf = self.sums, measure.log_pdf
         if median and row.median is None:
-            filled["median"], filled["median_error"] = self.sums._medians(measure.log_pdf)
+            bracket = sums._bracket(sums.below[0], slice(None))
+            filled["median"], filled["median_error"] = sums._medians(log_pdf, bracket)
         if at_t and row.cdf_at_t is None:
-            values = self.sums.half_line(measure.log_pdf, np.zeros(1, dtype=int), self.sums.ts)
-            filled.update(zip(_AT_T_FIELDS, values))
+            filled.update(zip(_AT_T_FIELDS, sums.half_line(log_pdf, np.zeros(1, dtype=int), sums.ts)))
         # the row is replaced, never written: a caller racing another one at
         # worst forms the same values twice, and no reader sees an unfilled one
         if filled:

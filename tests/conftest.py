@@ -46,7 +46,7 @@ def engine_calls(monkeypatch) -> collections.Counter:
     calls: collections.Counter = collections.Counter()
     tilt_pass = tm.tilting._TiltPass
     engine = tm.tilting._tilt_grid
-    build_node_table = tm.tilting._build_node_table
+    build_node_table = tm.lattice._build_node_table
 
     class CountingPass(tilt_pass):
         def __init__(self, *args, **kwargs) -> None:
@@ -71,7 +71,7 @@ def engine_calls(monkeypatch) -> collections.Counter:
         return build_node_table(*args)
 
     monkeypatch.setattr(tm.tilting, "_TiltPass", CountingPass)
-    monkeypatch.setattr(tm.tilting, "_build_node_table", counting_build)
+    monkeypatch.setattr(tm.lattice, "_build_node_table", counting_build)
     for module in (tm.tilting, tm.medianlaw, tm.symmetry):
         if getattr(module, "_tilt_grid", None) is engine:
             monkeypatch.setattr(module, "_tilt_grid", counting_engine)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from scipy.special import dawsn
 
 import tiltmedian as tm
-from tiltmedian.tilting import _lattice
+from tiltmedian.lattice import _lattice
 
 GRID_49 = np.linspace(-6.0, 6.0, 49)
 

@@ -565,7 +565,7 @@ def test_wide_gaussian_lattice_is_not_bisected_on_rounding(sigma):
     # far out (x near 8 sigma^2 at t = 8) log_pdf holds 0.5 x^2 only to eps;
     # |Kronrod - Gauss| there is rounding noise, which no bisection reduces
     measure = tm.build_measure(tm.Gaussian(0.0, sigma))
-    assert np.array_equal(tm.tilting._lattice(measure), _anchored_lattice(measure))
+    assert np.array_equal(tm.lattice._lattice(measure), _anchored_lattice(measure))
     ts = np.array([-8.0, -1.0, 0.0, 4.0, 8.0])
     grid = tm.tilt_grid(measure, ts)
     exact = 0.5 * sigma**2 * ts**2
@@ -581,8 +581,8 @@ def test_lattice_bisections_stop_at_the_budget():
         return 1e-7 * np.sin(1e9 * np.asarray(x, dtype=float))
 
     measure = tm.BaseMeasure(spec=tm.Gaussian(0.0, 1.0), log_g=log_g)
-    panels = tm.tilting._lattice(measure).size - 1
-    assert panels <= _anchored_lattice(measure).size - 1 + tm.tilting._MAX_BISECTIONS
+    panels = tm.lattice._lattice(measure).size - 1
+    assert panels <= _anchored_lattice(measure).size - 1 + tm.lattice._MAX_BISECTIONS
     # the true median is 0 to about 1e-16; the panels left carry the miss
     grid = tm.tilt_grid(measure, [0.0])
     assert abs(grid.median[0]) <= grid.median_error[0] <= 1e-6
