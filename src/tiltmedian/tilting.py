@@ -132,7 +132,7 @@ def _tilt_grid(
     if at_t:
         columns |= sums.at_t(measure.log_pdf)
     if median:
-        columns["median"], columns["median_error"] = sums._medians(measure.log_pdf, sums.bracket)
+        columns["median"], columns["median_error"] = sums._medians(measure.log_pdf)
     return TiltGrid(ts, **columns)
 
 
@@ -157,18 +157,17 @@ class _TiltPass:
     """Panel sums of exp(t*x + log_pdf(x) - shift(t)) over a grid of tilts.
 
     Values are in shifted units: each tilt's largest node value is 1.  The
-    panels are the lattice panels that cover every tilt's window.  The
-    (tilts, panels, 15) work array and the running sums at the panel edges
-    are formed in chunks of at most ``_CHUNK_ELEMENTS`` node values; each
-    chunk writes its tilts' shift, mass, moment and their errors into arrays
-    over the whole grid and keeps of its running tables what the pass was
-    made for: all four with ``tables`` (the kept one-tilt pass, which reads
-    half-line sums at any x), each tilt's median ``_bracket`` with
-    ``median`` and its four sums below x = t with ``at_t``.  The median solve
-    and the sums at x = t then take one partial-panel call per step over
-    every tilt.  The pass keeps no reference to its measure: the methods
-    that evaluate the base log-density off the node table take it as
-    ``log_pdf``.
+    panels are the lattice panels that cover every tilt's window.  Only the
+    (tilts, panels, 15) work array is formed in chunks, of at most
+    ``_CHUNK_ELEMENTS`` node values; each chunk writes its tilts' shift,
+    mass, moment and their errors into arrays over the whole grid, and of
+    its running sums at the panel edges keeps what the pass was made for:
+    the mass table with ``median``, all four tables with ``tables`` (the
+    kept one-tilt pass, which reads half-line sums at any x), and each
+    tilt's four sums below x = t with ``at_t``.  The median solve and the
+    sums at x = t then take one partial-panel call per step over every
+    tilt.  The pass keeps no reference to its measure: the methods that
+    evaluate the base log-density off the node table take it as ``log_pdf``.
     """
 
     def __init__(
@@ -189,10 +188,9 @@ class _TiltPass:
         self.ts = ts
         self.shift = np.empty(ts.size)
         self.mass, self.moment, self.mass_err, self.moment_err = sums = np.empty((4, ts.size))
-        if tables:
-            self.below = np.empty((4, ts.size, self.edges.size))
-        if median:
-            self.bracket = np.empty((7, ts.size))
+        if tables or median:
+            # the mass table, which the median reads, or with ``tables`` all four
+            self.below = np.empty((4 if tables else 1, ts.size, self.edges.size))
         if at_t:
             # each tilt's x = t clipped to the panels, and its panel
             self.t_x, self.t_panel = self._locate(ts)
@@ -205,10 +203,8 @@ class _TiltPass:
             # the four sums over the panels below every edge
             below = np.zeros((4, chunk.shape[1], self.edges.size))
             chunk.cumsum(axis=2, out=below[:, :, 1:])
-            if tables:
-                self.below[:, where] = below
-            if median:
-                self.bracket[:, where] = self._bracket(below[0], where)
+            if tables or median:
+                self.below[:, where] = below[: len(self.below)]
             if at_t:
                 rows = np.arange(chunk.shape[1])
                 self.t_below[:, where] = below[:, rows, self.t_panel[where]]
@@ -219,10 +215,10 @@ class _TiltPass:
         x = np.minimum(np.maximum(x, self.edges[0]), self.edges[-1])
         return x, np.minimum(self.edges.searchsorted(x, side="right") - 1, self.edges.size - 2)
 
-    def _partial(self, log_pdf, rows: np.ndarray, left: np.ndarray, x: np.ndarray):
-        """Mass and first moment from ``left``, a panel's left edge, to x, their
-        errors and the weight at x, in shifted units."""
-        nodes, half = panel_nodes(left, x)
+    def _partial(self, log_pdf, rows: np.ndarray, panel: np.ndarray, x: np.ndarray):
+        """Mass and first moment from each panel's left edge to x, their errors and
+        the weight at x, in shifted units."""
+        nodes, half = panel_nodes(self.edges[panel], x)
         nodes = np.concatenate([nodes, x[:, None]], axis=1)
         log_values = self.ts[rows, None] * nodes + log_pdf(nodes)
         _check_log_values(nodes, log_values)
@@ -244,25 +240,24 @@ class _TiltPass:
     def at_t(self, log_pdf) -> dict[str, np.ndarray]:
         """The ``TiltGrid`` fields of the half-line sums at x = t, for a pass made
         with ``at_t``."""
-        rows, left = np.arange(self.ts.size), self.edges[self.t_panel]
-        values = self._half_line_sums(log_pdf, rows, self.t_x, left, self.t_below)
+        rows = np.arange(self.ts.size)
+        values = self._half_line_sums(log_pdf, rows, self.t_x, self.t_panel, self.t_below)
         return dict(zip(_AT_T_FIELDS, values))
 
     def half_line(self, log_pdf, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """F_t(x), its error, E_t[X; X <= x] and its error for the tilt of each row,
         for a pass made with ``tables``."""
         x, panel = self._locate(x)
-        below = self.below[:, rows, panel]
-        return self._half_line_sums(log_pdf, rows, x, self.edges[panel], below)
+        return self._half_line_sums(log_pdf, rows, x, panel, self.below[:, rows, panel])
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def _half_line_sums(self, log_pdf, rows, x, left, below) -> tuple[np.ndarray, ...]:
-        """The half-line sums at x: the four sums ``below`` the panel from
-        ``left`` that holds x, plus one partial panel.  F's error counts the
-        whole mass error (it bounds the error F and log L share) and the
-        rounding of a running sum, as the median's table does."""
+    def _half_line_sums(self, log_pdf, rows, x, panel, below) -> tuple[np.ndarray, ...]:
+        """The half-line sums at x in ``panel``: the four sums ``below`` it plus one
+        partial panel.  F's error counts the whole mass error (it bounds the
+        error F and log L share) and the rounding of a running sum, as the
+        median's table does."""
         mass, moment, mass_err, moment_err = (
-            table + part for table, part in zip(below, self._partial(log_pdf, rows, left, x))
+            table + part for table, part in zip(below, self._partial(log_pdf, rows, panel, x))
         )
         total, total_err = self.mass[rows], self.mass_err[rows]
         lower_moment = moment / total
@@ -274,56 +269,40 @@ class _TiltPass:
         )
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def _bracket(self, cdf_below: np.ndarray, where) -> np.ndarray:
-        """Where the median of each tilt of ``where`` lies, from its running mass
-        table ``cdf_below``.
+    def _medians(self, log_pdf) -> tuple[np.ndarray, np.ndarray]:
+        """Median of each tilted law and its error estimate, for a pass made
+        with ``median`` or ``tables``.
 
         The error of the CDF table is its quadrature error plus the rounding
         of a running sum over the panels.  Table edges within that error of
         1/2 form a plateau whose midpoint is the median, with half the width
-        between the edges just outside it as its error.  The rows: that
-        median and error (nan and inf off a plateau), the edges of the panel
-        where the table crosses 1/2, the table there, and the table's error.
+        between the edges just outside it as its error; otherwise Newton
+        runs in the panel where the table crosses 1/2, and the median error is
+        the solve's last move plus ``cdf_err / pdf(median)``, at least the
+        rounding of the median, ``4 eps max(1, |x|)``.
         """
-        edges, n_panels = self.edges, self.edges.size - 1
-        mass = self.mass[where]
+        n_panels = self.edges.size - 1
         # distribution function at every panel edge
-        cdf = cdf_below / mass[:, None]
+        cdf = self.below[0] / self.mass[:, None]
         # F = C / S at 1/2 is off by at most (dC + dS / 2) / S
-        cdf_err = 1.5 * self.mass_err[where] / mass + n_panels * _EPS
-        flat = np.abs(cdf - 0.5) <= cdf_err[:, None]
-        rows = np.arange(mass.size)
-        panel = np.minimum(np.sum(cdf < 0.5, axis=1) - 1, n_panels - 1)
-        bracket = np.array([
-            np.full(mass.size, np.nan),
-            np.full(mass.size, np.inf),
-            edges[panel],
-            edges[panel + 1],
-            cdf[rows, panel],
-            cdf[rows, panel + 1],
-            cdf_err,
-        ])
-        for row in np.nonzero(flat.sum(axis=1) >= 2)[0]:
+        cdf_err = 1.5 * self.mass_err / self.mass + n_panels * _EPS
+        # |F - 1/2| <= cdf_err, through one temporary the size of the table
+        flat = cdf - 0.5
+        flat = np.abs(flat, out=flat) <= cdf_err[:, None]
+        medians = np.full(self.ts.size, np.nan)
+        errors = np.full(self.ts.size, np.inf)
+        plateau = flat.sum(axis=1) >= 2
+        for row in np.nonzero(plateau)[0]:
             first, last = np.nonzero(flat[row])[0][[0, -1]]
+            medians[row] = 0.5 * (self.edges[first] + self.edges[last])
             # the plateau's true ends lie within one panel of the flagged edges
-            outer = edges[max(first - 1, 0)], edges[min(last + 1, n_panels)]
-            bracket[:2, row] = 0.5 * (edges[first] + edges[last]), 0.5 * (outer[1] - outer[0])
-        return bracket
-
-    @np.errstate(divide="ignore", invalid="ignore")
-    def _medians(self, log_pdf, bracket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Median of each tilted law and its error estimate, from its ``_bracket``.
-
-        Off a plateau, Newton runs in the panel where the table crosses 1/2,
-        and the median error is the solve's last move plus
-        ``cdf_err / pdf(median)``, at least the rounding of the median,
-        ``4 eps max(1, |x|)``.
-        """
-        medians, errors, left, right, cdf_lo, cdf_hi, cdf_err = bracket
-        rows = np.nonzero(np.isnan(medians) & (self.mass > 0))[0]
+            outer = self.edges[max(first - 1, 0)], self.edges[min(last + 1, n_panels)]
+            errors[row] = 0.5 * (outer[1] - outer[0])
+        rows = np.nonzero(~plateau & (self.mass > 0))[0]
         if rows.size:
+            panel = np.minimum(np.sum(cdf < 0.5, axis=1)[rows] - 1, n_panels - 1)
             x, density, move = self._newton(
-                log_pdf, rows, left[rows], right[rows], cdf_lo[rows], cdf_hi[rows]
+                log_pdf, rows, panel, cdf[rows, panel], cdf[rows, panel + 1]
             )
             medians[rows] = x
             rounding = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
@@ -331,19 +310,20 @@ class _TiltPass:
         return medians, errors
 
     def _newton(
-        self, log_pdf, rows: np.ndarray, left, right, cdf_lo: np.ndarray, cdf_hi: np.ndarray
+        self, log_pdf, rows: np.ndarray, panel: np.ndarray, cdf_lo: np.ndarray, cdf_hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Safeguarded Newton for cdf(x) = 1/2 inside one panel per row.
 
-        Each row's panel runs from ``left`` to ``right``, where the table
-        reads ``cdf_lo`` and ``cdf_hi``.  A step leaving the current bracket
-        becomes a bisection.  A row stops when cdf(x) is exactly 1/2, when its
-        step is within the rounding of x, ``4 eps max(1, |x|)``, or when its
-        bracket is no wider than twice that.  Returns the roots, the tilted
-        density there and each row's last move: the length of the last step,
-        or the bracket width if the bracket ended the solve.
+        ``cdf_lo`` and ``cdf_hi`` are the table values at the panel's edges.
+        A step leaving the current bracket becomes a bisection.  A row stops
+        when cdf(x) is exactly 1/2, when its step is within the rounding of x,
+        ``4 eps max(1, |x|)``, or when its bracket is no wider than twice that.
+        Returns the roots, the tilted density there and each row's last move:
+        the length of the last step, or the bracket width if the bracket ended
+        the solve.
         """
-        lo, hi = left.copy(), right.copy()
+        lo = self.edges[panel].copy()
+        hi = self.edges[panel + 1].copy()
         # secant start; the root may sit on a panel edge, so the bracket is closed
         x = np.clip(lo + (0.5 - cdf_lo) / (cdf_hi - cdf_lo) * (hi - lo), lo, hi)
         mass = self.mass[rows]
@@ -353,7 +333,7 @@ class _TiltPass:
             if active.size == 0:
                 break
             partial, _, _, _, weight = self._partial(
-                log_pdf, rows[active], left[active], x[active]
+                log_pdf, rows[active], panel[active], x[active]
             )
             cdf = cdf_lo[active] + partial / mass[active]
             xa = x[active]
@@ -403,8 +383,7 @@ class _TiltState:
         row, filled = self.row, {}
         sums, log_pdf = self.sums, measure.log_pdf
         if median and row.median is None:
-            bracket = sums._bracket(sums.below[0], slice(None))
-            filled["median"], filled["median_error"] = sums._medians(log_pdf, bracket)
+            filled["median"], filled["median_error"] = sums._medians(log_pdf)
         if at_t and row.cdf_at_t is None:
             filled.update(zip(_AT_T_FIELDS, sums.half_line(log_pdf, np.zeros(1, dtype=int), sums.ts)))
         # the row is replaced, never written: a caller racing another one at
