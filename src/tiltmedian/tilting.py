@@ -13,15 +13,15 @@ measure, together with its node table: the Kronrod nodes of every lattice
 panel and the checked base log-density there, evaluated once per measure
 (see ``lattice``).  A pass over a tilt grid slices the panels that cover its
 window out of that table, and each tilt is one shift, one exponential and a
-few panel sums on those values.  The panel sums give
-log L(t), the tilted mean and running tables at the panel edges; one partial
-panel on top of them gives the half-line sums F_t(x) and E_t[X; X <= x] at
-x = t or any x, and the median is a safeguarded Newton solve on partial
-panels where the table crosses 1/2, run until its step reaches the rounding
-of x and reported with the error it reached.  A grid's medians and its sums
-at x = t are solved once over all its tilts: ``_CHUNK_ELEMENTS`` bounds only
-the work array of the panel sums, not the partial-panel calls.  Every error
-estimate is a sum of panel |Kronrod - Gauss| differences.
+few panel sums on those values.  The panel sums give log L(t), the tilted
+mean and running tables at the panel edges; one partial panel on top of them
+gives the half-line sums F_t(x) and E_t[X; X <= x] at x = t or any x, and
+the median is a safeguarded Newton solve on partial panels where the table
+crosses 1/2, run until its step reaches the rounding of x and reported with
+the error it reached.  A grid's medians and its sums at x = t are solved
+once over all its tilts: ``_CHUNK_ELEMENTS`` bounds only the work array of
+the panel sums, not the partial-panel calls.  Every error estimate is a sum
+of panel |Kronrod - Gauss| differences.
 
 Windows and tolerances are the fixed constants of ``numerics``.  A single-tilt
 request keeps its pass on the base measure, keyed on t alone, so every
@@ -380,12 +380,12 @@ class _TiltState:
 
     def read(self, measure: BaseMeasure, *, median: bool, at_t: bool) -> TiltGrid:
         """The kept row, with the median and the sums at x = t if asked for."""
-        row, filled = self.row, {}
-        sums, log_pdf = self.sums, measure.log_pdf
+        row, filled, log_pdf = self.row, {}, measure.log_pdf
         if median and row.median is None:
-            filled["median"], filled["median_error"] = sums._medians(log_pdf)
+            filled["median"], filled["median_error"] = self.sums._medians(log_pdf)
         if at_t and row.cdf_at_t is None:
-            filled.update(zip(_AT_T_FIELDS, sums.half_line(log_pdf, np.zeros(1, dtype=int), sums.ts)))
+            values = self.sums.half_line(log_pdf, np.zeros(1, dtype=int), self.sums.ts)
+            filled.update(zip(_AT_T_FIELDS, values))
         # the row is replaced, never written: a caller racing another one at
         # worst forms the same values twice, and no reader sees an unfilled one
         if filled:
