@@ -111,7 +111,12 @@ def panel_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def kronrod_sums(values: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod and embedded Gauss panel integrals from values on ``panel_nodes``."""
+    """Kronrod and embedded Gauss panel integrals from values on ``panel_nodes``.
+
+    The last axis of ``values`` holds a panel's 15 node values; leading axes
+    may stack several integrands over the same panels, as the engine stacks
+    each tilt's mass and moment for one call over both.
+    """
     return half * (values @ _KRONROD_W), half * (values @ _GAUSS_W)
 
 

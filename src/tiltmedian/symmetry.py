@@ -60,7 +60,12 @@ def asymmetry_score(
     m: BaseMeasure, t: float, offsets: Sequence[float] | None = None
 ) -> SymmetryReport:
     """Max over offsets u of |pdf(center+u) - pdf(center-u)| for the tilt-t law."""
-    offs = _default_offsets() if offsets is None else np.asarray(offsets, dtype=float)
+    if offsets is None:
+        offs = _default_offsets()
+    else:
+        offs = np.asarray(offsets, dtype=float)
+        if offs.size == 0 or not np.all(np.isfinite(offs) & (offs > 0)):
+            raise ValueError("offsets must be finite and positive")
     row = _tilt_row(m, t)
     return SymmetryReport(
         t=float(t),
@@ -73,11 +78,11 @@ def asymmetry_score(
 def _asymmetry_scores(m: BaseMeasure, grid: TiltGrid, offs: np.ndarray) -> np.ndarray:
     """Asymmetry score of every tilt of an engine pass, about its tilted mean.
 
-    The score reads the tilted density at the offsets, which is defined past
-    the truncation window too, so offsets may reach beyond it.
+    ``offs`` are finite and positive: the default offsets, or offsets that
+    ``asymmetry_score`` checked.  The score reads the tilted density at the
+    offsets, which is defined past the truncation window too, so offsets may
+    reach beyond it.
     """
-    if offs.size == 0 or not np.all(np.isfinite(offs) & (offs > 0)):
-        raise ValueError("offsets must be finite and positive")
     if not np.all(np.isfinite(grid.log_partition)):
         raise ValueError("log_partition must be finite")
     t, log_l, centers = grid.t_grid[:, None], grid.log_partition[:, None], grid.mean[:, None]

@@ -12,30 +12,37 @@ lattice per measure, built once from the base log-density and kept on the
 measure, together with its node table: the Kronrod nodes of every lattice
 panel and the checked base log-density there, evaluated once per measure
 (see ``lattice``).  A pass over a tilt grid slices the panels that cover its
-window out of that table, and each tilt is one shift, one exponential and a
-few panel sums on those values.  The panel sums give log L(t), the tilted
-mean and running tables at the panel edges; one partial panel on top of them
-gives the half-line sums F_t(x) and E_t[X; X <= x] at x = t or any x, and
-the median is a safeguarded Newton solve on partial panels where the table
-crosses 1/2, run until its step reaches the rounding of x and reported with
-the error it reached.  A grid's medians and its sums at x = t are solved
-once over all its tilts: ``_CHUNK_ELEMENTS`` bounds only the work array of
-the panel sums, not the partial-panel calls.  Every error estimate is a sum
+window out of that table, and each tilt is one shift, one exponential and
+one Kronrod call over its mass and moment node values, stacked in one work
+array.  The panel sums give log L(t) and the tilted mean; running tables at
+the panel edges plus one partial panel give the half-line sums F_t(x) and
+E_t[X; X <= x] at x = t or any x, and the median is a safeguarded Newton
+solve on partial panels where the mass table crosses 1/2, run until its step
+reaches the rounding of x and reported with the error it reached.  A grid's
+medians and its sums at x = t are solved once over all its tilts:
+``_CHUNK_ELEMENTS`` bounds only the work array of the panel sums, not the
+partial-panel calls.  Running tables are formed only where they are read: a
+grid pass forms them with its medians or its sums at x = t, so the passes
+that read log L and the mean alone (the quadratic fit, the midpoint
+residual, the ``symmetry`` scan) form none.  Every error estimate is a sum
 of panel |Kronrod - Gauss| differences.
 
 Windows and tolerances are the fixed constants of ``numerics``.  A single-tilt
 request keeps its pass on the base measure, keyed on t alone, so every
 quantity of that tilt, the distribution function at any x included, comes
 from one set of panel tables whatever the order of requests.  That pass forms
-log L(t) and the mean; the median and the half-line sums at x = t are formed
-when first read.  The kept pass holds no reference to its measure, which its
-methods take as an argument, so a measure is freed as soon as its last
-reference goes.
+log L(t) and the mean and keeps its panel sums; it forms its running tables
+when the median or a half-line sum first reads them, and the median and the
+sums at x = t when first read, so ``tilt``, ``log_partition``, the mean and
+``asymmetry_score`` form no table.  The kept pass holds no reference to its
+measure, which its methods take as an argument, so a measure is freed as
+soon as its last reference goes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -139,18 +146,20 @@ def _tilt_grid(
 def _panel_sums(ts, xs, half, log_pdf) -> tuple[np.ndarray, np.ndarray]:
     """Each tilt's shift, and the Kronrod panel sums of its mass and moment
     and their errors, shape (4, tilts, panels), in shifted units."""
-    # one work array, updated in place, keeps the chunk's memory flat
-    work = ts[:, None, None] * xs
-    work += log_pdf
-    shift = work.max(axis=(1, 2))
+    # one work array, written in place, keeps the chunk's memory flat: the
+    # mass node values stacked on the moment's, for one Kronrod call over both
+    work = np.empty((2, ts.size) + xs.shape)
+    mass, moment = work
+    np.multiply(ts[:, None, None], xs, out=mass)
+    mass += log_pdf
+    shift = mass.max(axis=(1, 2))
     # a tilt whose integrand vanishes on every node has log L = -inf
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    work -= shift[:, None, None]
-    np.exp(work, out=work)
-    mass_k, mass_g = kronrod_sums(work, half)
-    work *= xs
-    moment_k, moment_g = kronrod_sums(work, half)
-    return shift, np.array((mass_k, moment_k, _error(mass_k, mass_g), _error(moment_k, moment_g)))
+    mass -= shift[:, None, None]
+    np.exp(mass, out=mass)
+    np.multiply(mass, xs, out=moment)
+    kronrod, gauss = kronrod_sums(work, half)
+    return shift, np.concatenate((kronrod, _error(kronrod, gauss)))
 
 
 class _TiltPass:
@@ -160,12 +169,15 @@ class _TiltPass:
     panels are the lattice panels that cover every tilt's window.  Only the
     (tilts, panels, 15) work array is formed in chunks, of at most
     ``_CHUNK_ELEMENTS`` node values; each chunk writes its tilts' shift,
-    mass, moment and their errors into arrays over the whole grid, and of
-    its running sums at the panel edges keeps what the pass was made for:
-    the mass table with ``median``, all four tables with ``tables`` (the
-    kept one-tilt pass, which reads half-line sums at any x), and each
-    tilt's four sums below x = t with ``at_t``.  The median solve and the
-    sums at x = t then take one partial-panel call per step over every
+    mass, moment and their errors into arrays over the whole grid.  Running
+    tables, the sums over the panels below every edge, are formed only for
+    what reads them: per chunk, the mass table with ``median`` and, with
+    ``at_t``, the four tables, of which each tilt's four sums below x = t
+    are kept; a pass made for log L and the mean alone forms none.  The kept
+    one-tilt pass (``tables``), which reads half-line sums at any x, keeps
+    its (4, 1, panels) panel sums and forms its four tables when
+    ``_medians`` or ``half_line`` first reads them.  The median solve and
+    the sums at x = t then take one partial-panel call per step over every
     tilt.  The pass keeps no reference to its measure: the methods that
     evaluate the base log-density off the node table take it as ``log_pdf``.
     """
@@ -181,16 +193,16 @@ class _TiltPass:
     ) -> None:
         reach = max(measure.window_halfwidth(t) for t in ts)
         lattice, xs, half, log_pdf = _node_table(measure)
-        first = np.searchsorted(lattice, -reach, side="right") - 1
-        last = np.searchsorted(lattice, reach, side="left")
+        first = lattice.searchsorted(-reach, side="right") - 1
+        last = lattice.searchsorted(reach, side="left")
         self.edges, panels = lattice[first : last + 1], slice(first, last)
         xs, half, log_pdf = xs[panels], half[panels], log_pdf[panels]
         self.ts = ts
         self.shift = np.empty(ts.size)
         self.mass, self.moment, self.mass_err, self.moment_err = sums = np.empty((4, ts.size))
-        if tables or median:
-            # the mass table, which the median reads, or with ``tables`` all four
-            self.below = np.empty((4 if tables else 1, ts.size, self.edges.size))
+        if median:
+            # the mass table, which the median solve reads
+            self.below = np.empty((1, ts.size, self.edges.size))
         if at_t:
             # each tilt's x = t clipped to the panels, and its panel
             self.t_x, self.t_panel = self._locate(ts)
@@ -200,14 +212,31 @@ class _TiltPass:
             where = slice(start, start + step)
             self.shift[where], chunk = _panel_sums(ts[where], xs, half, log_pdf)
             sums[:, where] = chunk.sum(axis=2)
-            # the four sums over the panels below every edge
-            below = np.zeros((4, chunk.shape[1], self.edges.size))
-            chunk.cumsum(axis=2, out=below[:, :, 1:])
-            if tables or median:
-                self.below[:, where] = below[: len(self.below)]
-            if at_t:
-                rows = np.arange(chunk.shape[1])
-                self.t_below[:, where] = below[:, rows, self.t_panel[where]]
+            if median or at_t:
+                below = self._running(chunk if at_t else chunk[:1])
+                if median:
+                    self.below[:, where] = below[:1]
+                if at_t:
+                    rows = np.arange(chunk.shape[1])
+                    self.t_below[:, where] = below[:, rows, self.t_panel[where]]
+        if tables:
+            # a one-tilt pass has one chunk: its (4, 1, panels) panel sums
+            self._panels = chunk
+
+    @functools.cached_property
+    def below(self) -> np.ndarray:
+        """The four running tables of a pass made with ``tables``, formed when
+        ``_medians`` or ``half_line`` first reads them (callers racing on that
+        read at worst form the same tables twice).  A pass made with
+        ``median`` holds its mass table here from the start."""
+        return self._running(self._panels)
+
+    def _running(self, sums: np.ndarray) -> np.ndarray:
+        """Running tables of panel ``sums`` (..., tilts, panels): their sums over
+        the panels below every edge."""
+        below = np.zeros(sums.shape[:-1] + (self.edges.size,))
+        sums.cumsum(axis=-1, out=below[..., 1:])
+        return below
 
     def _locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x clipped to the panels, which hold all but the truncated tails, and
@@ -223,9 +252,10 @@ class _TiltPass:
         log_values = self.ts[rows, None] * nodes + log_pdf(nodes)
         _check_log_values(nodes, log_values)
         values = np.exp(log_values - self.shift[rows, None])
-        mass_k, mass_g = kronrod_sums(values[:, :15], half)
-        moment_k, moment_g = kronrod_sums(values[:, :15] * nodes[:, :15], half)
-        return mass_k, moment_k, _error(mass_k, mass_g), _error(moment_k, moment_g), values[:, 15]
+        # the mass node values stacked on the moment's, for one Kronrod call
+        kronrod, gauss = kronrod_sums(np.array((values, values * nodes))[:, :, :15], half)
+        (mass_k, moment_k), (mass_err, moment_err) = kronrod, _error(kronrod, gauss)
+        return mass_k, moment_k, mass_err, moment_err, values[:, 15]
 
     def moments(self) -> dict[str, np.ndarray]:
         """The ``TiltGrid`` fields of log L, the mean and its error."""
@@ -366,11 +396,12 @@ class _TiltPass:
 class _TiltState:
     """The engine pass of one tilt, kept so later requests at the same tilt reuse it.
 
-    It holds the pass's ``_TiltPass`` (panel tables, shift and mass) and the
-    row it filled with log L, the mean and its error; the median and the
-    half-line sums at x = t are formed on those tables when first asked for,
-    and a new row carries them.  Each result equals the matching entry of a
-    fresh ``tilt_grid(measure, [t])``.
+    It holds the pass's ``_TiltPass`` (panel sums, shift and mass) and the
+    row it filled with log L, the mean and its error.  The pass forms its
+    running tables when first read; the median and the half-line sums at
+    x = t are formed on them when first asked for, and a new row carries
+    them.  Each result equals the matching entry of a fresh
+    ``tilt_grid(measure, [t])``.
     """
 
     def __init__(self, measure: BaseMeasure, t: float) -> None:

@@ -42,7 +42,10 @@ def engine_calls(monkeypatch) -> collections.Counter:
     partial-panel evaluations (``"partials"``: ``_TiltPass._partial`` calls,
     each one partial panel per row, for a half-line sum or a Newton step),
     half-line sums that include x = t (``"at_t"``: ``_TiltPass._half_line_sums``
-    calls where some x is its row's t) and node-table builds (``"node_tables"``)."""
+    calls where some x is its row's t), running-table formations (``"tables"``:
+    ``_TiltPass._running`` calls, one per chunk of a grid pass that reads
+    tables, one per kept one-tilt pass that is read at a median or a half-line
+    sum) and node-table builds (``"node_tables"``)."""
     calls: collections.Counter = collections.Counter()
     tilt_pass = tm.tilting._TiltPass
     engine = tm.tilting._tilt_grid
@@ -56,6 +59,10 @@ def engine_calls(monkeypatch) -> collections.Counter:
         def _partial(self, *args):
             calls["partials"] += 1
             return super()._partial(*args)
+
+        def _running(self, *args):
+            calls["tables"] += 1
+            return super()._running(*args)
 
         def _half_line_sums(self, log_pdf, rows, x, *args):
             if np.any(np.asarray(x) == self.ts[rows]):

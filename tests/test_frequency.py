@@ -72,6 +72,26 @@ def test_high_frequency_error_estimates_are_honest(eps, omega):
     assert_residuals_match_closed_forms(eps, omega)
 
 
+# The lattice bisects a panel only where |Kronrod - Gauss| misses tolerance at
+# the tilts -8, 0 and 8, which a panel holding many periods of cos(w x) can pass
+# by accident; ROADMAP item 2 (a Legendre-tail test per panel) is the fix.
+ALIASED = "ROADMAP item 2: the lattice aliases cos(w x); sign_kernel misses its estimate"
+
+
+@pytest.mark.parametrize(
+    "eps,omega",
+    [
+        pytest.param(1e-8, 115.0, marks=pytest.mark.xfail(strict=True, reason=ALIASED)),
+        pytest.param(1e-8, 111.01, marks=pytest.mark.xfail(strict=True, reason=ALIASED)),
+        (1e-8, 105.01),
+    ],
+)
+def test_residuals_at_aliasing_frequencies(eps, omega):
+    # fixed points of the property above, which Hypothesis hits or misses
+    # depending on the float literals it draws from the package's source
+    assert_residuals_match_closed_forms(eps, omega)
+
+
 def test_lattice_grows_slowly_with_frequency():
     panels = {omega: _lattice(cosine_ratio(0.5, omega)).size - 1 for omega in (1.0, 10.0)}
     assert panels[10.0] <= 3 * panels[1.0], panels

@@ -161,12 +161,13 @@ def test_sums_at_t_are_one_partial_panel_on_the_kept_pass(catalog, engine_calls)
             tm.tilt(measure, t)
             engine_calls.clear()
             first = tm.sign_kernel_residual(measure, t)
-            assert engine_calls == {"partials": 1, "at_t": 1}
+            # the first read of the sums forms the kept pass's tables
+            assert engine_calls == {"partials": 1, "at_t": 1, "tables": 1}
             # the convolution residual and half_line_mgf read the same sums
             tm.convolution_residual(measure, t)
             tm.half_line_mgf(measure, t)
             assert tm.sign_kernel_residual(measure, t) == first
-            assert engine_calls == {"partials": 1, "at_t": 1}
+            assert engine_calls == {"partials": 1, "at_t": 1, "tables": 1}
 
 
 def test_node_table_is_built_once_per_measure(engine_calls):
@@ -312,6 +313,55 @@ def test_tilt_median_and_cdf_share_one_engine_pass(catalog, engine_calls):
         values = [view.cdf(x) for x in sorted((-2.0, 0.0, 1.0, 3.0, median))]
         assert (engine_calls["passes"], engine_calls["tilt_grid"]) == (1, 0)
         assert values == sorted(values)
+
+
+def test_running_tables_are_formed_only_where_read(catalog, engine_calls):
+    ts = np.linspace(-6.0, 6.0, 97)
+    for measure in catalog:
+        engine_calls.clear()
+        tm.asymmetry_score(measure, 0.3)
+        tm.log_partition(measure, -1.1)
+        view = tm.tilt(measure, 2.2)
+        view.mean()
+        tm.fit_quadratic_log_partition(measure, np.linspace(-4.0, 4.0, 21))
+        tm.midpoint_residual(measure, 0.5, 0.25)
+        tm.scan(measure, "symmetry", ts)
+        assert engine_calls["passes"] == 6
+        assert engine_calls["tables"] == 0
+        # the kept pass forms its four tables once, when first read
+        view.median()
+        view.cdf(1.0)
+        view.median()
+        assert (engine_calls["passes"], engine_calls["tables"]) == (6, 1)
+
+
+@pytest.mark.parametrize("t", [-6.0, -0.75, 0.0, 2.5])
+def test_kept_tables_give_the_same_bits_in_either_read_order(catalog, t):
+    x = t + 0.4
+    reads = {
+        "asymmetry": lambda m: tm.asymmetry_score(m, t),
+        "median": lambda m: tm.tilt(m, t).median(),
+        "cdf": lambda m: tm.tilt(m, t).cdf(x),
+        "half_line_mgf": lambda m: tm.half_line_mgf(m, t),
+    }
+    for measure in catalog:
+        fresh = tm.tilt_grid(measure, [t])
+        # a request at another tilt replaces the kept state
+        tm.log_partition(measure, tm.T_MAX)
+        half_line = tm.tilting._half_line(measure, t, [x])
+        got = []
+        for order in (list(reads), list(reversed(reads))):
+            tm.log_partition(measure, tm.T_MAX)
+            got.append({name: reads[name](measure) for name in order})
+            row = tm.tilting._tilt_row(measure, t, median=True, at_t=True)
+            for field in dataclasses.fields(row):
+                assert np.array_equal(getattr(row, field.name), getattr(fresh, field.name))
+            for kept, first in zip(tm.tilting._half_line(measure, t, [x]), half_line):
+                assert np.array_equal(kept, first)
+        assert got[0] == got[1]
+        assert got[0]["median"] == fresh.median[0]
+        assert got[0]["asymmetry"].center == fresh.mean[0]
+        assert got[0]["cdf"] == min(1.0, max(0.0, float(half_line[0][0])))
 
 
 def test_pdf_normalization_across_tilts(catalog):
