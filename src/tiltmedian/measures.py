@@ -95,11 +95,11 @@ class BaseMeasure:
     The measure keeps its panel lattice and the lattice's node table (the
     Kronrod nodes of every panel and ``log_pdf`` there), both built on first
     use, so the engine evaluates the base log-density on those nodes once per
-    measure, not once per pass.  It also keeps the engine state of its most
+    measure, not once per pass.  It also keeps the engine pass of its most
     recent one-tilt request (``tilting.tilt``, ``log_partition``, the single-t
     diagnostics), so further requests at the same tilt share that one panel
     pass; the median and the half-line sums at x = t are formed there on
-    first read.  Only one state is kept; none of the three takes part in
+    first read.  Only one pass is kept; none of the three takes part in
     ``==``, ``hash`` or ``repr``.
     """
 

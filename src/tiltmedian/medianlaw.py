@@ -9,7 +9,7 @@ ordinary grid resolution.  Each is an evaluator of one pass of
 residuals through its half-line sums F_t(t) and E_t[X; X <= t] at x = t;
 several diagnostics over one grid share that pass, which forms the medians
 and those sums only when one of them reads them, and the single-t
-functions read the measure's kept one-tilt state.
+functions read the measure's kept one-tilt pass.
 
 - ``median_gap``: tilted median minus the tilt parameter.
 - ``sign_kernel_residual``: signed Gaussian-kernel integral against the
@@ -134,7 +134,7 @@ _NEEDS_AT_T = frozenset({"sign_kernel", "deriva"})
 
 
 def _at_tilt(which: str, m: BaseMeasure, t: float) -> float:
-    """One diagnostic at a single tilt, from the measure's kept one-tilt state,
+    """One diagnostic at a single tilt, from the measure's kept one-tilt pass,
     which forms the median and the sums at x = t only for the evaluators that
     read them."""
     row = _tilt_row(m, t, median=which in _NEEDS_MEDIAN, at_t=which in _NEEDS_AT_T)

@@ -7,34 +7,32 @@ range of tilt parameters; the tilted mean is computed by direct quadrature
 rather than by differentiating the log-partition, which keeps the identity
 between the two a testable property instead of a definition.
 
-Every tilted quantity comes from one engine, :func:`tilt_grid`, on one panel
-lattice per measure, built once from the base log-density and kept on the
-measure, together with its node table: the Kronrod nodes of every lattice
-panel and the checked base log-density there, evaluated once per measure
-(see ``lattice``).  A pass over a tilt grid slices the panels that cover its
-window out of that table, and each tilt is one shift, one exponential and
-one Kronrod call over its mass and moment node values, stacked in one work
-array.  The panel sums give log L(t) and the tilted mean; running tables at
-the panel edges plus one partial panel give the half-line sums F_t(x) and
-E_t[X; X <= x] at x = t or any x, and the median is a safeguarded Newton
-solve on partial panels where the mass table crosses 1/2, run until its step
-reaches the rounding of x and reported with the error it reached.  A grid's
-medians and its sums at x = t are solved once over all its tilts:
-``_CHUNK_ELEMENTS`` bounds only the work array of the panel sums, not the
-partial-panel calls.  Running tables are formed only where they are read: a
-grid pass forms them with its medians or its sums at x = t, so the passes
-that read log L and the mean alone (the quadratic fit, the midpoint
-residual, the ``symmetry`` scan) form none.  Every error estimate is a sum
-of panel |Kronrod - Gauss| differences.
+Every tilted quantity comes from one engine pass, ``_TiltPass``, on one
+panel lattice per measure, built once from the base log-density and kept on
+the measure, together with its node table: the Kronrod nodes of every
+lattice panel and the checked base log-density there, evaluated once per
+measure (see ``lattice``).  A pass over a tilt grid slices the panels that
+cover its widest window out of that table, and each tilt is one shift, one
+exponential and one Kronrod call over its mass and moment node values,
+stacked in one work array.  The panel sums go into one table over the grid,
+which gives log L(t) and the tilted mean.  Turned in place into running
+tables at the panel edges when first read, it gives with one partial panel
+the half-line sums F_t(x) and E_t[X; X <= x] at any x, x = t included, and
+the median: a safeguarded Newton solve on partial panels where the mass
+table crosses 1/2, run until its step reaches the rounding of x and
+reported with the error it reached.  A grid's medians and its sums at
+x = t are solved once over all its tilts: ``_CHUNK_ELEMENTS`` bounds only
+the work array of the panel sums.  The passes that read log L and the mean
+alone (the quadratic fit, the midpoint residual, the ``symmetry`` scan,
+``tilt``, ``log_partition``, ``asymmetry_score``) form no running table.
+Every error estimate is a sum of panel |Kronrod - Gauss| differences.
 
-Windows and tolerances are the fixed constants of ``numerics``.  A single-tilt
-request keeps its pass on the base measure, keyed on t alone, so every
-quantity of that tilt, the distribution function at any x included, comes
-from one set of panel tables whatever the order of requests.  That pass forms
-log L(t) and the mean and keeps its panel sums; it forms its running tables
-when the median or a half-line sum first reads them, and the median and the
-sums at x = t when first read, so ``tilt``, ``log_partition``, the mean and
-``asymmetry_score`` form no table.  The kept pass holds no reference to its
+Windows and tolerances are the fixed constants of ``numerics``.  A
+single-tilt request keeps its one-tilt pass on the base measure, keyed on t
+alone, so every quantity of that tilt, the distribution function at any x
+included, comes from one set of panel tables whatever the order of
+requests; the median and the sums at x = t are formed when first asked for
+and kept in the pass's row.  The kept pass holds no reference to its
 measure, which its methods take as an argument, so a measure is freed as
 soon as its last reference goes.
 """
@@ -42,8 +40,8 @@ soon as its last reference goes.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -129,23 +127,17 @@ def _tilt_grid(
 ) -> TiltGrid:
     """``tilt_grid``, whose fields of the half-line sums at x = t hold None
     unless ``at_t``: the scans and fits that never read them skip them."""
-    ts = np.array([_check_tilt(t) for t in t_grid], dtype=float)
-    if ts.size == 0:
-        names = [field.name for field in dataclasses.fields(TiltGrid)[1:]]
-        wanted = [name for name in names if median or not name.startswith("median")]
-        return TiltGrid(ts, **{n: np.empty(0) for n in wanted if at_t or n not in _AT_T_FIELDS})
-    sums = _TiltPass(measure, ts, median=median, at_t=at_t)
-    columns = sums.moments()
-    if at_t:
-        columns |= sums.at_t(measure.log_pdf)
-    if median:
-        columns["median"], columns["median_error"] = sums._medians(measure.log_pdf)
-    return TiltGrid(ts, **columns)
+    ts = np.array(t_grid, dtype=float)
+    outside = ~(np.abs(ts) <= T_MAX)
+    if outside.any():
+        # the first tilt out of range (or nan), in grid order
+        _check_tilt(ts[outside.argmax()])
+    return _TiltPass(measure, ts).row(measure.log_pdf, median=median, at_t=at_t)
 
 
-def _panel_sums(ts, xs, half, log_pdf) -> tuple[np.ndarray, np.ndarray]:
-    """Each tilt's shift, and the Kronrod panel sums of its mass and moment
-    and their errors, shape (4, tilts, panels), in shifted units."""
+def _panel_sums(ts, xs, half, log_pdf, out: np.ndarray) -> np.ndarray:
+    """Each tilt's shift; the Kronrod panel sums of its mass and moment and
+    their errors, in shifted units, go to ``out``, shape (4, tilts, panels)."""
     # one work array, written in place, keeps the chunk's memory flat: the
     # mass node values stacked on the moment's, for one Kronrod call over both
     work = np.empty((2, ts.size) + xs.shape)
@@ -159,39 +151,35 @@ def _panel_sums(ts, xs, half, log_pdf) -> tuple[np.ndarray, np.ndarray]:
     np.exp(mass, out=mass)
     np.multiply(mass, xs, out=moment)
     kronrod, gauss = kronrod_sums(work, half)
-    return shift, np.concatenate((kronrod, _error(kronrod, gauss)))
+    out[:2] = kronrod
+    out[2:] = _error(kronrod, gauss)
+    return shift
 
 
 class _TiltPass:
     """Panel sums of exp(t*x + log_pdf(x) - shift(t)) over a grid of tilts.
 
     Values are in shifted units: each tilt's largest node value is 1.  The
-    panels are the lattice panels that cover every tilt's window.  Only the
-    (tilts, panels, 15) work array is formed in chunks, of at most
-    ``_CHUNK_ELEMENTS`` node values; each chunk writes its tilts' shift,
-    mass, moment and their errors into arrays over the whole grid.  Running
-    tables, the sums over the panels below every edge, are formed only for
-    what reads them: per chunk, the mass table with ``median`` and, with
-    ``at_t``, the four tables, of which each tilt's four sums below x = t
-    are kept; a pass made for log L and the mean alone forms none.  The kept
-    one-tilt pass (``tables``), which reads half-line sums at any x, keeps
-    its (4, 1, panels) panel sums and forms its four tables when
-    ``_medians`` or ``half_line`` first reads them.  The median solve and
-    the sums at x = t then take one partial-panel call per step over every
-    tilt.  The pass keeps no reference to its measure: the methods that
-    evaluate the base log-density off the node table take it as ``log_pdf``.
+    panels are the lattice panels that cover every tilt's window, the widest
+    of which is the window of the largest |t|.  Only the (tilts, panels, 15)
+    work array is formed in chunks, of at most ``_CHUNK_ELEMENTS`` node
+    values; each chunk writes its tilts' shift into an array over the grid,
+    and the panel sums of its mass, moment and their errors into one
+    (4, tilts, panels + 1) table over the grid, whose first column is 0.
+    The totals, log L and the mean are taken from that table at
+    construction.  The first read of ``below``, by the median solve or a
+    half-line sum, turns the table in place into running tables, the sums
+    over the panels below every edge, so a pass that reads log L and the
+    mean alone forms none.  ``row`` gives the pass's ``TiltGrid`` and adds
+    the median and the sums at x = t when first asked for; the median solve
+    and the sums at x = t each take their partial panels in one call per
+    step over every tilt.  The pass keeps no reference to its measure: the
+    methods that evaluate the base log-density off the node table take it
+    as ``log_pdf``.
     """
 
-    def __init__(
-        self,
-        measure: BaseMeasure,
-        ts: np.ndarray,
-        *,
-        tables: bool = False,
-        median: bool = False,
-        at_t: bool = False,
-    ) -> None:
-        reach = max(measure.window_halfwidth(t) for t in ts)
+    def __init__(self, measure: BaseMeasure, ts: np.ndarray) -> None:
+        reach = measure.window_halfwidth(np.abs(ts).max(initial=0.0))
         lattice, xs, half, log_pdf = _node_table(measure)
         first = lattice.searchsorted(-reach, side="right") - 1
         last = lattice.searchsorted(reach, side="left")
@@ -199,44 +187,56 @@ class _TiltPass:
         xs, half, log_pdf = xs[panels], half[panels], log_pdf[panels]
         self.ts = ts
         self.shift = np.empty(ts.size)
-        self.mass, self.moment, self.mass_err, self.moment_err = sums = np.empty((4, ts.size))
-        if median:
-            # the mass table, which the median solve reads
-            self.below = np.empty((1, ts.size, self.edges.size))
-        if at_t:
-            # each tilt's x = t clipped to the panels, and its panel
-            self.t_x, self.t_panel = self._locate(ts)
-            self.t_below = np.empty((4, ts.size))
+        self._table = np.zeros((4, ts.size, self.edges.size))
         step = max(1, _CHUNK_ELEMENTS // xs.size)
         for start in range(0, ts.size, step):
             where = slice(start, start + step)
-            self.shift[where], chunk = _panel_sums(ts[where], xs, half, log_pdf)
-            sums[:, where] = chunk.sum(axis=2)
-            if median or at_t:
-                below = self._running(chunk if at_t else chunk[:1])
-                if median:
-                    self.below[:, where] = below[:1]
-                if at_t:
-                    rows = np.arange(chunk.shape[1])
-                    self.t_below[:, where] = below[:, rows, self.t_panel[where]]
-        if tables:
-            # a one-tilt pass has one chunk: its (4, 1, panels) panel sums
-            self._panels = chunk
+            self.shift[where] = _panel_sums(ts[where], xs, half, log_pdf, self._table[:, where, 1:])
+        self.mass, self.moment, self.mass_err, self.moment_err = self._table[..., 1:].sum(axis=2)
+        self._formed = False
+        self._lock = threading.Lock()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = self.moment / self.mass
+            self._row = TiltGrid(
+                ts,
+                log_partition=self.shift + np.log(self.mass),
+                mean=mean,
+                mean_error=(self.moment_err + np.abs(mean) * self.mass_err) / self.mass,
+            )
 
-    @functools.cached_property
+    @property
     def below(self) -> np.ndarray:
-        """The four running tables of a pass made with ``tables``, formed when
-        ``_medians`` or ``half_line`` first reads them (callers racing on that
-        read at worst form the same tables twice).  A pass made with
-        ``median`` holds its mass table here from the start."""
-        return self._running(self._panels)
+        """The running tables of the mass, the moment and their errors, shape
+        (4, tilts, edges), formed in place on first read.  Forming them twice
+        would sum them twice, so racing first reads take a lock."""
+        with self._lock:
+            if not self._formed:
+                self._running()
+                self._formed = True
+        return self._table
 
-    def _running(self, sums: np.ndarray) -> np.ndarray:
-        """Running tables of panel ``sums`` (..., tilts, panels): their sums over
-        the panels below every edge."""
-        below = np.zeros(sums.shape[:-1] + (self.edges.size,))
-        sums.cumsum(axis=-1, out=below[..., 1:])
-        return below
+    def _running(self) -> None:
+        """Turn the table of panel sums into running tables, in place."""
+        sums = self._table[..., 1:]
+        sums.cumsum(axis=-1, out=sums)
+
+    def row(self, log_pdf, *, median: bool, at_t: bool) -> TiltGrid:
+        """The pass's ``TiltGrid``: log L, the mean and its error, with the
+        median fields if ``median`` and the fields of the sums at x = t if
+        ``at_t`` (or if an earlier call formed them); the fields left out hold
+        None.  Callers only read the row: its arrays are shared with the pass.
+        """
+        row, filled = self._row, {}
+        if median and row.median is None:
+            filled["median"], filled["median_error"] = self._medians(log_pdf)
+        if at_t and row.cdf_at_t is None:
+            rows = np.arange(self.ts.size)
+            filled.update(zip(_AT_T_FIELDS, self.half_line(log_pdf, rows, self.ts)))
+        # the row is replaced, never written: a caller racing another one at
+        # worst forms the same values twice, and no reader sees an unfilled one
+        if filled:
+            row = self._row = dataclasses.replace(row, **filled)
+        return row
 
     def _locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x clipped to the panels, which hold all but the truncated tails, and
@@ -257,38 +257,15 @@ class _TiltPass:
         (mass_k, moment_k), (mass_err, moment_err) = kronrod, _error(kronrod, gauss)
         return mass_k, moment_k, mass_err, moment_err, values[:, 15]
 
-    def moments(self) -> dict[str, np.ndarray]:
-        """The ``TiltGrid`` fields of log L, the mean and its error."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = self.moment / self.mass
-            return {
-                "log_partition": self.shift + np.log(self.mass),
-                "mean": mean,
-                "mean_error": (self.moment_err + np.abs(mean) * self.mass_err) / self.mass,
-            }
-
-    def at_t(self, log_pdf) -> dict[str, np.ndarray]:
-        """The ``TiltGrid`` fields of the half-line sums at x = t, for a pass made
-        with ``at_t``."""
-        rows = np.arange(self.ts.size)
-        values = self._half_line_sums(log_pdf, rows, self.t_x, self.t_panel, self.t_below)
-        return dict(zip(_AT_T_FIELDS, values))
-
-    def half_line(self, log_pdf, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """F_t(x), its error, E_t[X; X <= x] and its error for the tilt of each row,
-        for a pass made with ``tables``."""
-        x, panel = self._locate(x)
-        return self._half_line_sums(log_pdf, rows, x, panel, self.below[:, rows, panel])
-
     @np.errstate(divide="ignore", invalid="ignore")
-    def _half_line_sums(self, log_pdf, rows, x, panel, below) -> tuple[np.ndarray, ...]:
-        """The half-line sums at x in ``panel``: the four sums ``below`` it plus one
-        partial panel.  F's error counts the whole mass error (it bounds the
-        error F and log L share) and the rounding of a running sum, as the
-        median's table does."""
-        mass, moment, mass_err, moment_err = (
-            table + part for table, part in zip(below, self._partial(log_pdf, rows, panel, x))
-        )
+    def half_line(self, log_pdf, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """F_t(x), its error, E_t[X; X <= x] and its error for the tilt of each row:
+        the four running sums below x plus one partial panel.  F's error counts
+        the whole mass error (it bounds the error F and log L share) and the
+        rounding of a running sum, as the median's table does."""
+        x, panel = self._locate(x)
+        sums = zip(self.below[:, rows, panel], self._partial(log_pdf, rows, panel, x))
+        mass, moment, mass_err, moment_err = (table + part for table, part in sums)
         total, total_err = self.mass[rows], self.mass_err[rows]
         lower_moment = moment / total
         return (
@@ -300,8 +277,7 @@ class _TiltPass:
 
     @np.errstate(divide="ignore", invalid="ignore")
     def _medians(self, log_pdf) -> tuple[np.ndarray, np.ndarray]:
-        """Median of each tilted law and its error estimate, for a pass made
-        with ``median`` or ``tables``.
+        """Median of each tilted law and its error estimate.
 
         The error of the CDF table is its quadrature error plus the rounding
         of a running sum over the panels.  Table edges within that error of
@@ -393,47 +369,16 @@ class _TiltPass:
         return x, density, move
 
 
-class _TiltState:
-    """The engine pass of one tilt, kept so later requests at the same tilt reuse it.
+def _tilt_state(measure: BaseMeasure, t: float) -> _TiltPass:
+    """The measure's kept one-tilt pass at t; a new pass replaces one at another t.
 
-    It holds the pass's ``_TiltPass`` (panel sums, shift and mass) and the
-    row it filled with log L, the mean and its error.  The pass forms its
-    running tables when first read; the median and the half-line sums at
-    x = t are formed on them when first asked for, and a new row carries
-    them.  Each result equals the matching entry of a fresh
-    ``tilt_grid(measure, [t])``.
-    """
-
-    def __init__(self, measure: BaseMeasure, t: float) -> None:
-        self.t = t
-        self.sums = _TiltPass(measure, np.array([t]), tables=True)
-        self.row = TiltGrid(self.sums.ts, **self.sums.moments())
-
-    def read(self, measure: BaseMeasure, *, median: bool, at_t: bool) -> TiltGrid:
-        """The kept row, with the median and the sums at x = t if asked for."""
-        row, filled, log_pdf = self.row, {}, measure.log_pdf
-        if median and row.median is None:
-            filled["median"], filled["median_error"] = self.sums._medians(log_pdf)
-        if at_t and row.cdf_at_t is None:
-            values = self.sums.half_line(log_pdf, np.zeros(1, dtype=int), self.sums.ts)
-            filled.update(zip(_AT_T_FIELDS, values))
-        # the row is replaced, never written: a caller racing another one at
-        # worst forms the same values twice, and no reader sees an unfilled one
-        if filled:
-            row = self.row = dataclasses.replace(row, **filled)
-        return row
-
-
-def _tilt_state(measure: BaseMeasure, t: float) -> _TiltState:
-    """The measure's kept state at t; a new pass replaces a state at another t.
-
-    The state is read once: a caller racing another one at worst runs the pass again.
+    The pass is read once: a caller racing another one at worst runs the pass again.
     """
     t = _check_tilt(t)
     state = measure._tilt_state
-    # 0.0 and -0.0 share a state: no result depends on the sign of a zero tilt
-    if state is None or state.t != t:
-        state = _TiltState(measure, t)
+    # 0.0 and -0.0 share a pass: no result depends on the sign of a zero tilt
+    if state is None or state.ts[0] != t:
+        state = _TiltPass(measure, np.array([t]))
         object.__setattr__(measure, "_tilt_state", state)
     return state
 
@@ -441,21 +386,21 @@ def _tilt_state(measure: BaseMeasure, t: float) -> _TiltState:
 def _tilt_row(
     measure: BaseMeasure, t: float, *, median: bool = False, at_t: bool = False
 ) -> TiltGrid:
-    """``tilt_grid(measure, [t], median=median)`` from the measure's kept state.
+    """``tilt_grid(measure, [t], median=median)`` from the measure's kept pass.
 
     The median fields hold None unless ``median`` and the fields of the
     half-line sums at x = t hold None unless ``at_t`` (or an earlier request
     formed them).  Callers only read the row: its arrays are shared with the
-    state.
+    pass.
     """
-    return _tilt_state(measure, t).read(measure, median=median, at_t=at_t)
+    return _tilt_state(measure, t).row(measure.log_pdf, median=median, at_t=at_t)
 
 
 def _half_line(measure: BaseMeasure, t: float, xs) -> tuple:
-    """F_t(x), its error, E_t[X; X <= x] and its error at each x, from the kept state."""
+    """F_t(x), its error, E_t[X; X <= x] and its error at each x, from the kept pass."""
     xs = np.asarray(xs, dtype=float)
     rows = np.zeros(xs.size, dtype=int)
-    return _tilt_state(measure, t).sums.half_line(measure.log_pdf, rows, xs)
+    return _tilt_state(measure, t).half_line(measure.log_pdf, rows, xs)
 
 
 def log_partition(measure: BaseMeasure, t: float) -> float:
@@ -475,7 +420,7 @@ class TiltedView:
     """One member of the tilted family, with its normalizer cached.
 
     ``mean()``, ``median()`` and ``cdf()`` read the base measure's kept
-    one-tilt state (see ``BaseMeasure``): after :func:`tilt`, or any other
+    one-tilt pass (see ``BaseMeasure``): after :func:`tilt`, or any other
     one-tilt request at the same t, they run no second engine pass;
     the median is solved on the kept panel tables once, to the rounding of
     x (``tilt_grid`` gives its error estimate).
@@ -500,7 +445,7 @@ class TiltedView:
         return np.exp(self.log_pdf(x))
 
     def cdf(self, x: float) -> float:
-        """Distribution function F_t(x) from the kept one-tilt state, clamped to [0, 1]."""
+        """Distribution function F_t(x) from the kept one-tilt pass, clamped to [0, 1]."""
         x = float(x)
         if math.isnan(x):
             raise ValueError("cdf is undefined at nan")

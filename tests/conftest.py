@@ -41,11 +41,11 @@ def engine_calls(monkeypatch) -> collections.Counter:
     ``tilt_grid`` and the scans' and fits' private ``_tilt_grid``),
     partial-panel evaluations (``"partials"``: ``_TiltPass._partial`` calls,
     each one partial panel per row, for a half-line sum or a Newton step),
-    half-line sums that include x = t (``"at_t"``: ``_TiltPass._half_line_sums``
+    half-line sums that include x = t (``"at_t"``: ``_TiltPass.half_line``
     calls where some x is its row's t), running-table formations (``"tables"``:
-    ``_TiltPass._running`` calls, one per chunk of a grid pass that reads
-    tables, one per kept one-tilt pass that is read at a median or a half-line
-    sum) and node-table builds (``"node_tables"``)."""
+    ``_TiltPass._running`` calls, one per pass, grid or kept one-tilt pass,
+    whose tables a median solve or a half-line sum reads) and node-table
+    builds (``"node_tables"``)."""
     calls: collections.Counter = collections.Counter()
     tilt_pass = tm.tilting._TiltPass
     engine = tm.tilting._tilt_grid
@@ -64,10 +64,10 @@ def engine_calls(monkeypatch) -> collections.Counter:
             calls["tables"] += 1
             return super()._running(*args)
 
-        def _half_line_sums(self, log_pdf, rows, x, *args):
+        def half_line(self, log_pdf, rows, x):
             if np.any(np.asarray(x) == self.ts[rows]):
                 calls["at_t"] += 1
-            return super()._half_line_sums(log_pdf, rows, x, *args)
+            return super().half_line(log_pdf, rows, x)
 
     def counting_engine(*args, **kwargs):
         calls["tilt_grid"] += 1

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 import tiltmedian as tm
+import tiltmedian.cli
 
 # dense-grid (10^6-point trapezoid) oracle references
 COSINE_HALF_MEDIAN_GAP_T1 = -0.2337504930621329
@@ -269,12 +270,13 @@ def test_scan_gaussian_median_gap(std_gaussian):
     assert len(report.residuals) == 25
 
 
-def test_scan_empty_grid(std_gaussian):
-    report = tm.scan(std_gaussian, "median_gap", [])
-    assert report.t_grid == ()
-    assert report.residuals == ()
-    assert report.max_abs_residual == 0.0
-    assert report.argmax_t == 0.0
+def test_scan_empty_grid(catalog):
+    for measure in catalog:
+        reports = [tm.scan(measure, which, []) for which in tm.DIAGNOSTIC_NAMES]
+        reports += tm.medianlaw._scan_reports(measure, tm.cli.FULL_REPORT_DIAGNOSTICS, [])
+        for report in reports:
+            assert report.t_grid == report.residuals == report.error_estimates == ()
+            assert (report.max_abs_residual, report.argmax_t) == (0.0, 0.0)
 
 
 def test_scan_cosine_sign_kernel_separates(cosine_half):

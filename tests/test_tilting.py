@@ -102,23 +102,39 @@ def test_one_tilt_requests_share_one_engine_pass(catalog, engine_calls):
 
 
 def test_kept_state_under_concurrent_callers(cosine_half):
-    # threads racing on one measure's kept state may recompute it, never mix rows
+    # threads racing on one measure's kept pass may run it again, never mix
+    # rows; past each barrier every thread reads the same new pass, so their
+    # first reads of its running tables, which are formed in place, race
+    def cdf_off_t(measure, t):
+        return tm.tilt(measure, t).cdf(t + 0.4)
+
     measure = tm.build_measure(tm.PerturbedCosine(0.5))
-    calls = [(f, t) for t in (-1.0, 0.5, 2.0) for f in (tm.median_gap, tm.convolution_residual)]
-    expected = [f(cosine_half, t) for f, t in calls]
+    readers = (tm.median_gap, tm.convolution_residual, cdf_off_t, tm.half_line_mgf)
+    tilts = (-1.0, 0.5, 2.0)
+    expected = {(f, t): f(cosine_half, t) for f in readers for t in tilts}
+    n_threads = 6
+    barrier = threading.Barrier(n_threads, timeout=60)
     mismatches = []
 
     def worker(offset: int) -> None:
-        for k in range(300):
-            index = (offset + k) % len(calls)
-            f, t = calls[index]
-            if f(measure, t) != expected[index]:
-                mismatches.append((f.__name__, t))
+        try:
+            for k in range(120):
+                t = tilts[k % len(tilts)]
+                # a kept pass at t that has formed no running tables yet
+                tm.log_partition(measure, t)
+                barrier.wait()
+                for j in range(len(readers)):
+                    f = readers[(offset + j) % len(readers)]
+                    if f(measure, t) != expected[f, t]:
+                        mismatches.append((f.__name__, t))
+        except Exception as exc:  # a worker that dies must fail the test, not hang the rest
+            mismatches.append(repr(exc))
+            barrier.abort()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -515,11 +531,13 @@ def test_a_grid_solves_its_medians_and_sums_at_t_once(engine_calls):
     measure = tm.build_measure(tm.GaussianMixture(0.5, -1.0, 0.5, 1.0, 1.5))
     engine_calls.clear()
     tm.scan(measure, "median_gap", SCAN_GRID)
-    assert engine_calls["passes"] == 1
+    assert (engine_calls["passes"], engine_calls["tables"]) == (1, 1)
     assert engine_calls["partials"] <= 8 and engine_calls["at_t"] == 0
     engine_calls.clear()
     tm.scan(measure, "sign_kernel", SCAN_GRID)
     assert (engine_calls["passes"], engine_calls["partials"], engine_calls["at_t"]) == (1, 1, 1)
+    # the running tables are formed once over the grid, not once per chunk
+    assert engine_calls["tables"] == 1
     # scans and fits that read neither medians nor the sums at x = t form
     # no partial panel
     engine_calls.clear()
@@ -535,8 +553,20 @@ def test_tilt_grid_empty_and_without_medians(std_gaussian):
     grid = tm.tilt_grid(std_gaussian, [1.0, 2.0], median=False)
     assert grid.median is None and grid.median_error is None
     assert np.all(np.abs(grid.mean - [1.0, 2.0]) <= 1e-12)
-    with pytest.raises(ValueError):
-        tm.tilt_grid(std_gaussian, [0.0, 9.0])
+    # a grid names its first tilt out of range, or nan, as a one-tilt call does
+    for t_grid, first in (
+        ([0.0, 9.0], 9.0),
+        ([0.0, 9.0, -9.5], 9.0),
+        ([-9.5, 9.0], -9.5),
+        ([1.0, math.nan, 9.0], math.nan),
+        ([math.inf], math.inf),
+    ):
+        with pytest.raises(ValueError) as single:
+            tm.log_partition(std_gaussian, first)
+        with pytest.raises(ValueError) as grid:
+            tm.tilt_grid(std_gaussian, t_grid)
+        assert str(grid.value) == str(single.value), t_grid
+        assert str(grid.value).startswith(f"tilt parameter {first!r} outside"), t_grid
 
 
 def test_tilt_grid_narrow_measure_uses_adaptive_panels():
