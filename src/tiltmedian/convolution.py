@@ -24,10 +24,19 @@ Where that could exceed 1e-12 of the value, the point is recomputed as the
 direct stencil sum, so every entry keeps the relative accuracy of the direct
 sum even when g spans many decades across the window.  When the window's own
 values say that most points would be recomputed, the transform is skipped.
+
+The direct sums are blocked matrix products (Goto & van de Geijn 2008): each
+stretch of recomputed points is cut into rows of 16 outputs, and the window
+values under each row, taps + 15 of them and a strided view of the window,
+are multiplied by a banded (taps + 15) x 16 kernel matrix, 16 rows per
+product.  The kernel weights and that matrix are formed once per step size
+and kept read-only; at the default 0.01 step (1395 taps) the matrix takes
+0.18 MB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,13 +120,38 @@ class ConvolutionSetup:
         return math.ceil(_KERNEL_RADIUS / self.step - 1e-9)
 
     def weights(self) -> np.ndarray:
-        """Trapezoid-rule kernel weights renormalized to exact unit mass."""
-        steps = self.kernel_steps()
-        offsets = self.step * np.arange(-steps, steps + 1)
-        w = kernel(offsets) * self.step
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w / w.sum()
+        """Trapezoid-rule kernel weights renormalized to exact unit mass (a fresh copy)."""
+        return _kernel_tables(self)[0].copy()
+
+
+# Direct stencil sums come _BLOCK outputs at a time, as rows of _BLOCK + taps - 1
+# window values times the banded kernel matrix, _BLOCK_ROWS rows per product.
+# At the default step one product is 16 x 1410 by 1410 x 16 (361k multiply-adds),
+# which OpenBLAS 0.3.31 runs on one thread; it split products of 1.4M across two.
+_BLOCK = 16
+_BLOCK_ROWS = 16
+
+
+@functools.lru_cache(maxsize=4)
+def _kernel_tables(setup: ConvolutionSetup) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only kernel weights and banded kernel matrix of one step size.
+
+    Column r of the band holds the reversed weights from row r down, so a row
+    of window values times the band gives the stencil sums at _BLOCK
+    consecutive points, as ``np.convolve(..., mode="valid")`` defines them.
+    """
+    steps = setup.kernel_steps()
+    offsets = setup.step * np.arange(-steps, steps + 1)
+    w = kernel(offsets) * setup.step
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    weights = w / w.sum()
+    band = np.zeros((_BLOCK + weights.size - 1, _BLOCK))
+    for r in range(_BLOCK):
+        band[r : r + weights.size, r] = weights[::-1]
+    weights.flags.writeable = False
+    band.flags.writeable = False
+    return weights, band
 
 
 def _fft_length(n: int) -> int:
@@ -133,13 +167,46 @@ def _fft_length(n: int) -> int:
     return best
 
 
+def _stencil_sums(
+    window: np.ndarray, direct: np.ndarray, out: np.ndarray, band: np.ndarray
+) -> None:
+    """Write the direct stencil sums of ``window`` into ``out`` where ``direct`` is set.
+
+    Each stretch of set points is cut into rows of ``_BLOCK`` outputs.  The
+    overlapping input rows are a strided view of the window; ``_BLOCK_ROWS`` of
+    them at a time are copied into one buffer, which BLAS needs contiguous, and
+    multiplied by the band.  The window is zero-padded so the last row of a
+    stretch may run past it: those zeros feed only outputs beyond the stretch,
+    which are dropped.
+    """
+    edges = np.flatnonzero(np.diff(direct, prepend=False, append=False))
+    if not edges.size:
+        return
+    width = band.shape[0]
+    padded = np.zeros(window.size + _BLOCK - 1)
+    padded[: window.size] = window
+    # row i is padded[i : i + width], a view that copies nothing
+    rows = np.ndarray((padded.size - width + 1, width), buffer=padded, strides=padded.strides * 2)
+    chunk = np.empty((_BLOCK_ROWS, width))
+    products = np.empty((_BLOCK_ROWS, _BLOCK))
+    span = _BLOCK_ROWS * _BLOCK
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        for start in range(lo, hi, span):
+            stop = min(start + span, hi)
+            count = -(-(stop - start) // _BLOCK)
+            np.copyto(chunk[:count], rows[start:stop:_BLOCK])
+            np.matmul(chunk[:count], band, out=products[:count])
+            out[start:stop] = products.ravel()[: stop - start]
+
+
 def convolve(grid: GridFunction, setup: ConvolutionSetup) -> GridFunction:
     """Convolve the grid samples with the truncated kernel.
 
     The output lives on the same grid; its valid window loses one kernel
     halfwidth on each side.  Entries outside the new window are nan.  Each
     entry is within 1e-12 of the direct stencil sum relative to its own
-    size, or is that sum (see the module docstring).
+    size, or is that sum, formed as a blocked matrix product against the
+    banded kernel matrix of ``setup``'s step (see the module docstring).
     """
     if abs(grid.step - setup.step) > 1e-12 * max(1.0, setup.step):
         raise ValueError(
@@ -157,14 +224,15 @@ def convolve(grid: GridFunction, setup: ConvolutionSetup) -> GridFunction:
     from numpy import fft
 
     window = grid.window_values()
-    weights = setup.weights()
+    weights, band = _kernel_tables(setup)
     top, bottom = window.max(), window.min()
     # halves first: the sum of two values near the float64 limit would overflow
     centre = 0.5 * top + 0.5 * bottom
     size = _fft_length(window.size + weights.size - 1)
     rounding = _FFT_ROUNDING * math.log2(size) * (0.5 * top - 0.5 * bottom)
-    # the transform costs about half a direct pass: skip it when the window's
-    # own values say that most points would be recomputed anyway
+    # the transform costs 0.4-0.6 of a blocked direct pass over the window:
+    # skip it when the window's own values say that most points would be
+    # recomputed anyway
     if 2 * np.count_nonzero(_FFT_RTOL * np.abs(window) >= rounding) > window.size:
         # sums of values near the float64 limit may overflow; a non-finite
         # transform value fails the comparison below and is recomputed
@@ -175,10 +243,7 @@ def convolve(grid: GridFunction, setup: ConvolutionSetup) -> GridFunction:
     else:
         smoothed = np.empty(new_hi - new_lo + 1)
         direct = np.ones(smoothed.size, dtype=bool)
-    edges = np.flatnonzero(np.diff(direct, prepend=False, append=False))
-    for lo, hi in zip(edges[::2], edges[1::2]):
-        stencil = window[lo : hi + weights.size - 1]
-        smoothed[lo:hi] = np.convolve(stencil, weights, mode="valid")
+    _stencil_sums(window, direct, smoothed, band)
     values = np.full(grid.values.size, np.nan)
     values[new_lo : new_hi + 1] = smoothed
     return GridFunction(

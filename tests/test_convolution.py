@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 import tiltmedian as tm
-from tiltmedian.convolution import _fft_length
+from tiltmedian.convolution import _BLOCK, _BLOCK_ROWS, _fft_length, _kernel_tables, _stencil_sums
 
 # dense-grid oracle: cosine-frequency damping factor of the kernel,
 # i.e. the integral of kernel(y) * cos(y)
@@ -356,13 +356,13 @@ def test_transform_runs_where_it_is_accurate(monkeypatch):
     # a ratio within one decade never takes the direct stencil; the quadratic
     # ratio takes it only around its minimum, the steep Gaussian everywhere
     direct_points = []
-    stencil = np.convolve
+    stencil_sums = tm.convolution._stencil_sums
 
-    def counting(window, weights, mode):
-        direct_points.append(window.size - weights.size + 1)
-        return stencil(window, weights, mode=mode)
+    def counting(window, direct, out, band):
+        direct_points.append(np.count_nonzero(direct))
+        stencil_sums(window, direct, out, band)
 
-    monkeypatch.setattr(tm.convolution.np, "convolve", counting)
+    monkeypatch.setattr(tm.convolution, "_stencil_sums", counting)
     setup = tm.ConvolutionSetup(step=0.01)
     shares = {}
     for spec in (tm.PerturbedCosine(0.5), tm.PerturbedQuadratic(1.0), tm.Gaussian(0.3, 0.6)):
@@ -372,3 +372,77 @@ def test_transform_runs_where_it_is_accurate(monkeypatch):
     assert shares[tm.PerturbedCosine(0.5)] == 0.0
     assert 0.0 < shares[tm.PerturbedQuadratic(1.0)] < 0.2
     assert shares[tm.Gaussian(0.3, 0.6)] == 1.0
+
+
+# a bench-family mixture (drawn by measure-sweep at seed 1501)
+_BENCH_MIXTURE = tm.GaussianMixture(
+    0.3000709042534615, -1.4948927560871261, 0.985480843828775, 1.6510112068576015,
+    0.7560963676955708,
+)
+
+
+@pytest.mark.parametrize(
+    "length",
+    [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK_ROWS * _BLOCK - 1, _BLOCK_ROWS * _BLOCK + 1, None],
+    ids=lambda length: "full" if length is None else str(length),
+)
+@pytest.mark.parametrize("source", ["gaussian(0.3,0.6)", "mixture", "noise"])
+def test_blocked_stencil_sums_match_np_convolve(source, length):
+    # stretches shorter than a row, one row, one chunk and a whole 12001-point
+    # window, at both ends of the window, in its middle and, for the Gaussian,
+    # where its tail underflows through the subnormal floats
+    setup = tm.ConvolutionSetup(step=0.01)
+    weights, band = _kernel_tables(setup)
+    if source == "noise":
+        values = np.random.default_rng(19).uniform(-1.0, 1.0, 12001)
+        tol = np.full(values.size - weights.size + 1, 1e-14 * np.max(np.abs(values)))
+    else:
+        spec = tm.Gaussian(0.3, 0.6) if source == "gaussian(0.3,0.6)" else _BENCH_MIXTURE
+        values = _ratio_grid(spec).window_values()
+        tol = None
+    direct = np.convolve(values, weights, mode="valid")
+    if tol is None:
+        tol = 1e-13 * np.abs(direct) + 1e-300
+    length = direct.size if length is None else length
+    underflow = int(np.argmax(direct > 0))
+    for lo in sorted({0, underflow, (direct.size - length) // 2, direct.size - length}):
+        lo = min(lo, direct.size - length)
+        stretch = np.zeros(direct.size, dtype=bool)
+        stretch[lo : lo + length] = True
+        out = np.full(direct.size, np.nan)
+        _stencil_sums(values, stretch, out, band)
+        assert np.all(np.isnan(out[~stretch])), lo
+        gap = np.abs(out[stretch] - direct[stretch])
+        assert np.all(gap <= tol[stretch]), (lo, np.max(gap))
+        # the same stretch as a window of its own, which the last row overruns
+        window = values[lo : lo + length + weights.size - 1]
+        own = np.full(length, np.nan)
+        _stencil_sums(window, np.ones(length, dtype=bool), own, band)
+        assert np.array_equal(own, out[stretch]), lo
+
+
+def test_kernel_tables_are_shared_read_only(tmp_path):
+    setup = tm.ConvolutionSetup(step=0.01)
+    grid = _ratio_grid(tm.PerturbedQuadratic(1.0))  # takes the transform and the direct sums
+    before = tm.convolve(grid, setup)
+    returned = setup.weights()
+    returned *= 2.0
+    assert np.array_equal(tm.convolve(grid, setup).values, before.values, equal_nan=True)
+    assert np.array_equal(setup.weights(), returned / 2.0)
+    for table in _kernel_tables(tm.ConvolutionSetup(step=0.01)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    # a fresh process forms the tables anew and must give the same bits
+    src = str(pathlib.Path(tm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    path = tmp_path / "fresh.npy"
+    code = (
+        "import sys, numpy as np, tiltmedian as tm\n"
+        "m = tm.build_measure(tm.PerturbedQuadratic(1.0))\n"
+        "grid = tm.sample_to_grid(m, -60.0, 60.0, 12001)\n"
+        "np.save(sys.argv[1], tm.convolve(grid, tm.ConvolutionSetup(step=0.01)).values)\n"
+    )
+    subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+    assert np.load(path).tobytes() == before.values.tobytes()
