@@ -102,14 +102,21 @@ class ConvolutionSetup:
     """Grid step of the discrete convolution, which fixes the kernel truncation.
 
     ``kernel_halfwidth`` is the smallest whole number of grid steps at which
-    the kernel drops below 1e-10.
+    the kernel drops below 1e-10.  A step must leave a tap inside that
+    radius: the taps of a longer one sit at the center, where the kernel is 0,
+    or where it is below 1e-10, so their renormalized weights mean nothing or
+    are nan.
     """
 
     step: float = 0.01
 
     def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
+        if self.kernel_steps() < 2:
+            raise ValueError(
+                f"step {self.step!r} leaves no kernel tap inside the radius {_KERNEL_RADIUS!r}"
+            )
 
     @property
     def kernel_halfwidth(self) -> float:

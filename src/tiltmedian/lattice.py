@@ -3,9 +3,10 @@
 Every integral of the package is a sum of Gauss-Kronrod 15(7) panels of one
 lattice per measure, which ``tilting``'s engine slices for each pass.  The
 lattice is built once, on first use, from the base log-density alone, and
-covers the truncation window of every tilt up to ``T_MAX``; the node table
-holds the Kronrod nodes and half-widths of every lattice panel and the
-checked base log-density at those nodes.  Both are kept on the measure.
+covers the truncation window of every tilt up to ``T_MAX``; the node table,
+the one lattice cache kept on the measure, holds the lattice edges, the
+Kronrod nodes and half-widths of every lattice panel and the checked base
+log-density at those nodes.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _build_node_table(measure: BaseMeasure, edges: np.ndarray) -> tuple[np.ndarr
 
 
 def _lattice(measure: BaseMeasure) -> np.ndarray:
-    """The measure's panel edges, built on first use and kept on the measure.
+    """The measure's panel edges, which its node table keeps.
 
     They cover the window of every tilt up to ``T_MAX``: the anchored grid
     over the window at ``T_MAX``, with the measure's breakpoints inserted.
@@ -72,9 +73,6 @@ def _lattice(measure: BaseMeasure) -> np.ndarray:
     holds 0.5 x^2 only to eps, and no bisection would gain.)  No round takes
     the bisections past ``_MAX_BISECTIONS``; error estimates carry the rest.
     """
-    edges = measure._lattice
-    if edges is not None:
-        return edges
     reach = FIXED_PANEL_WIDTH * math.ceil(measure.window_halfwidth(T_MAX) / FIXED_PANEL_WIDTH)
     inside = [x for x in measure.breakpoints if -reach < x < reach]
     # np.sort rather than np.unique, which loads more code on first use
@@ -109,6 +107,4 @@ def _lattice(measure: BaseMeasure) -> np.ndarray:
         mid = 0.5 * (lo[missed] + hi[missed])
         added.append(mid)
         lo, hi = np.concatenate([lo[missed], mid]), np.concatenate([mid, hi[missed]])
-    edges = np.sort(np.concatenate([edges] + added))
-    object.__setattr__(measure, "_lattice", edges)
-    return edges
+    return np.sort(np.concatenate([edges] + added))

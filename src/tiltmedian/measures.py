@@ -92,15 +92,15 @@ class BaseMeasure:
     kinks of the density, or a grid over a peak too narrow for the anchored
     panels.
 
-    The measure keeps its panel lattice and the lattice's node table (the
-    Kronrod nodes of every panel and ``log_pdf`` there), both built on first
-    use, so the engine evaluates the base log-density on those nodes once per
-    measure, not once per pass.  It also keeps the engine pass of its most
-    recent one-tilt request (``tilting.tilt``, ``log_partition``, the single-t
-    diagnostics), so further requests at the same tilt share that one panel
-    pass; the median and the half-line sums at x = t are formed there on
-    first read.  Only one pass is kept; none of the three takes part in
-    ``==``, ``hash`` or ``repr``.
+    The measure has two engine fields, built on first use.  The node table
+    holds the panel lattice's edges, the Kronrod nodes of every panel and
+    ``log_pdf`` there, so the engine evaluates the base log-density on those
+    nodes once per measure, not once per pass.  The kept pass is the engine
+    pass of the most recent one-tilt request (``tilting.tilt``,
+    ``log_partition``, the single-t diagnostics), so further requests at the
+    same tilt share that one panel pass; the median and the half-line sums at
+    x = t are formed there on first read.  Only one pass is kept; neither
+    field takes part in ``==``, ``hash`` or ``repr``.
     """
 
     spec: MeasureSpec
@@ -108,7 +108,6 @@ class BaseMeasure:
     window_offset: float = 0.0
     window_scale: float = 1.0
     breakpoints: tuple[float, ...] = ()
-    _lattice: Any = dataclasses.field(default=None, init=False, compare=False, repr=False)
     _node_table: Any = dataclasses.field(default=None, init=False, compare=False, repr=False)
     _tilt_state: Any = dataclasses.field(default=None, init=False, compare=False, repr=False)
 
@@ -116,8 +115,7 @@ class BaseMeasure:
         return np.exp(self.log_g(np.asarray(x, dtype=float)))
 
     def log_pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.log_g(x) - 0.5 * x**2 - LOG_SQRT_2PI
+        return _log_density(self.log_g, x)
 
     def pdf(self, x) -> np.ndarray:
         return np.exp(self.log_pdf(x))
@@ -126,6 +124,12 @@ class BaseMeasure:
         """Truncation halfwidth for integrals against the tilt-t reweighting."""
         scale = self.window_scale
         return self.window_offset + TRUNCATION_HALFWIDTH * scale + scale**2 * abs(t)
+
+
+def _log_density(log_g: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """The log-density ``log_g(x) - x^2 / 2 - log sqrt(2 pi)`` of the ratio ``log_g``."""
+    x = np.asarray(x, dtype=float)
+    return log_g(x) - 0.5 * x**2 - LOG_SQRT_2PI
 
 
 def _peak_breakpoints(mu: float, sigma: float) -> tuple[float, ...]:
@@ -303,7 +307,9 @@ class Tabulated:
             with np.errstate(divide="ignore"):
                 return np.log(vals)
 
-        from .tilting import log_partition  # tilting imports this module
+        # tilting and lattice import this module
+        from .lattice import _build_node_table, _node_table
+        from .tilting import log_partition
 
         raw = BaseMeasure(
             self, log_g, window_offset=halfwidth, window_scale=0.0,
@@ -313,9 +319,10 @@ class Tabulated:
         if not mass > 1e-300:
             raise NotNormalizableError("tabulated density has zero total mass")
         normalized = dataclasses.replace(raw, log_g=functools.partial(log_g, ratio=gs / mass))
-        # tests in units of the largest node value: the lattice ignores a constant
-        # factor, but the node table holds log_pdf, so only the edges are shared
-        object.__setattr__(normalized, "_lattice", raw._lattice)
+        # the lattice tests in units of the largest node value, so it ignores a
+        # constant factor: the normalized table takes the raw table's edges
+        table = _build_node_table(normalized, _node_table(raw)[0])
+        object.__setattr__(normalized, "_node_table", table)
         return normalized
 
     def closed_form_log_partition(self, t: float) -> None:
@@ -389,10 +396,11 @@ def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise MeasureError(f"{path}: need at least two tabulated points")
     x_arr = np.array(xs)
     g_arr = np.array(gs)
-    if not np.all(np.diff(x_arr) > 0):
-        raise MeasureError(f"{path}: x column must be strictly increasing")
+    # a nan x would fail the ordering test too: finiteness is checked first
     if not np.all(np.isfinite(x_arr)) or not np.all(np.isfinite(g_arr)):
         raise MeasureError(f"{path}: entries must be finite")
+    if not np.all(np.diff(x_arr) > 0):
+        raise MeasureError(f"{path}: x column must be strictly increasing")
     return x_arr, g_arr
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from .measures import BaseMeasure
 from .numerics import scaled_exp
 from .symmetry import _asymmetry_scores, _default_offsets
-from .tilting import T_MAX, TiltGrid, _half_line, _tilt_grid, _tilt_row
+from .tilting import T_MAX, TiltGrid, _tilt_grid, _tilt_state
 
 __all__ = [
     "DIAGNOSTIC_NAMES",
@@ -137,7 +137,7 @@ def _at_tilt(which: str, m: BaseMeasure, t: float) -> float:
     """One diagnostic at a single tilt, from the measure's kept one-tilt pass,
     which forms the median and the sums at x = t only for the evaluators that
     read them."""
-    row = _tilt_row(m, t, median=which in _NEEDS_MEDIAN, at_t=which in _NEEDS_AT_T)
+    row = _tilt_state(m, t).row(median=which in _NEEDS_MEDIAN, at_t=which in _NEEDS_AT_T)
     return float(_EVALUATORS[which](m, row)[0][0])
 
 
@@ -182,9 +182,9 @@ def lipschitz_bound(m: BaseMeasure, halfwidth: float) -> float:
         raise ValueError(f"halfwidth must lie in (0, {T_MAX}]")
     max_slope = weighted_abs = 0.0
     for a, above in ((halfwidth, 1.0), (-halfwidth, 0.0)):
-        row = _tilt_row(m, a)
+        row = _tilt_state(m, a).row()
         scale, mean = float(scaled_exp(row.log_partition[0])), float(row.mean[0])
-        below = float(_half_line(m, a, [0.0])[2][0])
+        below = float(_tilt_state(m, a).half_line([0.0])[2][0])
         max_slope = max(max_slope, abs(scale * mean))
         weighted_abs += scale * (above * mean - below)
     return math.exp(halfwidth**2) * (0.5 * max_slope + weighted_abs)
@@ -209,8 +209,8 @@ def monotonicity_check(m: BaseMeasure, x_grid: Sequence[float]) -> list[tuple[fl
 
 def _interval_masses(m: BaseMeasure, xs: np.ndarray) -> np.ndarray:
     """Base mass of each interval between adjacent points of ``xs``: L(0) dF_0."""
-    cdf = _half_line(m, 0.0, xs)[0]
-    return math.exp(_tilt_row(m, 0.0).log_partition[0]) * np.diff(cdf)
+    cdf = _tilt_state(m, 0.0).half_line(xs)[0]
+    return math.exp(_tilt_state(m, 0.0).row().log_partition[0]) * np.diff(cdf)
 
 
 def scan(m: BaseMeasure, which: str, t_grid: Sequence[float]) -> DiagnosticReport:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import BaseMeasure
-from .tilting import TiltGrid, _tilt_grid, _tilt_row
+from .tilting import TiltGrid, _tilt_grid, _tilt_state
 
 __all__ = [
     "QuadraticFit",
@@ -66,7 +66,7 @@ def asymmetry_score(
         offs = np.asarray(offsets, dtype=float)
         if offs.size == 0 or not np.all(np.isfinite(offs) & (offs > 0)):
             raise ValueError("offsets must be finite and positive")
-    row = _tilt_row(m, t)
+    row = _tilt_state(m, t).row()
     return SymmetryReport(
         t=float(t),
         center=float(row.mean[0]),

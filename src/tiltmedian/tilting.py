@@ -9,10 +9,10 @@ between the two a testable property instead of a definition.
 
 Every tilted quantity comes from one engine pass, ``_TiltPass``, on one
 panel lattice per measure, built once from the base log-density and kept on
-the measure, together with its node table: the Kronrod nodes of every
-lattice panel and the checked base log-density there, evaluated once per
-measure (see ``lattice``).  A pass over a tilt grid slices the panels that
-cover its widest window out of that table, and each tilt is one shift, one
+the measure in its node table, with the Kronrod nodes of every lattice panel
+and the checked base log-density there, evaluated once per measure (see
+``lattice``).  A pass over a tilt grid slices the panels that cover its
+widest window out of that table, and each tilt is one shift, one
 exponential and one Kronrod call over its mass and moment node values,
 stacked in one work array.  The panel sums go into one table over the grid,
 which gives log L(t) and the tilted mean.  Turned in place into running
@@ -32,14 +32,15 @@ single-tilt request keeps its one-tilt pass on the base measure, keyed on t
 alone, so every quantity of that tilt, the distribution function at any x
 included, comes from one set of panel tables whatever the order of
 requests; the median and the sums at x = t are formed when first asked for
-and kept in the pass's row.  The kept pass holds no reference to its
-measure, which its methods take as an argument, so a measure is freed as
-soon as its last reference goes.
+and kept in the pass's row.  The kept pass holds the base log-density as a
+callable on ``log_g``, not the measure, so a measure is freed as soon as its
+last reference goes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import T_MAX, _node_table
-from .measures import BaseMeasure
+from .measures import BaseMeasure, _log_density
 from .numerics import _EPS, _check_log_values, _error, kronrod_sums, panel_nodes, scaled_exp
 
 __all__ = [
@@ -132,7 +133,7 @@ def _tilt_grid(
     if outside.any():
         # the first tilt out of range (or nan), in grid order
         _check_tilt(ts[outside.argmax()])
-    return _TiltPass(measure, ts).row(measure.log_pdf, median=median, at_t=at_t)
+    return _TiltPass(measure, ts).row(median=median, at_t=at_t)
 
 
 def _panel_sums(ts, xs, half, log_pdf, out: np.ndarray) -> np.ndarray:
@@ -173,9 +174,9 @@ class _TiltPass:
     mean alone forms none.  ``row`` gives the pass's ``TiltGrid`` and adds
     the median and the sums at x = t when first asked for; the median solve
     and the sums at x = t each take their partial panels in one call per
-    step over every tilt.  The pass keeps no reference to its measure: the
-    methods that evaluate the base log-density off the node table take it
-    as ``log_pdf``.
+    step over every tilt.  The pass evaluates the base log-density off the
+    node table through ``log_pdf``, a callable on the measure's ``log_g``
+    that holds no reference to the measure.
     """
 
     def __init__(self, measure: BaseMeasure, ts: np.ndarray) -> None:
@@ -186,6 +187,7 @@ class _TiltPass:
         self.edges, panels = lattice[first : last + 1], slice(first, last)
         xs, half, log_pdf = xs[panels], half[panels], log_pdf[panels]
         self.ts = ts
+        self.log_pdf = functools.partial(_log_density, measure.log_g)
         self.shift = np.empty(ts.size)
         self._table = np.zeros((4, ts.size, self.edges.size))
         step = max(1, _CHUNK_ELEMENTS // xs.size)
@@ -220,7 +222,7 @@ class _TiltPass:
         sums = self._table[..., 1:]
         sums.cumsum(axis=-1, out=sums)
 
-    def row(self, log_pdf, *, median: bool, at_t: bool) -> TiltGrid:
+    def row(self, *, median: bool = False, at_t: bool = False) -> TiltGrid:
         """The pass's ``TiltGrid``: log L, the mean and its error, with the
         median fields if ``median`` and the fields of the sums at x = t if
         ``at_t`` (or if an earlier call formed them); the fields left out hold
@@ -228,10 +230,9 @@ class _TiltPass:
         """
         row, filled = self._row, {}
         if median and row.median is None:
-            filled["median"], filled["median_error"] = self._medians(log_pdf)
+            filled["median"], filled["median_error"] = self._medians()
         if at_t and row.cdf_at_t is None:
-            rows = np.arange(self.ts.size)
-            filled.update(zip(_AT_T_FIELDS, self.half_line(log_pdf, rows, self.ts)))
+            filled.update(zip(_AT_T_FIELDS, self.half_line(self.ts, np.arange(self.ts.size))))
         # the row is replaced, never written: a caller racing another one at
         # worst forms the same values twice, and no reader sees an unfilled one
         if filled:
@@ -244,12 +245,12 @@ class _TiltPass:
         x = np.minimum(np.maximum(x, self.edges[0]), self.edges[-1])
         return x, np.minimum(self.edges.searchsorted(x, side="right") - 1, self.edges.size - 2)
 
-    def _partial(self, log_pdf, rows: np.ndarray, panel: np.ndarray, x: np.ndarray):
+    def _partial(self, rows, panel: np.ndarray, x: np.ndarray):
         """Mass and first moment from each panel's left edge to x, their errors and
         the weight at x, in shifted units."""
         nodes, half = panel_nodes(self.edges[panel], x)
         nodes = np.concatenate([nodes, x[:, None]], axis=1)
-        log_values = self.ts[rows, None] * nodes + log_pdf(nodes)
+        log_values = self.ts[rows, None] * nodes + self.log_pdf(nodes)
         _check_log_values(nodes, log_values)
         values = np.exp(log_values - self.shift[rows, None])
         # the mass node values stacked on the moment's, for one Kronrod call
@@ -258,13 +259,14 @@ class _TiltPass:
         return mass_k, moment_k, mass_err, moment_err, values[:, 15]
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def half_line(self, log_pdf, rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """F_t(x), its error, E_t[X; X <= x] and its error for the tilt of each row:
-        the four running sums below x plus one partial panel.  F's error counts
-        the whole mass error (it bounds the error F and log L share) and the
-        rounding of a running sum, as the median's table does."""
+    def half_line(self, x, rows=0) -> tuple[np.ndarray, ...]:
+        """F_t(x), its error, E_t[X; X <= x] and its error at each x, for the tilt
+        of its row in ``rows`` (the first tilt by default): the four running
+        sums below x plus one partial panel.  F's error counts the whole mass
+        error (it bounds the error F and log L share) and the rounding of a
+        running sum, as the median's table does."""
         x, panel = self._locate(x)
-        sums = zip(self.below[:, rows, panel], self._partial(log_pdf, rows, panel, x))
+        sums = zip(self.below[:, rows, panel], self._partial(rows, panel, x))
         mass, moment, mass_err, moment_err = (table + part for table, part in sums)
         total, total_err = self.mass[rows], self.mass_err[rows]
         lower_moment = moment / total
@@ -276,7 +278,7 @@ class _TiltPass:
         )
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def _medians(self, log_pdf) -> tuple[np.ndarray, np.ndarray]:
+    def _medians(self) -> tuple[np.ndarray, np.ndarray]:
         """Median of each tilted law and its error estimate.
 
         The error of the CDF table is its quadrature error plus the rounding
@@ -307,16 +309,14 @@ class _TiltPass:
         rows = np.nonzero(~plateau & (self.mass > 0))[0]
         if rows.size:
             panel = np.minimum(np.sum(cdf < 0.5, axis=1)[rows] - 1, n_panels - 1)
-            x, density, move = self._newton(
-                log_pdf, rows, panel, cdf[rows, panel], cdf[rows, panel + 1]
-            )
+            x, density, move = self._newton(rows, panel, cdf[rows, panel], cdf[rows, panel + 1])
             medians[rows] = x
             rounding = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
             errors[rows] = np.maximum(move + cdf_err[rows] / density, rounding)
         return medians, errors
 
     def _newton(
-        self, log_pdf, rows: np.ndarray, panel: np.ndarray, cdf_lo: np.ndarray, cdf_hi: np.ndarray
+        self, rows: np.ndarray, panel: np.ndarray, cdf_lo: np.ndarray, cdf_hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Safeguarded Newton for cdf(x) = 1/2 inside one panel per row.
 
@@ -338,9 +338,7 @@ class _TiltPass:
         for _ in range(_MAX_NEWTON_STEPS):
             if active.size == 0:
                 break
-            partial, _, _, _, weight = self._partial(
-                log_pdf, rows[active], panel[active], x[active]
-            )
+            partial, _, _, _, weight = self._partial(rows[active], panel[active], x[active])
             cdf = cdf_lo[active] + partial / mass[active]
             xa = x[active]
             below = cdf < 0.5
@@ -365,14 +363,17 @@ class _TiltPass:
             x[active] = np.where(exact, xa, proposal)
             active = active[~(exact | converged | (width <= 2.0 * rounding))]
         # density at the returned root (the last Newton step moved x)
-        density = np.exp(self.ts[rows] * x + log_pdf(x) - self.shift[rows]) / mass
+        density = np.exp(self.ts[rows] * x + self.log_pdf(x) - self.shift[rows]) / mass
         return x, density, move
 
 
 def _tilt_state(measure: BaseMeasure, t: float) -> _TiltPass:
     """The measure's kept one-tilt pass at t; a new pass replaces one at another t.
 
-    The pass is read once: a caller racing another one at worst runs the pass again.
+    Single-t requests read its ``row()`` or its ``half_line(x)``.  The pass
+    holds a log-density callable, not the measure, so keeping it forms no
+    reference cycle.  It is read once: a caller racing another one at worst
+    runs the pass again.
     """
     t = _check_tilt(t)
     state = measure._tilt_state
@@ -383,35 +384,15 @@ def _tilt_state(measure: BaseMeasure, t: float) -> _TiltPass:
     return state
 
 
-def _tilt_row(
-    measure: BaseMeasure, t: float, *, median: bool = False, at_t: bool = False
-) -> TiltGrid:
-    """``tilt_grid(measure, [t], median=median)`` from the measure's kept pass.
-
-    The median fields hold None unless ``median`` and the fields of the
-    half-line sums at x = t hold None unless ``at_t`` (or an earlier request
-    formed them).  Callers only read the row: its arrays are shared with the
-    pass.
-    """
-    return _tilt_state(measure, t).row(measure.log_pdf, median=median, at_t=at_t)
-
-
-def _half_line(measure: BaseMeasure, t: float, xs) -> tuple:
-    """F_t(x), its error, E_t[X; X <= x] and its error at each x, from the kept pass."""
-    xs = np.asarray(xs, dtype=float)
-    rows = np.zeros(xs.size, dtype=int)
-    return _tilt_state(measure, t).half_line(measure.log_pdf, rows, xs)
-
-
 def log_partition(measure: BaseMeasure, t: float) -> float:
     """log of the Laplace transform of the base measure at t."""
-    return float(_tilt_row(measure, t).log_partition[0])
+    return float(_tilt_state(measure, t).row().log_partition[0])
 
 
 def tilt(measure: BaseMeasure, t: float) -> TiltedView:
     """Construct the tilt-t member of the family generated by ``measure``."""
     t = _check_tilt(t)
-    log_l = float(_tilt_row(measure, t).log_partition[0])
+    log_l = float(_tilt_state(measure, t).row().log_partition[0])
     return TiltedView(base=measure, t=t, log_partition=log_l)
 
 
@@ -449,15 +430,15 @@ class TiltedView:
         x = float(x)
         if math.isnan(x):
             raise ValueError("cdf is undefined at nan")
-        value = float(_half_line(self.base, self.t, [x])[0][0])
+        value = float(_tilt_state(self.base, self.t).half_line([x])[0][0])
         return min(1.0, max(0.0, value))
 
     def mean(self) -> float:
-        return float(_tilt_row(self.base, self.t).mean[0])
+        return float(_tilt_state(self.base, self.t).row().mean[0])
 
     def median(self) -> float:
         """Solve cdf(x) = 1/2; a flat stretch at 1/2 resolves to its midpoint."""
-        return float(_tilt_row(self.base, self.t, median=True).median[0])
+        return float(_tilt_state(self.base, self.t).row(median=True).median[0])
 
 
 def half_line_mgf(measure: BaseMeasure, t: float) -> tuple[float, float]:
@@ -472,7 +453,7 @@ def half_line_mgf(measure: BaseMeasure, t: float) -> tuple[float, float]:
     Both are L(t) times a tilted-law quantity, formed by ``scaled_exp``, so
     L(t) may exceed the float64 range; a result that does is inf.
     """
-    row = _tilt_row(measure, t, at_t=True)
+    row = _tilt_state(measure, t).row(at_t=True)
     log_l, boundary = row.log_partition[0], scaled_exp(t * t + measure.log_pdf(t))
     value, lower = scaled_exp(log_l, [row.cdf_at_t[0], row.lower_moment_at_t[0]])
     return float(value), float(boundary + lower)

@@ -64,10 +64,10 @@ def engine_calls(monkeypatch) -> collections.Counter:
             calls["tables"] += 1
             return super()._running(*args)
 
-        def half_line(self, log_pdf, rows, x):
+        def half_line(self, x, rows=0):
             if np.any(np.asarray(x) == self.ts[rows]):
                 calls["at_t"] += 1
-            return super().half_line(log_pdf, rows, x)
+            return super().half_line(x, rows)
 
     def counting_engine(*args, **kwargs):
         calls["tilt_grid"] += 1

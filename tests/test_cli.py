@@ -476,6 +476,41 @@ def test_exit_code_config_integer_beyond_float_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["median-gap", "--t-points", "0"], None, "t_points must be at least 1"),
+        (
+            ["median-gap", "--t-points", "1", "--t-min", "1", "--t-max", "0"],
+            None,
+            "t_min must not exceed t_max",
+        ),
+        (
+            ["median-gap", "--t-min", "1", "--t-max", "1"],
+            None,
+            "t_min must be less than t_max for multi-point grids",
+        ),
+        (["choquet-iterate", "--steps", "0"], None, "steps must be at least 1"),
+        (["lipschitz", "--halfwidth", "0"], None, "halfwidth must be positive"),
+        (["median-gap"], '{"format": "xml"}', "format must be csv or json, got 'xml'"),
+        (["median-gap"], "missing", "cannot read config file"),
+        (["median-gap"], '["gaussian(0,1)"]', "must hold a json object"),
+    ],
+)
+def test_exit_code_invalid_options(tmp_path, capsys, args, config, message):
+    out = tmp_path / "x.csv"
+    argv = args + ["--measure", "gaussian(0,1)", "--out", str(out)]
+    if config is not None:
+        path = tmp_path / "config.json"
+        if config != "missing":
+            path.write_text(config)
+        argv += ["--config", str(path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == EXIT_CONFIG
+    assert message in err
+    assert not out.exists()
+
+
 def test_json_determinism_full_report(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     base = [

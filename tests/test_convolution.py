@@ -106,6 +106,18 @@ def test_setup_weights_normalized():
     assert np.array_equal(weights, weights[::-1])
 
 
+def test_setup_and_grid_reject_inputs_without_taps_or_values():
+    # a step past the kernel radius once gave nan weights with numpy warnings
+    for step in (math.inf, -math.inf, math.nan, 0.0, 7.0, 40.0, 8e9):
+        with pytest.raises(ValueError, match="step"):
+            tm.ConvolutionSetup(step)
+    weights = tm.ConvolutionSetup(6.9).weights()
+    assert weights.size == 5 and abs(weights.sum() - 1.0) <= 1e-15
+    for values in (np.array([]), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            tm.GridFunction(x_min=0.0, step=1.0, values=values, window_lo=0, window_hi=0)
+
+
 def _grid(values: np.ndarray, x_min: float, step: float) -> tm.GridFunction:
     return tm.GridFunction(
         x_min=x_min, step=step, values=values, window_lo=0, window_hi=values.size - 1

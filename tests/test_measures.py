@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracles
 import tiltmedian as tm
+from tiltmedian.cli import EXIT_MEASURE, main
 
 # direct evaluation oracle: (1 + 0.5) / (1 + 0.5 e^{-1/2})
 COSINE_HALF_RATIO_AT_ZERO = 1.1509551935716522
@@ -181,6 +183,30 @@ def test_tabulated_requires_increasing_x(tmp_path):
     path = _write_table(tmp_path, "bad.txt", [0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
     with pytest.raises(tm.MeasureError):
         tm.build_measure(tm.Tabulated(path))
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ("0 1 2\n1 1\n", tm.MeasureError, ":1: expected two columns, got 3"),
+        ("0 1\n1 one\n", tm.MeasureError, ":2: could not convert string to float: 'one'"),
+        ("# one point\n0 1\n", tm.MeasureError, "need at least two tabulated points"),
+        ("0 1\nnan 1\n2 1\n", tm.MeasureError, "entries must be finite"),
+        ("0 1\n1 inf\n2 1\n", tm.MeasureError, "entries must be finite"),
+        ("0 1\n2 1\n1 1\n", tm.MeasureError, "x column must be strictly increasing"),
+        ("0 1\n2 100\n3 10000\n", tm.TailViolationError, "rises toward the right table edge"),
+    ],
+)
+def test_tabulated_file_errors(tmp_path, capsys, rows, error, message):
+    path = tmp_path / "ratio.txt"
+    path.write_text(rows)
+    with pytest.raises(error, match=re.escape(message)):
+        tm.build_measure(tm.Tabulated(str(path)))
+    out = tmp_path / "x.csv"
+    code = main(["median-gap", "--measure", f"tabulated({path})", "--out", str(out)])
+    assert code == EXIT_MEASURE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tabulated_missing_file():

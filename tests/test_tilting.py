@@ -194,40 +194,55 @@ def test_node_table_is_built_once_per_measure(engine_calls):
     assert engine_calls["node_tables"] == 1
     assert engine_calls["passes"] == 12
     edges, xs, half, log_pdf = measure._node_table
-    assert edges is measure._lattice
+    assert np.array_equal(edges, tm.lattice._lattice(measure))
     assert xs.shape == (edges.size - 1, 15) and half.shape == (edges.size - 1,)
     assert np.array_equal(log_pdf, measure.log_pdf(xs))
     assert not any(array.flags.writeable for array in (xs, half, log_pdf))
 
 
-def test_tabulated_measure_builds_its_own_node_table(engine_calls, tmp_path):
+def test_tabulated_measure_builds_its_own_node_table(engine_calls, monkeypatch, tmp_path):
     # the hat ratio has mass about 1.6 before normalization, so the raw
     # measure's log_pdf is off from the normalized one's by log(1.6)
+    lattice, bisected = tm.lattice._lattice, []
+    monkeypatch.setattr(tm.lattice, "_lattice", lambda m: bisected.append(m) or lattice(m))
     path = tmp_path / "hat.txt"
     path.write_text("-4 0\n0 2\n4 0\n")
     measure = tm.build_measure(tm.Tabulated(str(path)))
     # one table for the raw ratio, whose mass normalizes it, and one of its own
+    # on the raw table's edges: the lattice is built once
     assert engine_calls["node_tables"] == 2
+    [raw] = bisected
     edges, xs, _, log_pdf = measure._node_table
-    assert edges is measure._lattice
+    assert edges is raw._node_table[0]
     assert np.array_equal(log_pdf, measure.log_pdf(xs))
     assert abs(tm.log_partition(measure, 0.0)) <= 1e-12
 
 
-def test_measures_are_freed_by_reference_counting():
+def test_measures_are_freed_by_reference_counting(tmp_path):
     # a kept pass that pointed back at its measure would leave the measure to
-    # the cyclic collector; with that collector off it must still go at del
+    # the cyclic collector; with that collector off it must still go at del.
+    # A table's build writes a node table it did not build itself, and its
+    # log_g is a functools.partial.
+    table = tmp_path / "ratio.txt"
+    xs = np.linspace(-6.0, 6.0, 121)
+    table.write_text("\n".join(f"{x} {1.0 + 0.5 * math.cos(x)}" for x in xs) + "\n")
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for spec in CATALOG_SPECS:
+        for spec in CATALOG_SPECS + (tm.Tabulated(str(table)),):
             measure = tm.build_measure(spec)
             ref = weakref.ref(measure)
             del measure
             assert ref() is None, spec
             measure = tm.build_measure(spec)
-            tm.tilt(measure, 1.0).median()
+            view = tm.tilt(measure, 1.0)
+            view.median()
+            view.cdf(0.5)
             tm.sign_kernel_residual(measure, 1.0)
+            tm.half_line_mgf(measure, 1.0)
+            tm.lipschitz_bound(measure, 2.0)
+            tm.monotonicity_check(measure, [-1.0, 0.0, 1.0])
+            del view
             ref = weakref.ref(measure)
             del measure
             assert ref() is None, spec
@@ -364,15 +379,15 @@ def test_kept_tables_give_the_same_bits_in_either_read_order(catalog, t):
         fresh = tm.tilt_grid(measure, [t])
         # a request at another tilt replaces the kept state
         tm.log_partition(measure, tm.T_MAX)
-        half_line = tm.tilting._half_line(measure, t, [x])
+        half_line = tm.tilting._tilt_state(measure, t).half_line([x])
         got = []
         for order in (list(reads), list(reversed(reads))):
             tm.log_partition(measure, tm.T_MAX)
             got.append({name: reads[name](measure) for name in order})
-            row = tm.tilting._tilt_row(measure, t, median=True, at_t=True)
+            row = tm.tilting._tilt_state(measure, t).row(median=True, at_t=True)
             for field in dataclasses.fields(row):
                 assert np.array_equal(getattr(row, field.name), getattr(fresh, field.name))
-            for kept, first in zip(tm.tilting._half_line(measure, t, [x]), half_line):
+            for kept, first in zip(tm.tilting._tilt_state(measure, t).half_line([x]), half_line):
                 assert np.array_equal(kept, first)
         assert got[0] == got[1]
         assert got[0]["median"] == fresh.median[0]
