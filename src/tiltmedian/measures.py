@@ -95,7 +95,8 @@ class BaseMeasure:
     The measure has two engine fields, built on first use.  The node table
     holds the panel lattice's edges, the Kronrod nodes of every panel and
     ``log_pdf`` there, so the engine evaluates the base log-density on those
-    nodes once per measure, not once per pass.  The kept pass is the engine
+    nodes once per measure, not once per pass; ``lattice._node_table`` is
+    the one function that writes it.  The kept pass is the engine
     pass of the most recent one-tilt request (``tilting.tilt``,
     ``log_partition``, the single-t diagnostics), so further requests at the
     same tilt share that one panel pass; the median and the half-line sums at
@@ -308,7 +309,7 @@ class Tabulated:
                 return np.log(vals)
 
         # tilting and lattice import this module
-        from .lattice import _build_node_table, _node_table
+        from .lattice import _node_table
         from .tilting import log_partition
 
         raw = BaseMeasure(
@@ -321,8 +322,7 @@ class Tabulated:
         normalized = dataclasses.replace(raw, log_g=functools.partial(log_g, ratio=gs / mass))
         # the lattice tests in units of the largest node value, so it ignores a
         # constant factor: the normalized table takes the raw table's edges
-        table = _build_node_table(normalized, _node_table(raw)[0])
-        object.__setattr__(normalized, "_node_table", table)
+        _node_table(normalized, _node_table(raw)[0])
         return normalized
 
     def closed_form_log_partition(self, t: float) -> None:
@@ -404,13 +404,15 @@ def _load_table(path: str) -> tuple[np.ndarray, np.ndarray]:
     return x_arr, g_arr
 
 
+@np.errstate(over="ignore")
 def _check_table_tails(xs: np.ndarray, gs: np.ndarray) -> None:
     """Reject tables whose density rises toward an edge beyond |x| = 2.
 
     A tabulated ratio that grows faster than the Gaussian envelope decays
     would make the tilted-integral assumption vacuous outside the table, so
     the density g*phi must be falling across the two outermost intervals on
-    each side.
+    each side.  Past |x| ~ 1e154, x^2 overflows, and log_f is -inf there, as
+    the density is.
     """
     if xs.size < 3:
         return
@@ -465,9 +467,11 @@ def sample_to_grid(measure: BaseMeasure, x_min: float, x_max: float, n: int) -> 
     """Sample the density ratio g (not the density itself) on a uniform grid.
 
     Raises :class:`RatioOverflowError` where g exceeds the float64 range.
+    Bounds that are not increasing and finite, with a finite span, are
+    rejected before any sample is taken.
     """
-    if not x_min < x_max:
-        raise ValueError("x_min must be less than x_max")
+    if not (x_min < x_max and math.isfinite(float(x_max) - float(x_min))):
+        raise ValueError(f"x bounds [{x_min}, {x_max}] must be increasing, with a finite span")
     if n < 2:
         raise ValueError("need at least two grid points")
     xs = np.linspace(x_min, x_max, n)

@@ -227,10 +227,9 @@ def _scan_reports(
             raise UnknownDiagnosticError(
                 f"unknown diagnostic {which!r}; expected one of {DIAGNOSTIC_NAMES}"
             )
-    ts = [float(t) for t in t_grid]
-    grid = _tilt_grid(
-        m, ts, median=not _NEEDS_MEDIAN.isdisjoint(names), at_t=not _NEEDS_AT_T.isdisjoint(names)
-    )
+    median, at_t = not _NEEDS_MEDIAN.isdisjoint(names), not _NEEDS_AT_T.isdisjoint(names)
+    grid = _tilt_grid(m, t_grid, median=median, at_t=at_t)
+    ts = grid.t_grid.tolist()
     return [_report(which, ts, *_EVALUATORS[which](m, grid)) for which in names]
 
 

@@ -5,8 +5,9 @@ out panels of width ``FIXED_PANEL_WIDTH`` at fixed coordinates,
 ``panel_nodes`` gives each panel's 15 Kronrod abscissae and ``kronrod_sums``
 its Kronrod estimate together with the embedded 7-point Gauss estimate, whose
 difference is the panel's error estimate (``_error``, floored at the
-rounding of the sum).  The panel lattice of ``lattice`` and the tilt-grid
-engine in ``tilting`` build every integral of the package from these three.
+rounding of the sum).  ``_panel_sums`` forms every full-panel sum of the
+tilted integrand e^{tx} f(x) from those: the probe of the panel lattice in
+``lattice`` and each pass of the tilt-grid engine in ``tilting`` call it.
 
 The quadrature settings are fixed constants: a panel is resolved at an error
 of ``max(ABS_TOL, REL_TOL * |value|)``, and improper integrals are truncated
@@ -87,9 +88,11 @@ def anchored_edges(a: float, b: float) -> np.ndarray:
     """Edges of fixed panels on [a, b]: a, the multiples of the stride inside, b.
 
     The stride is the panel width, doubled until at most ``_MAX_FIXED_PANELS``
-    panels remain.  Anchoring interior edges to fixed coordinates keeps the
-    panel layout identical when a window endpoint moves, so integrals probed
-    by finite differences vary smoothly.
+    panels remain.  The interior edges sit at fixed coordinates, whatever the
+    window: a panel lattice (see ``lattice``) is this grid over the window at
+    ``T_MAX``, with a measure's breakpoints inserted, before any bisection.
+    That window is laid out once per measure, so no endpoint moves between
+    passes.
     """
     a, b = float(a), float(b)
     if not a < b:
@@ -123,6 +126,34 @@ def kronrod_sums(values: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
 def _error(kronrod: np.ndarray, gauss: np.ndarray) -> np.ndarray:
     """|Kronrod - Gauss|, floored so that no panel claims exactness."""
     return np.maximum(np.abs(kronrod - gauss), ROUNDING_FLOOR * np.abs(kronrod))
+
+
+def _panel_sums(ts, xs, half, log_pdf, out: np.ndarray, floor=-math.inf):
+    """Each tilt's shift and the node values of its tilted mass and moment.
+
+    The shift is the largest of t*x + log_pdf over the nodes ``xs`` of the
+    panels, or ``floor`` where that is larger, and 0 where neither is finite
+    (a tilt whose integrand vanishes on every node).  The node values, of
+    shape (2, tilts) + ``xs.shape``, are exp(t*x + log_pdf - shift), the
+    mass, stacked on x times that, the moment; their Kronrod panel sums and
+    errors, in those shifted units, go to ``out``, shape (4, tilts, panels).
+    The node values are returned with the shift, for the caller to reuse.
+    """
+    # one work array, written in place, keeps the memory flat: the mass node
+    # values stacked on the moment's, for one Kronrod call over both
+    work = np.empty((2, ts.size) + xs.shape)
+    mass, moment = work
+    np.multiply(ts[:, None, None], xs, out=mass)
+    mass += log_pdf
+    shift = np.maximum(mass.max(axis=(1, 2)), floor)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    mass -= shift[:, None, None]
+    np.exp(mass, out=mass)
+    np.multiply(mass, xs, out=moment)
+    kronrod, gauss = kronrod_sums(work, half)
+    out[:2] = kronrod
+    out[2:] = _error(kronrod, gauss)
+    return shift, work
 
 
 def _check_log_values(xs: np.ndarray, values: np.ndarray) -> None:

@@ -64,8 +64,8 @@ def asymmetry_score(
         offs = _default_offsets()
     else:
         offs = np.asarray(offsets, dtype=float)
-        if offs.size == 0 or not np.all(np.isfinite(offs) & (offs > 0)):
-            raise ValueError("offsets must be finite and positive")
+        if offs.ndim != 1 or offs.size == 0 or not np.all(np.isfinite(offs) & (offs > 0)):
+            raise ValueError("offsets must be a nonempty 1-d sequence of finite positive values")
     row = _tilt_state(m, t).row()
     return SymmetryReport(
         t=float(t),

@@ -10,19 +10,20 @@ between the two a testable property instead of a definition.
 Every tilted quantity comes from one engine pass, ``_TiltPass``, on one
 panel lattice per measure, built once from the base log-density and kept on
 the measure in its node table, with the Kronrod nodes of every lattice panel
-and the checked base log-density there, evaluated once per measure (see
+and the checked base log-density there, evaluated once per node (see
 ``lattice``).  A pass over a tilt grid slices the panels that cover its
-widest window out of that table, and each tilt is one shift, one
-exponential and one Kronrod call over its mass and moment node values,
-stacked in one work array.  The panel sums go into one table over the grid,
-which gives log L(t) and the tilted mean.  Turned in place into running
-tables at the panel edges when first read, it gives with one partial panel
-the half-line sums F_t(x) and E_t[X; X <= x] at any x, x = t included, and
-the median: a safeguarded Newton solve on partial panels where the mass
-table crosses 1/2, run until its step reaches the rounding of x and
-reported with the error it reached.  A grid's medians and its sums at
-x = t are solved once over all its tilts: ``_CHUNK_ELEMENTS`` bounds only
-the work array of the panel sums.  The passes that read log L and the mean
+widest window out of that table, and ``numerics._panel_sums``, the kernel
+the lattice's probe shares, makes each tilt one shift, one exponential and
+one Kronrod call over its mass and moment node values, stacked in one work
+array.  The panel sums go into one table over the grid, which gives log L(t)
+and the tilted mean.  Turned in place into running tables at the panel
+edges when first read, it gives with one partial panel the half-line sums
+F_t(x) and E_t[X; X <= x] at any x, x = t included, and the median: a
+safeguarded Newton solve on partial panels where the mass table crosses
+1/2, run until its step reaches the rounding of x and reported with the
+error it reached.  A grid's medians and its sums at x = t are solved once
+over all its tilts: ``_CHUNK_ELEMENTS`` bounds only the work array of the
+panel sums.  The passes that read log L and the mean
 alone (the quadratic fit, the midpoint residual, the ``symmetry`` scan,
 ``tilt``, ``log_partition``, ``asymmetry_score``) form no running table.
 Every error estimate is a sum of panel |Kronrod - Gauss| differences.
@@ -50,7 +51,9 @@ import numpy as np
 
 from .lattice import T_MAX, _node_table
 from .measures import BaseMeasure, _log_density
-from .numerics import _EPS, _check_log_values, _error, kronrod_sums, panel_nodes, scaled_exp
+from .numerics import (
+    _EPS, _check_log_values, _error, _panel_sums, kronrod_sums, panel_nodes, scaled_exp,
+)
 
 __all__ = [
     "T_MAX",
@@ -129,32 +132,13 @@ def _tilt_grid(
     """``tilt_grid``, whose fields of the half-line sums at x = t hold None
     unless ``at_t``: the scans and fits that never read them skip them."""
     ts = np.array(t_grid, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError(f"t_grid must be a 1-d sequence of tilts, got shape {ts.shape}")
     outside = ~(np.abs(ts) <= T_MAX)
     if outside.any():
         # the first tilt out of range (or nan), in grid order
         _check_tilt(ts[outside.argmax()])
     return _TiltPass(measure, ts).row(median=median, at_t=at_t)
-
-
-def _panel_sums(ts, xs, half, log_pdf, out: np.ndarray) -> np.ndarray:
-    """Each tilt's shift; the Kronrod panel sums of its mass and moment and
-    their errors, in shifted units, go to ``out``, shape (4, tilts, panels)."""
-    # one work array, written in place, keeps the chunk's memory flat: the
-    # mass node values stacked on the moment's, for one Kronrod call over both
-    work = np.empty((2, ts.size) + xs.shape)
-    mass, moment = work
-    np.multiply(ts[:, None, None], xs, out=mass)
-    mass += log_pdf
-    shift = mass.max(axis=(1, 2))
-    # a tilt whose integrand vanishes on every node has log L = -inf
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    mass -= shift[:, None, None]
-    np.exp(mass, out=mass)
-    np.multiply(mass, xs, out=moment)
-    kronrod, gauss = kronrod_sums(work, half)
-    out[:2] = kronrod
-    out[2:] = _error(kronrod, gauss)
-    return shift
 
 
 class _TiltPass:
@@ -164,7 +148,8 @@ class _TiltPass:
     panels are the lattice panels that cover every tilt's window, the widest
     of which is the window of the largest |t|.  Only the (tilts, panels, 15)
     work array is formed in chunks, of at most ``_CHUNK_ELEMENTS`` node
-    values; each chunk writes its tilts' shift into an array over the grid,
+    values, by ``numerics._panel_sums``, the kernel the lattice's probe
+    shares; each chunk writes its tilts' shift into an array over the grid,
     and the panel sums of its mass, moment and their errors into one
     (4, tilts, panels + 1) table over the grid, whose first column is 0.
     The totals, log L and the mean are taken from that table at
@@ -192,8 +177,8 @@ class _TiltPass:
         self._table = np.zeros((4, ts.size, self.edges.size))
         step = max(1, _CHUNK_ELEMENTS // xs.size)
         for start in range(0, ts.size, step):
-            where = slice(start, start + step)
-            self.shift[where] = _panel_sums(ts[where], xs, half, log_pdf, self._table[:, where, 1:])
+            rows = slice(start, start + step)
+            self.shift[rows] = _panel_sums(ts[rows], xs, half, log_pdf, self._table[:, rows, 1:])[0]
         self.mass, self.moment, self.mass_err, self.moment_err = self._table[..., 1:].sum(axis=2)
         self._formed = False
         self._lock = threading.Lock()
@@ -391,9 +376,7 @@ def log_partition(measure: BaseMeasure, t: float) -> float:
 
 def tilt(measure: BaseMeasure, t: float) -> TiltedView:
     """Construct the tilt-t member of the family generated by ``measure``."""
-    t = _check_tilt(t)
-    log_l = float(_tilt_state(measure, t).row().log_partition[0])
-    return TiltedView(base=measure, t=t, log_partition=log_l)
+    return TiltedView(base=measure, t=_check_tilt(t), log_partition=log_partition(measure, t))
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,12 @@ def engine_calls(monkeypatch) -> collections.Counter:
     calls where some x is its row's t), running-table formations (``"tables"``:
     ``_TiltPass._running`` calls, one per pass, grid or kept one-tilt pass,
     whose tables a median solve or a half-line sum reads) and node-table
-    builds (``"node_tables"``)."""
+    builds (``"node_tables"``: ``lattice._node_table`` calls that find no
+    table kept on the measure)."""
     calls: collections.Counter = collections.Counter()
     tilt_pass = tm.tilting._TiltPass
     engine = tm.tilting._tilt_grid
-    build_node_table = tm.lattice._build_node_table
+    node_table = tm.lattice._node_table
 
     class CountingPass(tilt_pass):
         def __init__(self, *args, **kwargs) -> None:
@@ -73,12 +74,14 @@ def engine_calls(monkeypatch) -> collections.Counter:
         calls["tilt_grid"] += 1
         return engine(*args, **kwargs)
 
-    def counting_build(*args):
-        calls["node_tables"] += 1
-        return build_node_table(*args)
+    def counting_table(measure, *args):
+        if measure._node_table is None:
+            calls["node_tables"] += 1
+        return node_table(measure, *args)
 
     monkeypatch.setattr(tm.tilting, "_TiltPass", CountingPass)
-    monkeypatch.setattr(tm.lattice, "_build_node_table", counting_build)
+    for module in (tm.lattice, tm.tilting):
+        monkeypatch.setattr(module, "_node_table", counting_table)
     for module in (tm.tilting, tm.medianlaw, tm.symmetry):
         if getattr(module, "_tilt_grid", None) is engine:
             monkeypatch.setattr(module, "_tilt_grid", counting_engine)

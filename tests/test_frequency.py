@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from scipy.special import dawsn
 
 import tiltmedian as tm
-from tiltmedian.lattice import _lattice
+from tiltmedian.lattice import _node_table
 
 GRID_49 = np.linspace(-6.0, 6.0, 49)
 
@@ -93,7 +93,7 @@ def test_residuals_at_aliasing_frequencies(eps, omega):
 
 
 def test_lattice_grows_slowly_with_frequency():
-    panels = {omega: _lattice(cosine_ratio(0.5, omega)).size - 1 for omega in (1.0, 10.0)}
+    panels = {omega: _node_table(cosine_ratio(0.5, omega))[0].size - 1 for omega in (1.0, 10.0)}
     assert panels[10.0] <= 3 * panels[1.0], panels
 
 

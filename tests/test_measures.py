@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,17 @@ def test_tabulated_zero_mass_rejected(tmp_path):
         tm.build_measure(tm.Tabulated(path))
 
 
+@pytest.mark.parametrize("width", [1e160, 1e300])
+def test_very_wide_tables_are_rejected_without_warnings(tmp_path, width):
+    # x^2 overflows at the outer knots and nodes; that is no failure, so the
+    # zero-mass rejection is the only thing the build reports
+    path = _write_table(tmp_path, "wide.txt", [-width, 0.0, width], [1.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tm.NotNormalizableError, match="zero total mass"):
+            tm.build_measure(tm.Tabulated(path))
+
+
 def test_grid_function_validation():
     with pytest.raises(ValueError):
         tm.GridFunction(x_min=0.0, step=0.0, values=np.ones(5), window_lo=0, window_hi=4)
@@ -249,6 +261,17 @@ def test_sample_to_grid_validation(std_gaussian):
         tm.sample_to_grid(std_gaussian, 1.0, 1.0, 5)
     with pytest.raises(ValueError):
         tm.sample_to_grid(std_gaussian, -1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)]
+)
+def test_sample_to_grid_rejects_unbounded_grids(std_gaussian, x_min, x_max):
+    # named before any sample is taken, so numpy warns about nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"x bounds [{x_min}, {x_max}]")):
+            tm.sample_to_grid(std_gaussian, np.float64(x_min), x_max, 11)
 
 
 def test_window_halfwidth_grows_with_tilt():

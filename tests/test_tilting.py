@@ -194,17 +194,49 @@ def test_node_table_is_built_once_per_measure(engine_calls):
     assert engine_calls["node_tables"] == 1
     assert engine_calls["passes"] == 12
     edges, xs, half, log_pdf = measure._node_table
-    assert np.array_equal(edges, tm.lattice._lattice(measure))
+    # a second build from scratch gives the same table
+    assert all(map(np.array_equal, measure._node_table, tm.lattice._lattice(measure)))
     assert xs.shape == (edges.size - 1, 15) and half.shape == (edges.size - 1,)
     assert np.array_equal(log_pdf, measure.log_pdf(xs))
     assert not any(array.flags.writeable for array in (xs, half, log_pdf))
+
+
+def _evaluated_nodes(log_g) -> tuple[np.ndarray, int]:
+    """Every x at which the node table of the ratio ``log_g`` evaluated it, and
+    the table's panel count."""
+    seen = []
+
+    def counting(x):
+        seen.append(np.ravel(x))
+        return log_g(x)
+
+    edges = tm.lattice._node_table(tm.BaseMeasure(spec=tm.Gaussian(0.0, 1.0), log_g=counting))[0]
+    return np.concatenate(seen), edges.size - 1
+
+
+def test_node_table_evaluates_each_node_once():
+    # the bisection keeps the log-density of each panel it passes: the 80
+    # unbisected panels of the cosine measure are evaluated once, not twice
+    xs, panels = _evaluated_nodes(tm.build_measure(tm.PerturbedCosine(0.5)).log_g)
+    assert (xs.size, panels) == (1200, 80)
+    # cos(30 x) bisects: the panels split are evaluated too, but no x twice
+    log_norm = math.log1p(0.3 * math.exp(-450.0))
+    xs, panels = _evaluated_nodes(lambda x: np.log1p(0.3 * np.cos(30.0 * x)) - log_norm)
+    assert panels == 240 and xs.size > 15 * panels
+    assert np.unique(xs).size == xs.size
 
 
 def test_tabulated_measure_builds_its_own_node_table(engine_calls, monkeypatch, tmp_path):
     # the hat ratio has mass about 1.6 before normalization, so the raw
     # measure's log_pdf is off from the normalized one's by log(1.6)
     lattice, bisected = tm.lattice._lattice, []
-    monkeypatch.setattr(tm.lattice, "_lattice", lambda m: bisected.append(m) or lattice(m))
+
+    def bisecting(measure, edges=None):
+        if edges is None:
+            bisected.append(measure)
+        return lattice(measure, edges)
+
+    monkeypatch.setattr(tm.lattice, "_lattice", bisecting)
     path = tmp_path / "hat.txt"
     path.write_text("-4 0\n0 2\n4 0\n")
     measure = tm.build_measure(tm.Tabulated(str(path)))
@@ -660,7 +692,7 @@ def test_wide_gaussian_lattice_is_not_bisected_on_rounding(sigma):
     # far out (x near 8 sigma^2 at t = 8) log_pdf holds 0.5 x^2 only to eps;
     # |Kronrod - Gauss| there is rounding noise, which no bisection reduces
     measure = tm.build_measure(tm.Gaussian(0.0, sigma))
-    assert np.array_equal(tm.lattice._lattice(measure), _anchored_lattice(measure))
+    assert np.array_equal(tm.lattice._node_table(measure)[0], _anchored_lattice(measure))
     ts = np.array([-8.0, -1.0, 0.0, 4.0, 8.0])
     grid = tm.tilt_grid(measure, ts)
     exact = 0.5 * sigma**2 * ts**2
@@ -676,11 +708,26 @@ def test_lattice_bisections_stop_at_the_budget():
         return 1e-7 * np.sin(1e9 * np.asarray(x, dtype=float))
 
     measure = tm.BaseMeasure(spec=tm.Gaussian(0.0, 1.0), log_g=log_g)
-    panels = tm.lattice._lattice(measure).size - 1
+    panels = tm.lattice._node_table(measure)[0].size - 1
     assert panels <= _anchored_lattice(measure).size - 1 + tm.lattice._MAX_BISECTIONS
     # the true median is 0 to about 1e-16; the panels left carry the miss
     grid = tm.tilt_grid(measure, [0.0])
     assert abs(grid.median[0]) <= grid.median_error[0] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        (lambda m: tm.scan(m, "median_gap", [[0.0, 1.0]]), "t_grid"),
+        (lambda m: tm.tilt_grid(m, np.zeros((2, 2))), "t_grid"),
+        (lambda m: tm.fit_quadratic_log_partition(m, np.zeros((5, 2))), "t_grid"),
+        (lambda m: tm.asymmetry_score(m, 0.5, [[0.1, 0.2], [0.3, 0.4]]), "offsets"),
+    ],
+    ids=["scan", "tilt_grid", "fit", "asymmetry_score"],
+)
+def test_grids_that_are_not_one_dimensional_are_named(std_gaussian, call, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must be a .*1-d sequence"):
+        call(std_gaussian)
 
 
 def test_log_partition_nonfinite_and_vanishing_integrands():
