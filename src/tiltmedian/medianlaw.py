@@ -8,8 +8,9 @@ ordinary grid resolution.  Each is an evaluator of one pass of
 ``tilting.tilt_grid`` over a tilt grid, the sign-kernel and convolution
 residuals through its half-line sums F_t(t) and E_t[X; X <= t] at x = t;
 several diagnostics over one grid share that pass, which forms the medians
-and those sums only when one of them reads them, and the single-t
-functions read the measure's kept one-tilt pass.
+and those sums only when one of them reads them.  The pass is the measure's
+kept pass, so consecutive scans on one grid share it too, and the single-t
+functions read the kept pass of their tilt.
 
 - ``median_gap``: tilted median minus the tilt parameter.
 - ``sign_kernel_residual``: signed Gaussian-kernel integral against the
@@ -134,7 +135,7 @@ _NEEDS_AT_T = frozenset({"sign_kernel", "deriva"})
 
 
 def _at_tilt(which: str, m: BaseMeasure, t: float) -> float:
-    """One diagnostic at a single tilt, from the measure's kept one-tilt pass,
+    """One diagnostic at a single tilt, from the measure's kept pass at t,
     which forms the median and the sums at x = t only for the evaluators that
     read them."""
     row = _tilt_state(m, t).row(median=which in _NEEDS_MEDIAN, at_t=which in _NEEDS_AT_T)

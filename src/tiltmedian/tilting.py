@@ -28,14 +28,18 @@ alone (the quadratic fit, the midpoint residual, the ``symmetry`` scan,
 ``tilt``, ``log_partition``, ``asymmetry_score``) form no running table.
 Every error estimate is a sum of panel |Kronrod - Gauss| differences.
 
-Windows and tolerances are the fixed constants of ``numerics``.  A
-single-tilt request keeps its one-tilt pass on the base measure, keyed on t
-alone, so every quantity of that tilt, the distribution function at any x
-included, comes from one set of panel tables whatever the order of
-requests; the median and the sums at x = t are formed when first asked for
-and kept in the pass's row.  The kept pass holds the base log-density as a
-callable on ``log_g``, not the measure, so a measure is freed as soon as its
-last reference goes.
+Windows and tolerances are the fixed constants of ``numerics``.  The base
+measure keeps the pass of its most recent request, single tilt or grid,
+keyed on its tilts, so every quantity of those tilts, the distribution
+function at any x included, comes from one set of panel tables whatever the
+order of requests: consecutive diagnostics on one grid share one pass, and
+the median and the sums at x = t are formed when first asked for and kept in
+the pass's row.  A request on other tilts replaces the kept pass, which is
+released before the new one is formed; until then it holds its panel-sum
+table, 8.2 MB after a 97-tilt scan of N(0, 20^2).  Its tilts and row arrays
+are read-only.  The kept pass holds the base log-density as a callable on
+``log_g``, not the measure, so a measure is freed as soon as its last
+reference goes.
 """
 
 from __future__ import annotations
@@ -90,9 +94,11 @@ class TiltGrid:
     ``cdf_at_t`` is F_t(t) and ``lower_moment_at_t`` is E_t[X; X <= t].  The
     ``*_error`` fields are propagated quadrature error estimates; the median
     fields are None when medians were not requested.  ``tilt_grid`` fills
-    every other field; the engine's kept one-tilt rows, and the grids of the
-    scans and fits that never read them, hold None in the fields of the sums
-    at x = t too.
+    every other field; the engine's kept rows, and the grids of the scans and
+    fits that never read them, hold None in the fields of the sums at x = t
+    too, unless an earlier request on the same tilts formed them.  The arrays
+    are read-only: they are the kept pass's, which later requests on the same
+    tilts read.
     """
 
     t_grid: np.ndarray
@@ -121,16 +127,25 @@ def tilt_grid(measure: BaseMeasure, t_grid: Sequence[float], *, median: bool = T
     rounding of x; its ``median_error`` is the solve's last move plus the CDF
     table's error over the density there, floored at the rounding of x, or
     half the width of a flat stretch at 1/2, whose midpoint is then the
-    median.
+    median.  The call keeps its pass on the measure (see ``BaseMeasure``), so
+    a later request on equal tilts, 0.0 and -0.0 alike, runs no second pass
+    and reads the same row, whose ``t_grid`` keeps the zero of the request
+    that formed it; the arrays of the result are read-only.
     """
-    return _tilt_grid(measure, t_grid, median=median, at_t=True)
+    grid = _tilt_grid(measure, t_grid, median=median, at_t=True)
+    if not median and grid.median is not None:
+        # the kept pass solved its medians for an earlier request
+        grid = dataclasses.replace(grid, median=None, median_error=None)
+    return grid
 
 
 def _tilt_grid(
     measure: BaseMeasure, t_grid: Sequence[float], *, median: bool, at_t: bool
 ) -> TiltGrid:
-    """``tilt_grid``, whose fields of the half-line sums at x = t hold None
-    unless ``at_t``: the scans and fits that never read them skip them."""
+    """The row of the measure's kept pass over ``t_grid``, formed on a miss,
+    with the median fields if ``median`` and the fields of the half-line sums
+    at x = t if ``at_t``: the scans and fits that never read them skip them.
+    A field left out holds None unless an earlier request formed it."""
     ts = np.array(t_grid, dtype=float)
     if ts.ndim != 1:
         raise ValueError(f"t_grid must be a 1-d sequence of tilts, got shape {ts.shape}")
@@ -138,7 +153,12 @@ def _tilt_grid(
     if outside.any():
         # the first tilt out of range (or nan), in grid order
         _check_tilt(ts[outside.argmax()])
-    return _TiltPass(measure, ts).row(median=median, at_t=at_t)
+    state = measure._tilt_state
+    # equal tilts share a pass, 0.0 and -0.0 alike, as in ``_tilt_state``
+    if state is None or not np.array_equal(state.ts, ts):
+        del state  # the old pass goes before the new one is formed
+        state = _keep(measure, ts)
+    return state.row(median=median, at_t=at_t)
 
 
 class _TiltPass:
@@ -161,7 +181,9 @@ class _TiltPass:
     and the sums at x = t each take their partial panels in one call per
     step over every tilt.  The pass evaluates the base log-density off the
     node table through ``log_pdf``, a callable on the measure's ``log_g``
-    that holds no reference to the measure.
+    that holds no reference to the measure.  It takes ``ts`` as its own and
+    makes it read-only, as it does every array of its row: a kept pass is
+    keyed on ``ts`` and hands its row to every request on those tilts.
     """
 
     def __init__(self, measure: BaseMeasure, ts: np.ndarray) -> None:
@@ -171,6 +193,7 @@ class _TiltPass:
         last = lattice.searchsorted(reach, side="left")
         self.edges, panels = lattice[first : last + 1], slice(first, last)
         xs, half, log_pdf = xs[panels], half[panels], log_pdf[panels]
+        ts.flags.writeable = False
         self.ts = ts
         self.log_pdf = functools.partial(_log_density, measure.log_g)
         self.shift = np.empty(ts.size)
@@ -186,9 +209,11 @@ class _TiltPass:
             mean = self.moment / self.mass
             self._row = TiltGrid(
                 ts,
-                log_partition=self.shift + np.log(self.mass),
-                mean=mean,
-                mean_error=(self.moment_err + np.abs(mean) * self.mass_err) / self.mass,
+                *_read_only(
+                    self.shift + np.log(self.mass),
+                    mean,
+                    (self.moment_err + np.abs(mean) * self.mass_err) / self.mass,
+                ),
             )
 
     @property
@@ -211,13 +236,14 @@ class _TiltPass:
         """The pass's ``TiltGrid``: log L, the mean and its error, with the
         median fields if ``median`` and the fields of the sums at x = t if
         ``at_t`` (or if an earlier call formed them); the fields left out hold
-        None.  Callers only read the row: its arrays are shared with the pass.
+        None.  The row's arrays are the pass's, read-only.
         """
         row, filled = self._row, {}
         if median and row.median is None:
-            filled["median"], filled["median_error"] = self._medians()
+            filled["median"], filled["median_error"] = _read_only(*self._medians())
         if at_t and row.cdf_at_t is None:
-            filled.update(zip(_AT_T_FIELDS, self.half_line(self.ts, np.arange(self.ts.size))))
+            at_t_sums = self.half_line(self.ts, np.arange(self.ts.size))
+            filled.update(zip(_AT_T_FIELDS, _read_only(*at_t_sums)))
         # the row is replaced, never written: a caller racing another one at
         # worst forms the same values twice, and no reader sees an unfilled one
         if filled:
@@ -352,21 +378,41 @@ class _TiltPass:
         return x, density, move
 
 
-def _tilt_state(measure: BaseMeasure, t: float) -> _TiltPass:
-    """The measure's kept one-tilt pass at t; a new pass replaces one at another t.
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only in place."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
-    Single-t requests read its ``row()`` or its ``half_line(x)``.  The pass
-    holds a log-density callable, not the measure, so keeping it forms no
-    reference cycle.  It is read once: a caller racing another one at worst
-    runs the pass again.
+
+def _keep(measure: BaseMeasure, ts: np.ndarray) -> _TiltPass:
+    """A new pass over ``ts``, kept on the measure in place of its last one.
+
+    The old pass is released before the new one is formed, so the two are
+    never held at once, unless a caller still holds the old one itself.
+    """
+    object.__setattr__(measure, "_tilt_state", None)
+    state = _TiltPass(measure, ts)
+    object.__setattr__(measure, "_tilt_state", state)
+    return state
+
+
+def _tilt_state(measure: BaseMeasure, t: float) -> _TiltPass:
+    """The measure's kept pass at the single tilt t, formed if the kept one is
+    on other tilts.
+
+    Single-t requests read its ``row()`` or its ``half_line(x)``; a one-tilt
+    ``tilt_grid`` at t shares it.  The pass holds a log-density callable, not
+    the measure, so keeping it forms no reference cycle.  It is read once: a
+    caller racing another one at worst runs the pass again.
     """
     t = _check_tilt(t)
     state = measure._tilt_state
     # 0.0 and -0.0 share a pass: no result depends on the sign of a zero tilt
-    if state is None or state.ts[0] != t:
-        state = _TiltPass(measure, np.array([t]))
-        object.__setattr__(measure, "_tilt_state", state)
-    return state
+    if state is not None and state.ts.size == 1 and state.ts[0] == t:
+        return state
+    del state  # the old pass goes before the new one is formed
+    return _keep(measure, np.array([t]))
 
 
 def log_partition(measure: BaseMeasure, t: float) -> float:

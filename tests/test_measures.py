@@ -120,6 +120,10 @@ def test_sample_to_grid_overflow_names_measure_and_point():
     assert np.all(np.isfinite(grid.values))
     with pytest.raises(tm.RatioOverflowError):
         tm.sample_to_grid(tm.build_measure(tm.Gaussian(0.0, 1.2852)), -60.0, 60.0, 12001)
+    # past |x| ~ 1.3e154, x^2 overflows and log g is inf - inf: g is nan there,
+    # named by the same error, with no numpy warning
+    with pytest.raises(tm.RatioOverflowError, match=r"x=-1e\+200 \(log g = nan\)"):
+        tm.sample_to_grid(tm.build_measure(tm.Gaussian(0.0, 1.0)), -1e200, 1e200, 11)
     # where g stays finite the same measure samples as before
     grid = tm.sample_to_grid(measure, -20.0, 20.0, 401)
     assert np.array_equal(grid.values, measure.g(np.linspace(-20.0, 20.0, 401)))

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -83,28 +84,31 @@ def test_one_tilt_requests_share_one_engine_pass(catalog, engine_calls):
             # one pass, whose sums at x = t both residuals share
             counts = (engine_calls["passes"], engine_calls["tilt_grid"], engine_calls["at_t"])
             assert counts == (1, 0, 1)
-            # a fresh pass gives the same bits
-            row = tm.tilt_grid(measure, [t])
+            # a fresh pass, on a fresh measure, gives the same bits
+            fresh = dataclasses.replace(measure)
+            row = tm.tilt_grid(fresh, [t])
             expected = (
                 float(row.log_partition[0]),
                 float(row.mean[0]),
                 float(row.median[0]),
-                tm.scan(measure, "sign_kernel", [t]).residuals[0],
-                tm.scan(measure, "deriva", [t]).residuals[0],
+                tm.scan(fresh, "sign_kernel", [t]).residuals[0],
+                tm.scan(fresh, "deriva", [t]).residuals[0],
             )
             assert got == expected
-            # another tilt is a new pass
+            # another tilt is a new pass, which a one-tilt grid at that tilt shares
             engine_calls.clear()
             assert tm.log_partition(measure, t + 0.25) == float(
                 tm.tilt_grid(measure, [t + 0.25]).log_partition[0]
             )
-            assert (engine_calls["passes"], engine_calls["tilt_grid"]) == (2, 1)
+            assert (engine_calls["passes"], engine_calls["tilt_grid"]) == (1, 1)
 
 
 def test_kept_state_under_concurrent_callers(cosine_half):
     # threads racing on one measure's kept pass may run it again, never mix
     # rows; past each barrier every thread reads the same new pass, so their
-    # first reads of its running tables, which are formed in place, race
+    # first reads of its running tables, which are formed in place, race.
+    # Two more threads alternate between two grids, whose scans replace the
+    # kept pass under the others and read it in their turn.
     def cdf_off_t(measure, t):
         return tm.tilt(measure, t).cdf(t + 0.4)
 
@@ -112,9 +116,25 @@ def test_kept_state_under_concurrent_callers(cosine_half):
     readers = (tm.median_gap, tm.convolution_residual, cdf_off_t, tm.half_line_mgf)
     tilts = (-1.0, 0.5, 2.0)
     expected = {(f, t): f(cosine_half, t) for f in readers for t in tilts}
+    grids = (np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 2.5, 9))
+    scans = {
+        (which, k): repr(tm.scan(tm.build_measure(tm.PerturbedCosine(0.5)), which, grid))
+        for which in tm.DIAGNOSTIC_NAMES
+        for k, grid in enumerate(grids)
+    }
     n_threads = 6
     barrier = threading.Barrier(n_threads, timeout=60)
     mismatches = []
+
+    def grid_worker(offset: int) -> None:
+        try:
+            for k in range(120):
+                which = tm.DIAGNOSTIC_NAMES[k % len(tm.DIAGNOSTIC_NAMES)]
+                side = (k + offset) % len(grids)
+                if repr(tm.scan(measure, which, grids[side])) != scans[which, side]:
+                    mismatches.append((which, side))
+        except Exception as exc:
+            mismatches.append(repr(exc))
 
     def worker(offset: int) -> None:
         try:
@@ -135,6 +155,7 @@ def test_kept_state_under_concurrent_callers(cosine_half):
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        threads += [threading.Thread(target=grid_worker, args=(i,)) for i in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -391,11 +412,12 @@ def test_running_tables_are_formed_only_where_read(catalog, engine_calls):
         tm.scan(measure, "symmetry", ts)
         assert engine_calls["passes"] == 6
         assert engine_calls["tables"] == 0
-        # the kept pass forms its four tables once, when first read
+        # the grid requests replaced the pass at 2.2: the view's median forms
+        # a new one, which forms its four tables once, when first read
         view.median()
         view.cdf(1.0)
         view.median()
-        assert (engine_calls["passes"], engine_calls["tables"]) == (6, 1)
+        assert (engine_calls["passes"], engine_calls["tables"]) == (7, 1)
 
 
 @pytest.mark.parametrize("t", [-6.0, -0.75, 0.0, 2.5])
@@ -561,12 +583,12 @@ def test_tilt_grid_matches_single_tilts(catalog):
 def test_tilt_grid_does_not_depend_on_the_chunk_size(monkeypatch):
     # chunks bound only the work array: the medians and the sums at x = t
     # are solved over the whole grid, so one tilt a chunk gives the same bits
+    # (on a second measure: the first keeps its pass over the grid)
     for spec in CATALOG_SPECS:
-        measure = tm.build_measure(spec)
-        default = tm.tilt_grid(measure, SCAN_GRID)
+        default = tm.tilt_grid(tm.build_measure(spec), SCAN_GRID)
         with monkeypatch.context() as patch:
             patch.setattr(tm.tilting, "_CHUNK_ELEMENTS", 1)
-            one_tilt_chunks = tm.tilt_grid(measure, SCAN_GRID)
+            one_tilt_chunks = tm.tilt_grid(tm.build_measure(spec), SCAN_GRID)
         for field in dataclasses.fields(tm.TiltGrid):
             got, expected = getattr(one_tilt_chunks, field.name), getattr(default, field.name)
             assert np.array_equal(got, expected), (spec, field.name)
@@ -574,24 +596,116 @@ def test_tilt_grid_does_not_depend_on_the_chunk_size(monkeypatch):
 
 def test_a_grid_solves_its_medians_and_sums_at_t_once(engine_calls):
     # the sigma = 1.5 mixture has 148 panels, so a chunk holds 3 tilts; the
-    # Newton solve and the partial panel at x = t still run once per grid
-    measure = tm.build_measure(tm.GaussianMixture(0.5, -1.0, 0.5, 1.0, 1.5))
+    # Newton solve and the partial panel at x = t still run once per grid.
+    # Each block takes a fresh measure: a measure keeps its pass over a grid.
+    spec = tm.GaussianMixture(0.5, -1.0, 0.5, 1.0, 1.5)
+    measure = tm.build_measure(spec)
     engine_calls.clear()
     tm.scan(measure, "median_gap", SCAN_GRID)
     assert (engine_calls["passes"], engine_calls["tables"]) == (1, 1)
     assert engine_calls["partials"] <= 8 and engine_calls["at_t"] == 0
+    measure = tm.build_measure(spec)
     engine_calls.clear()
     tm.scan(measure, "sign_kernel", SCAN_GRID)
     assert (engine_calls["passes"], engine_calls["partials"], engine_calls["at_t"]) == (1, 1, 1)
     # the running tables are formed once over the grid, not once per chunk
     assert engine_calls["tables"] == 1
     # scans and fits that read neither medians nor the sums at x = t form
-    # no partial panel
+    # no partial panel; the fit on the scan's grid shares its pass
+    measure = tm.build_measure(spec)
     engine_calls.clear()
     tm.scan(measure, "symmetry", SCAN_GRID)
     tm.fit_quadratic_log_partition(measure, SCAN_GRID)
     tm.midpoint_residual(measure, 0.5, 0.25)
-    assert engine_calls == {"passes": 3, "tilt_grid": 3}
+    assert engine_calls == {"passes": 2, "tilt_grid": 3}
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS, ids=repr)
+def test_consecutive_scans_on_one_grid_share_one_pass(spec, engine_calls):
+    # the five diagnostics read one kept pass, in either order, which solves
+    # the medians and the sums at x = t once; each report has the bits of a
+    # scan on a fresh measure
+    expected = {which: repr(tm.scan(tm.build_measure(spec), which, SCAN_GRID))
+                for which in tm.DIAGNOSTIC_NAMES}
+    for order in (tm.DIAGNOSTIC_NAMES, tm.DIAGNOSTIC_NAMES[::-1]):
+        measure = tm.build_measure(spec)
+        engine_calls.clear()
+        reports = {which: repr(tm.scan(measure, which, SCAN_GRID)) for which in order}
+        assert (engine_calls["passes"], engine_calls["tilt_grid"]) == (1, 5)
+        assert (engine_calls["tables"], engine_calls["at_t"]) == (1, 1)
+        assert reports == expected
+
+
+def test_a_request_on_other_tilts_replaces_the_kept_pass(engine_calls):
+    measure = tm.build_measure(tm.PerturbedCosine(0.5))
+    signed_zero = np.where(SCAN_GRID == 0.0, -0.0, SCAN_GRID)
+    assert np.signbit(signed_zero[SCAN_GRID == 0.0]).all()
+    in_between = {
+        "another grid": lambda: tm.scan(measure, "median_gap", SCAN_GRID[::2]),
+        "a grid one tilt shorter": lambda: tm.tilt_grid(measure, SCAN_GRID[:-1]),
+        "a fit": lambda: tm.fit_quadratic_log_partition(measure, SCAN_GRID[1:]),
+        "a single tilt": lambda: tm.log_partition(measure, float(SCAN_GRID[0])),
+        "a midpoint": lambda: tm.midpoint_residual(measure, 0.5, 0.25),
+    }
+    for name, request in in_between.items():
+        tm.scan(measure, "median_gap", SCAN_GRID)
+        engine_calls.clear()
+        request()
+        tm.scan(measure, "sign_kernel", SCAN_GRID)
+        assert engine_calls["passes"] == 2, name
+        # equal tilts share it, 0.0 and -0.0 alike
+        tm.scan(measure, "deriva", signed_zero)
+        tm.tilt_grid(measure, list(SCAN_GRID))
+        assert engine_calls["passes"] == 2, name
+    # a grid of one tilt and that tilt share one pass, a longer grid
+    # starting at it does not
+    engine_calls.clear()
+    tm.tilt(measure, 0.5).median()
+    tm.tilt_grid(measure, [0.5])
+    assert engine_calls["passes"] == 1
+    tm.tilt_grid(measure, [0.5, 1.0])
+    tm.tilt(measure, 0.5)
+    assert engine_calls["passes"] == 3
+
+
+def test_kept_rows_are_read_only_and_medians_stay_requested():
+    measure = tm.build_measure(tm.PerturbedQuadratic(1.0))
+    ts = SCAN_GRID.copy()
+    grid = tm.tilt_grid(measure, ts)
+    # the pass took a copy of the caller's tilts
+    ts[0] = 0.0
+    assert tm.tilt_grid(measure, SCAN_GRID) is grid
+    expected = tm.tilt_grid(tm.build_measure(tm.PerturbedQuadratic(1.0)), SCAN_GRID)
+    for field in dataclasses.fields(grid):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, field.name)[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(grid, field.name)[...] *= 2.0
+    for field in dataclasses.fields(grid):
+        again = getattr(tm.tilt_grid(measure, SCAN_GRID), field.name)
+        assert again.tobytes() == getattr(expected, field.name).tobytes(), field.name
+    # the kept pass has solved its medians; a request without them gets none
+    plain = tm.tilt_grid(measure, SCAN_GRID, median=False)
+    assert plain.median is None and plain.median_error is None
+    assert plain.mean is grid.mean
+    assert tm.tilt_grid(measure, SCAN_GRID).median is grid.median
+
+
+def test_a_new_pass_is_formed_after_the_kept_one_is_released():
+    # a kept grid pass of N(0, 20^2) holds its (4, tilts, panels + 1) table;
+    # a scan on another grid drops it before forming its own, so two scans
+    # peak no higher than one (holding both adds about 4.5 MB)
+    measure = tm.build_measure(tm.Gaussian(0.0, 20.0))
+    tracemalloc.start()
+    try:
+        tm.scan(measure, "median_gap", SCAN_GRID)
+        kept, one = tracemalloc.get_traced_memory()
+        tm.scan(measure, "median_gap", np.linspace(-5.5, 5.5, 97))
+        two = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept >= 4 * SCAN_GRID.size * measure._tilt_state.edges.size * 8 * 0.9
+    assert two <= one + 1e6
 
 
 def test_tilt_grid_empty_and_without_medians(std_gaussian):
