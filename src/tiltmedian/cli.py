@@ -40,7 +40,7 @@ from .measures import (
     build_measure,
     sample_to_grid,
 )
-from .medianlaw import DiagnosticReport, _scan_reports, lipschitz_bound, scan
+from .medianlaw import DiagnosticReport, lipschitz_bound, scan
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "parse_measure", "run"]
 
@@ -213,7 +213,9 @@ def run(config: ExperimentConfig) -> int:
         payload, csv = _report_payload(report), _report_csv(report)
         summary = (report.max_abs_residual, report.argmax_t)
     elif config.command == "full-report":
-        reports = _scan_reports(measure, FULL_REPORT_DIAGNOSTICS, config.t_grid())
+        # the four scans read one kept pass of the measure
+        t_grid = config.t_grid()
+        reports = [scan(measure, which, t_grid) for which in FULL_REPORT_DIAGNOSTICS]
         payload = {report.name: _report_payload(report) for report in reports}
         # the first report with the largest residual; a nan never wins
         best, summary = -1.0, (0.0, 0.0)

@@ -4,12 +4,12 @@ Each diagnostic measures, in a different analytic form, how far a base
 measure is from having its tilt parameter sit exactly at the median of every
 tilted law.  All of them vanish identically when the base is the standard
 normal; for the perturbed catalog entries they are visibly nonzero at
-ordinary grid resolution.  Each is an evaluator of one pass of
-``tilting.tilt_grid`` over a tilt grid, the sign-kernel and convolution
-residuals through its half-line sums F_t(t) and E_t[X; X <= t] at x = t;
-several diagnostics over one grid share that pass, which forms the medians
-and those sums only when one of them reads them.  The pass is the measure's
-kept pass, so consecutive scans on one grid share it too, and the single-t
+ordinary grid resolution.  Each is an evaluator of the measure's kept
+engine pass over a tilt grid (see ``tilting``), the sign-kernel and
+convolution residuals through its half-line sums F_t(t) and
+E_t[X; X <= t] at x = t.  The pass forms its medians and those sums once
+each, when an evaluator first reads them, so consecutive scans on one grid
+share one pass and form each only if one of them reads it; the single-t
 functions read the kept pass of their tilt.
 
 - ``median_gap``: tilted median minus the tilt parameter.
@@ -37,7 +37,7 @@ import numpy as np
 from .measures import BaseMeasure
 from .numerics import scaled_exp
 from .symmetry import _asymmetry_scores, _default_offsets
-from .tilting import T_MAX, TiltGrid, _tilt_grid, _tilt_state
+from .tilting import T_MAX, _TiltPass, _tilt_grid, _tilt_state
 
 __all__ = [
     "DIAGNOSTIC_NAMES",
@@ -82,44 +82,43 @@ class DiagnosticReport:
             raise ValueError("error estimates must be nonnegative")
 
 
-_Evaluator = Callable[[BaseMeasure, TiltGrid], tuple[Sequence[float], Sequence[float]]]
+_Evaluator = Callable[[BaseMeasure, _TiltPass], tuple[Sequence[float], Sequence[float]]]
 
 
-def _median_gap(m: BaseMeasure, grid: TiltGrid):
-    return grid.median - grid.t_grid, grid.median_error
+def _median_gap(m: BaseMeasure, state: _TiltPass):
+    median, error = state.medians
+    return median - state.ts, error
 
 
-def _mean_median(m: BaseMeasure, grid: TiltGrid):
-    return grid.median - grid.mean, grid.median_error + grid.mean_error
+def _mean_median(m: BaseMeasure, state: _TiltPass):
+    median, error = state.medians
+    return median - state.mean, error + state.mean_error
 
 
-def _symmetry(m: BaseMeasure, grid: TiltGrid):
+def _symmetry(m: BaseMeasure, state: _TiltPass):
     # the score gets no error estimate: 0 is reported
-    return _asymmetry_scores(m, grid, _default_offsets()), np.zeros(grid.t_grid.size)
+    return _asymmetry_scores(m, state, _default_offsets()), np.zeros(state.ts.size)
 
 
-def _sign_kernel(m: BaseMeasure, grid: TiltGrid):
+def _sign_kernel(m: BaseMeasure, state: _TiltPass):
     # phi(t - x) g(x) = e^{-t^2/2} e^{tx} f(x), split at x = t
-    log_scale = grid.log_partition - 0.5 * grid.t_grid**2
-    return (
-        scaled_exp(log_scale, 2.0 * grid.cdf_at_t - 1.0),
-        scaled_exp(log_scale, 2.0 * grid.cdf_at_t_error),
-    )
+    cdf, cdf_error, _, _ = state.at_t
+    log_scale = state.log_partition - 0.5 * state.ts**2
+    return scaled_exp(log_scale, 2.0 * cdf - 1.0), scaled_exp(log_scale, 2.0 * cdf_error)
 
 
-def _convolution(m: BaseMeasure, grid: TiltGrid):
+def _convolution(m: BaseMeasure, state: _TiltPass):
     # q(t - x) g(x) = sqrt(pi/2) e^{-t^2/2} |t - x| e^{tx} f(x), and
     # E_t|X - t| = mean - t + 2 (t F_t(t) - E_t[X; X <= t])
-    ts = grid.t_grid
-    log_scale, factor = grid.log_partition - 0.5 * ts**2, math.sqrt(0.5 * math.pi)
-    spread = grid.mean - ts + 2.0 * (ts * grid.cdf_at_t - grid.lower_moment_at_t)
-    error = grid.mean_error + 2.0 * (
-        np.abs(ts) * grid.cdf_at_t_error + grid.lower_moment_at_t_error
-    )
+    ts, (cdf, cdf_error, lower, lower_error) = state.ts, state.at_t
+    log_scale, factor = state.log_partition - 0.5 * ts**2, math.sqrt(0.5 * math.pi)
+    spread = state.mean - ts + 2.0 * (ts * cdf - lower)
+    error = state.mean_error + 2.0 * (np.abs(ts) * cdf_error + lower_error)
     return m.g(ts) - scaled_exp(log_scale, spread, factor), scaled_exp(log_scale, error, factor)
 
 
-# each evaluator maps one engine pass over a tilt grid to (residuals, error estimates)
+# each evaluator maps one engine pass over a tilt grid to (residuals, error
+# estimates), forming the medians or the sums at x = t only if it reads them
 _EVALUATORS: dict[str, _Evaluator] = {
     "median_gap": _median_gap,
     "sign_kernel": _sign_kernel,
@@ -128,18 +127,11 @@ _EVALUATORS: dict[str, _Evaluator] = {
     "symmetry": _symmetry,
 }
 DIAGNOSTIC_NAMES = tuple(_EVALUATORS)
-# the evaluators that read the median, so their pass must solve for it
-_NEEDS_MEDIAN = frozenset({"median_gap", "mean_median"})
-# the evaluators that read the half-line sums at x = t
-_NEEDS_AT_T = frozenset({"sign_kernel", "deriva"})
 
 
 def _at_tilt(which: str, m: BaseMeasure, t: float) -> float:
-    """One diagnostic at a single tilt, from the measure's kept pass at t,
-    which forms the median and the sums at x = t only for the evaluators that
-    read them."""
-    row = _tilt_state(m, t).row(median=which in _NEEDS_MEDIAN, at_t=which in _NEEDS_AT_T)
-    return float(_EVALUATORS[which](m, row)[0][0])
+    """One diagnostic at a single tilt, from the measure's kept pass at t."""
+    return float(_EVALUATORS[which](m, _tilt_state(m, t))[0][0])
 
 
 def median_gap(m: BaseMeasure, t: float) -> float:
@@ -183,9 +175,9 @@ def lipschitz_bound(m: BaseMeasure, halfwidth: float) -> float:
         raise ValueError(f"halfwidth must lie in (0, {T_MAX}]")
     max_slope = weighted_abs = 0.0
     for a, above in ((halfwidth, 1.0), (-halfwidth, 0.0)):
-        row = _tilt_state(m, a).row()
-        scale, mean = float(scaled_exp(row.log_partition[0])), float(row.mean[0])
-        below = float(_tilt_state(m, a).half_line([0.0])[2][0])
+        state = _tilt_state(m, a)
+        scale, mean = float(scaled_exp(state.log_partition[0])), float(state.mean[0])
+        below = float(state.half_line([0.0])[2][0])
         max_slope = max(max_slope, abs(scale * mean))
         weighted_abs += scale * (above * mean - below)
     return math.exp(halfwidth**2) * (0.5 * max_slope + weighted_abs)
@@ -210,28 +202,18 @@ def monotonicity_check(m: BaseMeasure, x_grid: Sequence[float]) -> list[tuple[fl
 
 def _interval_masses(m: BaseMeasure, xs: np.ndarray) -> np.ndarray:
     """Base mass of each interval between adjacent points of ``xs``: L(0) dF_0."""
-    cdf = _tilt_state(m, 0.0).half_line(xs)[0]
-    return math.exp(_tilt_state(m, 0.0).row().log_partition[0]) * np.diff(cdf)
+    state = _tilt_state(m, 0.0)
+    return math.exp(state.log_partition[0]) * np.diff(state.half_line(xs)[0])
 
 
 def scan(m: BaseMeasure, which: str, t_grid: Sequence[float]) -> DiagnosticReport:
-    """Evaluate one named diagnostic over a tilt grid."""
-    return _scan_reports(m, (which,), t_grid)[0]
-
-
-def _scan_reports(
-    m: BaseMeasure, names: Sequence[str], t_grid: Sequence[float]
-) -> list[DiagnosticReport]:
-    """Evaluate several named diagnostics over a tilt grid from one engine pass."""
-    for which in names:
-        if which not in _EVALUATORS:
-            raise UnknownDiagnosticError(
-                f"unknown diagnostic {which!r}; expected one of {DIAGNOSTIC_NAMES}"
-            )
-    median, at_t = not _NEEDS_MEDIAN.isdisjoint(names), not _NEEDS_AT_T.isdisjoint(names)
-    grid = _tilt_grid(m, t_grid, median=median, at_t=at_t)
-    ts = grid.t_grid.tolist()
-    return [_report(which, ts, *_EVALUATORS[which](m, grid)) for which in names]
+    """Evaluate one named diagnostic over a tilt grid, from the measure's kept pass."""
+    if which not in _EVALUATORS:
+        raise UnknownDiagnosticError(
+            f"unknown diagnostic {which!r}; expected one of {DIAGNOSTIC_NAMES}"
+        )
+    state = _tilt_grid(m, t_grid)
+    return _report(which, state.ts.tolist(), *_EVALUATORS[which](m, state))
 
 
 def _report(

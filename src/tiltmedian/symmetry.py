@@ -10,13 +10,14 @@ probe the three links of that chain numerically.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .measures import BaseMeasure
-from .tilting import TiltGrid, _tilt_grid, _tilt_state
+from .tilting import _check_tilt, _TiltPass, _tilt_grid, _tilt_state
 
 __all__ = [
     "QuadraticFit",
@@ -66,16 +67,16 @@ def asymmetry_score(
         offs = np.asarray(offsets, dtype=float)
         if offs.ndim != 1 or offs.size == 0 or not np.all(np.isfinite(offs) & (offs > 0)):
             raise ValueError("offsets must be a nonempty 1-d sequence of finite positive values")
-    row = _tilt_state(m, t).row()
+    state = _tilt_state(m, t)
     return SymmetryReport(
         t=float(t),
-        center=float(row.mean[0]),
-        asymmetry_score=float(_asymmetry_scores(m, row, offs)[0]),
+        center=float(state.mean[0]),
+        asymmetry_score=float(_asymmetry_scores(m, state, offs)[0]),
         offsets_tested=int(offs.size),
     )
 
 
-def _asymmetry_scores(m: BaseMeasure, grid: TiltGrid, offs: np.ndarray) -> np.ndarray:
+def _asymmetry_scores(m: BaseMeasure, state: _TiltPass, offs: np.ndarray) -> np.ndarray:
     """Asymmetry score of every tilt of an engine pass, about its tilted mean.
 
     ``offs`` are finite and positive: the default offsets, or offsets that
@@ -83,9 +84,9 @@ def _asymmetry_scores(m: BaseMeasure, grid: TiltGrid, offs: np.ndarray) -> np.nd
     offsets, which is defined past the truncation window too, so offsets may
     reach beyond it.
     """
-    if not np.all(np.isfinite(grid.log_partition)):
+    if not np.all(np.isfinite(state.log_partition)):
         raise ValueError("log_partition must be finite")
-    t, log_l, centers = grid.t_grid[:, None], grid.log_partition[:, None], grid.mean[:, None]
+    t, log_l, centers = state.ts[:, None], state.log_partition[:, None], state.mean[:, None]
     # the tilted density at centers + offs and centers - offs, from one log_pdf call
     x = centers + np.concatenate([offs, -offs])
     density = np.exp(t * x + m.log_pdf(x) - log_l)
@@ -94,10 +95,12 @@ def _asymmetry_scores(m: BaseMeasure, grid: TiltGrid, offs: np.ndarray) -> np.nd
 
 def midpoint_residual(m: BaseMeasure, t: float, s: float) -> float:
     """m(t+s) + m(t-s) - 2*m(t) for the tilted mean; zero iff the mean is locally affine."""
+    _check_tilt(t)
+    if not math.isfinite(s):
+        raise ValueError(f"offset s must be finite, got {s!r}")
     if s == 0.0:
         return 0.0
-    grid = _tilt_grid(m, [t + s, t - s, t], median=False, at_t=False)
-    mean_up, mean_down, mean_mid = grid.mean
+    mean_up, mean_down, mean_mid = _tilt_grid(m, [t + s, t - s, t]).mean
     return float(mean_up + mean_down - 2.0 * mean_mid)
 
 
@@ -122,7 +125,12 @@ def fit_quadratic_log_partition(m: BaseMeasure, t_grid: Sequence[float]) -> Quad
     ts = np.asarray(t_grid, dtype=float)
     if ts.size < 5:
         raise ValueError("need at least five grid points for a stable quadratic fit")
-    values = _tilt_grid(m, ts, median=False, at_t=False).log_partition
+    values = _tilt_grid(m, ts).log_partition
+    # a set, not np.unique, whose first call imports numpy.ma (1.1 MB)
+    distinct = len(set(ts.tolist()))
+    if distinct < 3:
+        # fewer distinct tilts leave the three coefficients underdetermined
+        raise ValueError(f"t_grid must hold at least three distinct tilts, got {distinct}")
     design = np.column_stack([np.ones_like(ts), ts, ts**2])
     gram = design.T @ design
     coeffs = np.linalg.solve(gram, design.T @ values)

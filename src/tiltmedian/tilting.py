@@ -23,28 +23,30 @@ safeguarded Newton solve on partial panels where the mass table crosses
 1/2, run until its step reaches the rounding of x and reported with the
 error it reached.  A grid's medians and its sums at x = t are solved once
 over all its tilts: ``_CHUNK_ELEMENTS`` bounds only the work array of the
-panel sums.  The passes that read log L and the mean
-alone (the quadratic fit, the midpoint residual, the ``symmetry`` scan,
-``tilt``, ``log_partition``, ``asymmetry_score``) form no running table.
-Every error estimate is a sum of panel |Kronrod - Gauss| differences.
+panel sums.  The pass holds log L, the mean and its error as read-only
+arrays from its construction, and forms its medians and its sums at x = t
+once each, when first read; the passes that read log L and the mean alone
+(the quadratic fit, the midpoint residual, the ``symmetry`` scan, ``tilt``,
+``log_partition``, ``asymmetry_score``) form no running table.  Every error
+estimate is a sum of panel |Kronrod - Gauss| differences.
 
 Windows and tolerances are the fixed constants of ``numerics``.  The base
 measure keeps the pass of its most recent request, single tilt or grid,
 keyed on its tilts, so every quantity of those tilts, the distribution
 function at any x included, comes from one set of panel tables whatever the
 order of requests: consecutive diagnostics on one grid share one pass, and
-the median and the sums at x = t are formed when first asked for and kept in
-the pass's row.  A request on other tilts replaces the kept pass, which is
-released before the new one is formed; until then it holds its panel-sum
-table, 8.2 MB after a 97-tilt scan of N(0, 20^2).  Its tilts and row arrays
-are read-only.  The kept pass holds the base log-density as a callable on
+every reader, ``tilt_grid``, the diagnostics of ``medianlaw`` and
+``symmetry``, ``TiltedView`` and ``half_line_mgf``, reads the pass itself.
+A request on other tilts replaces the kept pass, which is released before
+the new one is formed; until then it holds its panel-sum table, 8.2 MB after
+a 97-tilt scan of N(0, 20^2).  Its tilts and every array it hands out are
+read-only.  The kept pass holds the base log-density as a callable on
 ``log_g``, not the measure, so a measure is freed as soon as its last
 reference goes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import threading
@@ -73,8 +75,6 @@ __all__ = [
 # are formed in chunks of this many node values, so the work array stays
 # bounded whatever the grid size.
 _CHUNK_ELEMENTS = 1 << 13
-# the TiltGrid fields of the half-line sums at x = t, in ``half_line``'s order
-_AT_T_FIELDS = ("cdf_at_t", "cdf_at_t_error", "lower_moment_at_t", "lower_moment_at_t_error")
 # Newton iterations before giving up; bisection alone needs ~50 to go from a
 # 0.5-wide panel to the rounding of x.
 _MAX_NEWTON_STEPS = 100
@@ -93,11 +93,8 @@ class TiltGrid:
 
     ``cdf_at_t`` is F_t(t) and ``lower_moment_at_t`` is E_t[X; X <= t].  The
     ``*_error`` fields are propagated quadrature error estimates; the median
-    fields are None when medians were not requested.  ``tilt_grid`` fills
-    every other field; the engine's kept rows, and the grids of the scans and
-    fits that never read them, hold None in the fields of the sums at x = t
-    too, unless an earlier request on the same tilts formed them.  The arrays
-    are read-only: they are the kept pass's, which later requests on the same
+    fields are None when medians were not requested.  The arrays are
+    read-only: they are the kept pass's, which later requests on the same
     tilts read.
     """
 
@@ -127,25 +124,21 @@ def tilt_grid(measure: BaseMeasure, t_grid: Sequence[float], *, median: bool = T
     rounding of x; its ``median_error`` is the solve's last move plus the CDF
     table's error over the density there, floored at the rounding of x, or
     half the width of a flat stretch at 1/2, whose midpoint is then the
-    median.  The call keeps its pass on the measure (see ``BaseMeasure``), so
+    median.  The call reads the measure's kept pass (see ``BaseMeasure``), so
     a later request on equal tilts, 0.0 and -0.0 alike, runs no second pass
-    and reads the same row, whose ``t_grid`` keeps the zero of the request
-    that formed it; the arrays of the result are read-only.
+    and gets the same arrays, whose ``t_grid`` keeps the zero of the request
+    that formed the pass; the median fields are None iff ``median`` is False.
+    The arrays of the result are read-only.
     """
-    grid = _tilt_grid(measure, t_grid, median=median, at_t=True)
-    if not median and grid.median is not None:
-        # the kept pass solved its medians for an earlier request
-        grid = dataclasses.replace(grid, median=None, median_error=None)
-    return grid
+    state = _tilt_grid(measure, t_grid)
+    medians = state.medians if median else (None, None)
+    return TiltGrid(
+        state.ts, state.log_partition, state.mean, state.mean_error, *state.at_t, *medians
+    )
 
 
-def _tilt_grid(
-    measure: BaseMeasure, t_grid: Sequence[float], *, median: bool, at_t: bool
-) -> TiltGrid:
-    """The row of the measure's kept pass over ``t_grid``, formed on a miss,
-    with the median fields if ``median`` and the fields of the half-line sums
-    at x = t if ``at_t``: the scans and fits that never read them skip them.
-    A field left out holds None unless an earlier request formed it."""
+def _tilt_grid(measure: BaseMeasure, t_grid: Sequence[float]) -> _TiltPass:
+    """The measure's kept pass over ``t_grid``, formed on a miss."""
     ts = np.array(t_grid, dtype=float)
     if ts.ndim != 1:
         raise ValueError(f"t_grid must be a 1-d sequence of tilts, got shape {ts.shape}")
@@ -158,7 +151,7 @@ def _tilt_grid(
     if state is None or not np.array_equal(state.ts, ts):
         del state  # the old pass goes before the new one is formed
         state = _keep(measure, ts)
-    return state.row(median=median, at_t=at_t)
+    return state
 
 
 class _TiltPass:
@@ -173,17 +166,18 @@ class _TiltPass:
     and the panel sums of its mass, moment and their errors into one
     (4, tilts, panels + 1) table over the grid, whose first column is 0.
     The totals, log L and the mean are taken from that table at
-    construction.  The first read of ``below``, by the median solve or a
+    construction, read-only, as ``log_partition``, ``mean`` and
+    ``mean_error``.  The first read of ``below``, by the median solve or a
     half-line sum, turns the table in place into running tables, the sums
     over the panels below every edge, so a pass that reads log L and the
-    mean alone forms none.  ``row`` gives the pass's ``TiltGrid`` and adds
-    the median and the sums at x = t when first asked for; the median solve
+    mean alone forms none.  The medians and the sums at x = t are formed
+    once each, on first read of ``medians`` and ``at_t``; the median solve
     and the sums at x = t each take their partial panels in one call per
     step over every tilt.  The pass evaluates the base log-density off the
     node table through ``log_pdf``, a callable on the measure's ``log_g``
     that holds no reference to the measure.  It takes ``ts`` as its own and
-    makes it read-only, as it does every array of its row: a kept pass is
-    keyed on ``ts`` and hands its row to every request on those tilts.
+    makes it read-only, as it does every array it hands out: a kept pass is
+    keyed on ``ts`` and read by every request on those tilts.
     """
 
     def __init__(self, measure: BaseMeasure, ts: np.ndarray) -> None:
@@ -207,14 +201,12 @@ class _TiltPass:
         self._lock = threading.Lock()
         with np.errstate(divide="ignore", invalid="ignore"):
             mean = self.moment / self.mass
-            self._row = TiltGrid(
-                ts,
-                *_read_only(
-                    self.shift + np.log(self.mass),
-                    mean,
-                    (self.moment_err + np.abs(mean) * self.mass_err) / self.mass,
-                ),
+            self.log_partition, self.mean, self.mean_error = _read_only(
+                self.shift + np.log(self.mass),
+                mean,
+                (self.moment_err + np.abs(mean) * self.mass_err) / self.mass,
             )
+        self._kept_medians = self._kept_at_t = None
 
     @property
     def below(self) -> np.ndarray:
@@ -232,23 +224,22 @@ class _TiltPass:
         sums = self._table[..., 1:]
         sums.cumsum(axis=-1, out=sums)
 
-    def row(self, *, median: bool = False, at_t: bool = False) -> TiltGrid:
-        """The pass's ``TiltGrid``: log L, the mean and its error, with the
-        median fields if ``median`` and the fields of the sums at x = t if
-        ``at_t`` (or if an earlier call formed them); the fields left out hold
-        None.  The row's arrays are the pass's, read-only.
-        """
-        row, filled = self._row, {}
-        if median and row.median is None:
-            filled["median"], filled["median_error"] = _read_only(*self._medians())
-        if at_t and row.cdf_at_t is None:
-            at_t_sums = self.half_line(self.ts, np.arange(self.ts.size))
-            filled.update(zip(_AT_T_FIELDS, _read_only(*at_t_sums)))
-        # the row is replaced, never written: a caller racing another one at
-        # worst forms the same values twice, and no reader sees an unfilled one
-        if filled:
-            row = self._row = dataclasses.replace(row, **filled)
-        return row
+    # Racing first reads of ``medians`` or ``at_t`` at worst form the same
+    # values twice: each is kept by one assignment, and no reader sees it unfilled.
+    @property
+    def medians(self) -> tuple[np.ndarray, np.ndarray]:
+        """The median of each tilt and its error, read-only, solved on first read."""
+        if self._kept_medians is None:
+            self._kept_medians = _read_only(*self._medians())
+        return self._kept_medians
+
+    @property
+    def at_t(self) -> tuple[np.ndarray, ...]:
+        """F_t(t), its error, E_t[X; X <= t] and its error for each tilt, in
+        ``half_line``'s order, read-only, formed on first read."""
+        if self._kept_at_t is None:
+            self._kept_at_t = _read_only(*self.half_line(self.ts, np.arange(self.ts.size)))
+        return self._kept_at_t
 
     def _locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x clipped to the panels, which hold all but the truncated tails, and
@@ -401,7 +392,7 @@ def _tilt_state(measure: BaseMeasure, t: float) -> _TiltPass:
     """The measure's kept pass at the single tilt t, formed if the kept one is
     on other tilts.
 
-    Single-t requests read its ``row()`` or its ``half_line(x)``; a one-tilt
+    Single-t requests read its fields or its ``half_line(x)``; a one-tilt
     ``tilt_grid`` at t shares it.  The pass holds a log-density callable, not
     the measure, so keeping it forms no reference cycle.  It is read once: a
     caller racing another one at worst runs the pass again.
@@ -417,7 +408,7 @@ def _tilt_state(measure: BaseMeasure, t: float) -> _TiltPass:
 
 def log_partition(measure: BaseMeasure, t: float) -> float:
     """log of the Laplace transform of the base measure at t."""
-    return float(_tilt_state(measure, t).row().log_partition[0])
+    return float(_tilt_state(measure, t).log_partition[0])
 
 
 def tilt(measure: BaseMeasure, t: float) -> TiltedView:
@@ -463,11 +454,11 @@ class TiltedView:
         return min(1.0, max(0.0, value))
 
     def mean(self) -> float:
-        return float(_tilt_state(self.base, self.t).row().mean[0])
+        return float(_tilt_state(self.base, self.t).mean[0])
 
     def median(self) -> float:
         """Solve cdf(x) = 1/2; a flat stretch at 1/2 resolves to its midpoint."""
-        return float(_tilt_state(self.base, self.t).row(median=True).median[0])
+        return float(_tilt_state(self.base, self.t).medians[0][0])
 
 
 def half_line_mgf(measure: BaseMeasure, t: float) -> tuple[float, float]:
@@ -482,7 +473,8 @@ def half_line_mgf(measure: BaseMeasure, t: float) -> tuple[float, float]:
     Both are L(t) times a tilted-law quantity, formed by ``scaled_exp``, so
     L(t) may exceed the float64 range; a result that does is inf.
     """
-    row = _tilt_state(measure, t).row(at_t=True)
-    log_l, boundary = row.log_partition[0], scaled_exp(t * t + measure.log_pdf(t))
-    value, lower = scaled_exp(log_l, [row.cdf_at_t[0], row.lower_moment_at_t[0]])
+    state = _tilt_state(measure, t)
+    cdf, _, lower_moment, _ = state.at_t
+    log_l, boundary = state.log_partition[0], scaled_exp(t * t + measure.log_pdf(t))
+    value, lower = scaled_exp(log_l, [cdf[0], lower_moment[0]])
     return float(value), float(boundary + lower)

@@ -42,7 +42,8 @@ def engine_calls(monkeypatch) -> collections.Counter:
     partial-panel evaluations (``"partials"``: ``_TiltPass._partial`` calls,
     each one partial panel per row, for a half-line sum or a Newton step),
     half-line sums that include x = t (``"at_t"``: ``_TiltPass.half_line``
-    calls where some x is its row's t), running-table formations (``"tables"``:
+    calls where some x is its row's t), median solves (``"medians"``:
+    ``_TiltPass._medians`` calls), running-table formations (``"tables"``:
     ``_TiltPass._running`` calls, one per pass, grid or kept one-tilt pass,
     whose tables a median solve or a half-line sum reads) and node-table
     builds (``"node_tables"``: ``lattice._node_table`` calls that find no
@@ -60,6 +61,10 @@ def engine_calls(monkeypatch) -> collections.Counter:
         def _partial(self, *args):
             calls["partials"] += 1
             return super()._partial(*args)
+
+        def _medians(self, *args):
+            calls["medians"] += 1
+            return super()._medians(*args)
 
         def _running(self, *args):
             calls["tables"] += 1

@@ -273,7 +273,6 @@ def test_scan_gaussian_median_gap(std_gaussian):
 def test_scan_empty_grid(catalog):
     for measure in catalog:
         reports = [tm.scan(measure, which, []) for which in tm.DIAGNOSTIC_NAMES]
-        reports += tm.medianlaw._scan_reports(measure, tm.cli.FULL_REPORT_DIAGNOSTICS, [])
         for report in reports:
             assert report.t_grid == report.residuals == report.error_estimates == ()
             assert (report.max_abs_residual, report.argmax_t) == (0.0, 0.0)

@@ -74,6 +74,12 @@ def test_midpoint_residual_zero_shift(cosine_half):
     assert tm.midpoint_residual(cosine_half, 1.3, 0.0) == 0.0
 
 
+def test_midpoint_residual_checks_its_arguments_before_a_zero_shift(cosine_half):
+    for t, s in ((100.0, 0.0), (math.nan, 0.0), (100.0, 0.1), (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(ValueError):
+            tm.midpoint_residual(cosine_half, t, s)
+
+
 def test_midpoint_residual_mixture_matches_oracle(symmetric_mixture):
     closed = math.tanh(1.5) - 3.0 * math.tanh(0.5)
     assert abs(closed - SYMMETRIC_MIXTURE_MIDPOINT) <= 1e-12
@@ -115,6 +121,15 @@ def test_fit_stable_under_refinement(std_gaussian):
 def test_fit_needs_five_points(std_gaussian):
     with pytest.raises(ValueError):
         tm.fit_quadratic_log_partition(std_gaussian, np.linspace(-1.0, 1.0, 4))
+
+
+def test_fit_needs_three_distinct_tilts(std_gaussian):
+    # fewer distinct tilts cannot determine three coefficients
+    for t_grid in ([1.0, 1.0, 2.0, 2.0, 2.0], [1.0] * 5, [0.0, -0.0, 1.0, 1.0, 0.0]):
+        with pytest.raises(ValueError, match="^t_grid must hold at least three distinct tilts"):
+            tm.fit_quadratic_log_partition(std_gaussian, t_grid)
+    fit = tm.fit_quadratic_log_partition(std_gaussian, [1.0, 1.0, 2.0, 3.0, 3.0])
+    assert abs(fit.quadratic - 0.5) <= 1e-8
 
 
 def test_symmetry_implies_quadratic_fit(catalog):

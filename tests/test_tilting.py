@@ -323,7 +323,10 @@ def test_full_report_runs_the_engine_once(engine_calls, tmp_path):
         output_format="json",
     )
     assert tm.cli.run(config) == 0
-    assert engine_calls["tilt_grid"] == 1
+    # four grid lookups read one grid pass; the other pass is build_measure's
+    # mass check at t = 0
+    assert (engine_calls["passes"], engine_calls["tilt_grid"]) == (2, 4)
+    assert (engine_calls["medians"], engine_calls["at_t"]) == (1, 1)
     payload = json.loads(out.read_text())
     for name, report in payload.items():
         expected = tm.scan(tm.build_measure(tm.PerturbedCosine(0.5)), name, config.t_grid())
@@ -438,7 +441,7 @@ def test_kept_tables_give_the_same_bits_in_either_read_order(catalog, t):
         for order in (list(reads), list(reversed(reads))):
             tm.log_partition(measure, tm.T_MAX)
             got.append({name: reads[name](measure) for name in order})
-            row = tm.tilting._tilt_state(measure, t).row(median=True, at_t=True)
+            row = tm.tilt_grid(measure, [t])
             for field in dataclasses.fields(row):
                 assert np.array_equal(getattr(row, field.name), getattr(fresh, field.name))
             for kept, first in zip(tm.tilting._tilt_state(measure, t).half_line([x]), half_line):
@@ -636,6 +639,37 @@ def test_consecutive_scans_on_one_grid_share_one_pass(spec, engine_calls):
         assert reports == expected
 
 
+# each diagnostic at one tilt, as its single-t function computes it
+ONE_TILT = {
+    "median_gap": tm.median_gap,
+    "sign_kernel": tm.sign_kernel_residual,
+    "deriva": tm.convolution_residual,
+    "mean_median": tm.mean_median_gap,
+    "symmetry": tm.asymmetry_score,
+}
+
+
+@pytest.mark.parametrize("which", tm.DIAGNOSTIC_NAMES)
+def test_a_pass_forms_medians_and_sums_at_t_once_and_only_where_read(which, engine_calls):
+    # read twice, single-tilt and as a scan, each on a fresh measure: the
+    # medians are solved once iff the diagnostic reads them, the sums at x = t
+    # formed once iff it reads them, and ``symmetry`` forms neither
+    reads_medians = which in ("median_gap", "mean_median")
+    reads_at_t = which in ("sign_kernel", "deriva")
+    requests = {
+        "one tilt": lambda m: ONE_TILT[which](m, 0.75),
+        "scan": lambda m: tm.scan(m, which, SCAN_GRID),
+    }
+    for name, request in requests.items():
+        measure = tm.build_measure(tm.PerturbedCosine(0.5))
+        engine_calls.clear()
+        first = request(measure)
+        assert request(measure) == first
+        assert engine_calls["passes"] == 1, name
+        assert engine_calls["medians"] == reads_medians, name
+        assert engine_calls["at_t"] == reads_at_t, name
+
+
 def test_a_request_on_other_tilts_replaces_the_kept_pass(engine_calls):
     measure = tm.build_measure(tm.PerturbedCosine(0.5))
     signed_zero = np.where(SCAN_GRID == 0.0, -0.0, SCAN_GRID)
@@ -674,7 +708,8 @@ def test_kept_rows_are_read_only_and_medians_stay_requested():
     grid = tm.tilt_grid(measure, ts)
     # the pass took a copy of the caller's tilts
     ts[0] = 0.0
-    assert tm.tilt_grid(measure, SCAN_GRID) is grid
+    for field in dataclasses.fields(grid):
+        assert getattr(tm.tilt_grid(measure, SCAN_GRID), field.name) is getattr(grid, field.name)
     expected = tm.tilt_grid(tm.build_measure(tm.PerturbedQuadratic(1.0)), SCAN_GRID)
     for field in dataclasses.fields(grid):
         with pytest.raises(ValueError, match="read-only"):
