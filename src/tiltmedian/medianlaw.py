@@ -10,7 +10,8 @@ convolution residuals through its half-line sums F_t(t) and
 E_t[X; X <= t] at x = t.  The pass forms its medians and those sums once
 each, when an evaluator first reads them, so consecutive scans on one grid
 share one pass and form each only if one of them reads it; the single-t
-functions read the kept pass of their tilt.
+functions read the row of t of the kept pass, a grid's if it holds t, and
+take that row of the evaluator's result.
 
 - ``median_gap``: tilted median minus the tilt parameter.
 - ``sign_kernel_residual``: signed Gaussian-kernel integral against the
@@ -97,7 +98,7 @@ def _mean_median(m: BaseMeasure, state: _TiltPass):
 
 def _symmetry(m: BaseMeasure, state: _TiltPass):
     # the score gets no error estimate: 0 is reported
-    return _asymmetry_scores(m, state, _default_offsets()), np.zeros(state.ts.size)
+    return _asymmetry_scores(m, state, _default_offsets(), slice(None)), np.zeros(state.ts.size)
 
 
 def _sign_kernel(m: BaseMeasure, state: _TiltPass):
@@ -130,8 +131,9 @@ DIAGNOSTIC_NAMES = tuple(_EVALUATORS)
 
 
 def _at_tilt(which: str, m: BaseMeasure, t: float) -> float:
-    """One diagnostic at a single tilt, from the measure's kept pass at t."""
-    return float(_EVALUATORS[which](m, _tilt_state(m, t))[0][0])
+    """One diagnostic at a single tilt, from the row of t of the measure's kept pass."""
+    state, row = _tilt_state(m, t)
+    return float(_EVALUATORS[which](m, state)[0][row])
 
 
 def median_gap(m: BaseMeasure, t: float) -> float:
@@ -175,9 +177,9 @@ def lipschitz_bound(m: BaseMeasure, halfwidth: float) -> float:
         raise ValueError(f"halfwidth must lie in (0, {T_MAX}]")
     max_slope = weighted_abs = 0.0
     for a, above in ((halfwidth, 1.0), (-halfwidth, 0.0)):
-        state = _tilt_state(m, a)
-        scale, mean = float(scaled_exp(state.log_partition[0])), float(state.mean[0])
-        below = float(state.half_line([0.0])[2][0])
+        state, row = _tilt_state(m, a)
+        scale, mean = float(scaled_exp(state.log_partition[row])), float(state.mean[row])
+        below = float(state.half_line([0.0], row)[2][0])
         max_slope = max(max_slope, abs(scale * mean))
         weighted_abs += scale * (above * mean - below)
     return math.exp(halfwidth**2) * (0.5 * max_slope + weighted_abs)
@@ -202,8 +204,8 @@ def monotonicity_check(m: BaseMeasure, x_grid: Sequence[float]) -> list[tuple[fl
 
 def _interval_masses(m: BaseMeasure, xs: np.ndarray) -> np.ndarray:
     """Base mass of each interval between adjacent points of ``xs``: L(0) dF_0."""
-    state = _tilt_state(m, 0.0)
-    return math.exp(state.log_partition[0]) * np.diff(state.half_line(xs)[0])
+    state, row = _tilt_state(m, 0.0)
+    return math.exp(state.log_partition[row]) * np.diff(state.half_line(xs, row)[0])
 
 
 def scan(m: BaseMeasure, which: str, t_grid: Sequence[float]) -> DiagnosticReport:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import BaseMeasure
-from .tilting import _check_tilt, _TiltPass, _tilt_grid, _tilt_state
+from .tilting import _check_grid, _check_tilt, _TiltPass, _tilt_grid, _tilt_state
 
 __all__ = [
     "QuadraticFit",
@@ -60,33 +60,41 @@ def default_offsets() -> np.ndarray:
 def asymmetry_score(
     m: BaseMeasure, t: float, offsets: Sequence[float] | None = None
 ) -> SymmetryReport:
-    """Max over offsets u of |pdf(center+u) - pdf(center-u)| for the tilt-t law."""
+    """Max over offsets u of |pdf(center+u) - pdf(center-u)| for the tilt-t law.
+
+    The center is the tilted mean, read from the row of t of the measure's
+    kept pass: a grid's, when the kept grid holds t, so after a scan the
+    scores on its grid run no engine pass.  A row's mean is within
+    16 eps max(1, |mean|) of a one-tilt pass's.
+    """
     if offsets is None:
         offs = _default_offsets()
     else:
         offs = np.asarray(offsets, dtype=float)
         if offs.ndim != 1 or offs.size == 0 or not np.all(np.isfinite(offs) & (offs > 0)):
             raise ValueError("offsets must be a nonempty 1-d sequence of finite positive values")
-    state = _tilt_state(m, t)
+    state, row = _tilt_state(m, t)
     return SymmetryReport(
         t=float(t),
-        center=float(state.mean[0]),
-        asymmetry_score=float(_asymmetry_scores(m, state, offs)[0]),
+        center=float(state.mean[row]),
+        asymmetry_score=float(_asymmetry_scores(m, state, offs, slice(row, row + 1))[0]),
         offsets_tested=int(offs.size),
     )
 
 
-def _asymmetry_scores(m: BaseMeasure, state: _TiltPass, offs: np.ndarray) -> np.ndarray:
-    """Asymmetry score of every tilt of an engine pass, about its tilted mean.
+def _asymmetry_scores(
+    m: BaseMeasure, state: _TiltPass, offs: np.ndarray, rows: slice
+) -> np.ndarray:
+    """Asymmetry score of the tilts ``rows`` of an engine pass, about their tilted means.
 
     ``offs`` are finite and positive: the default offsets, or offsets that
     ``asymmetry_score`` checked.  The score reads the tilted density at the
     offsets, which is defined past the truncation window too, so offsets may
     reach beyond it.
     """
-    if not np.all(np.isfinite(state.log_partition)):
+    t, log_l, centers = (array[rows, None] for array in (state.ts, state.log_partition, state.mean))
+    if not np.all(np.isfinite(log_l)):
         raise ValueError("log_partition must be finite")
-    t, log_l, centers = state.ts[:, None], state.log_partition[:, None], state.mean[:, None]
     # the tilted density at centers + offs and centers - offs, from one log_pdf call
     x = centers + np.concatenate([offs, -offs])
     density = np.exp(t * x + m.log_pdf(x) - log_l)
@@ -120,17 +128,18 @@ def fit_quadratic_log_partition(m: BaseMeasure, t_grid: Sequence[float]) -> Quad
     Uses the normal equations on the degree-2 Vandermonde design; the grids
     used here are short enough that conditioning is harmless.  For a normal
     base the fit is exact and the coefficients recover the mean and half the
-    variance.
+    variance.  The grid is checked whole before the engine runs, so a
+    rejected grid leaves the measure's kept pass in place.
     """
-    ts = np.asarray(t_grid, dtype=float)
+    ts = _check_grid(t_grid)
     if ts.size < 5:
         raise ValueError("need at least five grid points for a stable quadratic fit")
-    values = _tilt_grid(m, ts).log_partition
     # a set, not np.unique, whose first call imports numpy.ma (1.1 MB)
     distinct = len(set(ts.tolist()))
     if distinct < 3:
         # fewer distinct tilts leave the three coefficients underdetermined
         raise ValueError(f"t_grid must hold at least three distinct tilts, got {distinct}")
+    values = _tilt_grid(m, ts).log_partition
     design = np.column_stack([np.ones_like(ts), ts, ts**2])
     gram = design.T @ design
     coeffs = np.linalg.solve(gram, design.T @ values)

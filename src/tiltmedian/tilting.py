@@ -34,15 +34,18 @@ Windows and tolerances are the fixed constants of ``numerics``.  The base
 measure keeps the pass of its most recent request, single tilt or grid,
 keyed on its tilts, so every quantity of those tilts, the distribution
 function at any x included, comes from one set of panel tables whatever the
-order of requests: consecutive diagnostics on one grid share one pass, and
-every reader, ``tilt_grid``, the diagnostics of ``medianlaw`` and
+order of requests: consecutive diagnostics on one grid share one pass, a
+one-tilt request at a tilt the kept pass holds reads that tilt's row of it,
+and every reader, ``tilt_grid``, the diagnostics of ``medianlaw`` and
 ``symmetry``, ``TiltedView`` and ``half_line_mgf``, reads the pass itself.
-A request on other tilts replaces the kept pass, which is released before
-the new one is formed; until then it holds its panel-sum table, 8.2 MB after
-a 97-tilt scan of N(0, 20^2).  Its tilts and every array it hands out are
-read-only.  The kept pass holds the base log-density as a callable on
-``log_g``, not the measure, so a measure is freed as soon as its last
-reference goes.
+A row's values are within 16 eps max(1, |value|) of a one-tilt pass's (see
+``tilt_grid``), and a one-tilt median or sum at x = t read from a grid
+solves them for the whole grid, once.  A request on tilts the kept pass
+does not hold replaces it, and the old pass is released before the new one
+is formed; until then it holds its panel-sum table, 8.2 MB after a 97-tilt
+scan of N(0, 20^2).  Its tilts and every array it hands out are read-only.
+The kept pass holds the base log-density as a callable on ``log_g``, not the
+measure, so a measure is freed as soon as its last reference goes.
 """
 
 from __future__ import annotations
@@ -128,17 +131,24 @@ def tilt_grid(measure: BaseMeasure, t_grid: Sequence[float], *, median: bool = T
     a later request on equal tilts, 0.0 and -0.0 alike, runs no second pass
     and gets the same arrays, whose ``t_grid`` keeps the zero of the request
     that formed the pass; the median fields are None iff ``median`` is False.
-    The arrays of the result are read-only.
+    A one-tilt grid is a one-tilt request: it gets one-element views of the
+    row of t when the kept pass holds t among other tilts.  The arrays of
+    the result are read-only.
     """
-    state = _tilt_grid(measure, t_grid)
+    ts = np.array(t_grid, dtype=float)
+    if ts.shape == (1,):
+        state, row = _tilt_state(measure, ts[0])
+    else:
+        state, row = _tilt_grid(measure, ts), None
     medians = state.medians if median else (None, None)
-    return TiltGrid(
-        state.ts, state.log_partition, state.mean, state.mean_error, *state.at_t, *medians
-    )
+    fields = (state.ts, state.log_partition, state.mean, state.mean_error, *state.at_t, *medians)
+    if row is not None and state.ts.size > 1:
+        fields = tuple(None if f is None else f[row : row + 1] for f in fields)
+    return TiltGrid(*fields)
 
 
-def _tilt_grid(measure: BaseMeasure, t_grid: Sequence[float]) -> _TiltPass:
-    """The measure's kept pass over ``t_grid``, formed on a miss."""
+def _check_grid(t_grid: Sequence[float]) -> np.ndarray:
+    """``t_grid`` as a new array, checked: 1-d, every tilt in the working range."""
     ts = np.array(t_grid, dtype=float)
     if ts.ndim != 1:
         raise ValueError(f"t_grid must be a 1-d sequence of tilts, got shape {ts.shape}")
@@ -146,6 +156,12 @@ def _tilt_grid(measure: BaseMeasure, t_grid: Sequence[float]) -> _TiltPass:
     if outside.any():
         # the first tilt out of range (or nan), in grid order
         _check_tilt(ts[outside.argmax()])
+    return ts
+
+
+def _tilt_grid(measure: BaseMeasure, t_grid: Sequence[float]) -> _TiltPass:
+    """The measure's kept pass over ``t_grid``, formed on a miss."""
+    ts = _check_grid(t_grid)
     state = measure._tilt_state
     # equal tilts share a pass, 0.0 and -0.0 alike, as in ``_tilt_state``
     if state is None or not np.array_equal(state.ts, ts):
@@ -177,7 +193,8 @@ class _TiltPass:
     node table through ``log_pdf``, a callable on the measure's ``log_g``
     that holds no reference to the measure.  It takes ``ts`` as its own and
     makes it read-only, as it does every array it hands out: a kept pass is
-    keyed on ``ts`` and read by every request on those tilts.
+    keyed on ``ts`` and read by every request on those tilts or on one of
+    them.
     """
 
     def __init__(self, measure: BaseMeasure, ts: np.ndarray) -> None:
@@ -261,10 +278,10 @@ class _TiltPass:
         return mass_k, moment_k, mass_err, moment_err, values[:, 15]
 
     @np.errstate(divide="ignore", invalid="ignore")
-    def half_line(self, x, rows=0) -> tuple[np.ndarray, ...]:
+    def half_line(self, x, rows) -> tuple[np.ndarray, ...]:
         """F_t(x), its error, E_t[X; X <= x] and its error at each x, for the tilt
-        of its row in ``rows`` (the first tilt by default): the four running
-        sums below x plus one partial panel.  F's error counts the whole mass
+        of its row in ``rows`` (one row for every x, or one row for them all):
+        the four running sums below x plus one partial panel.  F's error counts the whole mass
         error (it bounds the error F and log L share) and the rounding of a
         running sum, as the median's table does."""
         x, panel = self._locate(x)
@@ -388,27 +405,37 @@ def _keep(measure: BaseMeasure, ts: np.ndarray) -> _TiltPass:
     return state
 
 
-def _tilt_state(measure: BaseMeasure, t: float) -> _TiltPass:
-    """The measure's kept pass at the single tilt t, formed if the kept one is
-    on other tilts.
+def _tilt_state(measure: BaseMeasure, t: float) -> tuple[_TiltPass, int]:
+    """The measure's kept pass and its row of the single tilt t: a new one-tilt
+    pass, kept, unless the kept pass holds t.
 
-    Single-t requests read its fields or its ``half_line(x)``; a one-tilt
-    ``tilt_grid`` at t shares it.  The pass holds a log-density callable, not
-    the measure, so keeping it forms no reference cycle.  It is read once: a
+    Single-t requests read the row of their fields or ``half_line(x, row)``;
+    a one-tilt ``tilt_grid`` at t shares it.  A row of a grid holds the
+    grid's values, within 16 eps max(1, |value|) of a one-tilt pass's, and
+    its medians or sums at x = t, read for one tilt, are formed for every
+    tilt of the grid.  The pass holds a log-density callable, not the
+    measure, so keeping it forms no reference cycle.  It is read once: a
     caller racing another one at worst runs the pass again.
     """
     t = _check_tilt(t)
     state = measure._tilt_state
-    # 0.0 and -0.0 share a pass: no result depends on the sign of a zero tilt
-    if state is not None and state.ts.size == 1 and state.ts[0] == t:
-        return state
+    # 0.0 and -0.0 share a row: no result depends on the sign of a zero tilt
+    if state is not None:
+        if state.ts.size == 1:
+            if state.ts[0] == t:
+                return state, 0
+        else:
+            rows = np.flatnonzero(state.ts == t)
+            if rows.size:
+                return state, int(rows[0])
     del state  # the old pass goes before the new one is formed
-    return _keep(measure, np.array([t]))
+    return _keep(measure, np.array([t])), 0
 
 
 def log_partition(measure: BaseMeasure, t: float) -> float:
     """log of the Laplace transform of the base measure at t."""
-    return float(_tilt_state(measure, t).log_partition[0])
+    state, row = _tilt_state(measure, t)
+    return float(state.log_partition[row])
 
 
 def tilt(measure: BaseMeasure, t: float) -> TiltedView:
@@ -420,11 +447,12 @@ def tilt(measure: BaseMeasure, t: float) -> TiltedView:
 class TiltedView:
     """One member of the tilted family, with its normalizer cached.
 
-    ``mean()``, ``median()`` and ``cdf()`` read the base measure's kept
-    one-tilt pass (see ``BaseMeasure``): after :func:`tilt`, or any other
-    one-tilt request at the same t, they run no second engine pass;
-    the median is solved on the kept panel tables once, to the rounding of
-    x (``tilt_grid`` gives its error estimate).
+    ``mean()``, ``median()`` and ``cdf()`` read the row of t of the base
+    measure's kept pass (see ``BaseMeasure``): after :func:`tilt`, or any
+    other request on t, a grid holding t included, they run no second
+    engine pass; the median is solved on the kept panel tables once, to the
+    rounding of x (``tilt_grid`` gives its error estimate), for every tilt
+    of a kept grid.
     """
 
     base: BaseMeasure
@@ -450,15 +478,18 @@ class TiltedView:
         x = float(x)
         if math.isnan(x):
             raise ValueError("cdf is undefined at nan")
-        value = float(_tilt_state(self.base, self.t).half_line([x])[0][0])
+        state, row = _tilt_state(self.base, self.t)
+        value = float(state.half_line([x], row)[0][0])
         return min(1.0, max(0.0, value))
 
     def mean(self) -> float:
-        return float(_tilt_state(self.base, self.t).mean[0])
+        state, row = _tilt_state(self.base, self.t)
+        return float(state.mean[row])
 
     def median(self) -> float:
         """Solve cdf(x) = 1/2; a flat stretch at 1/2 resolves to its midpoint."""
-        return float(_tilt_state(self.base, self.t).medians[0][0])
+        state, row = _tilt_state(self.base, self.t)
+        return float(state.medians[0][row])
 
 
 def half_line_mgf(measure: BaseMeasure, t: float) -> tuple[float, float]:
@@ -473,8 +504,8 @@ def half_line_mgf(measure: BaseMeasure, t: float) -> tuple[float, float]:
     Both are L(t) times a tilted-law quantity, formed by ``scaled_exp``, so
     L(t) may exceed the float64 range; a result that does is inf.
     """
-    state = _tilt_state(measure, t)
+    state, row = _tilt_state(measure, t)
     cdf, _, lower_moment, _ = state.at_t
-    log_l, boundary = state.log_partition[0], scaled_exp(t * t + measure.log_pdf(t))
-    value, lower = scaled_exp(log_l, [cdf[0], lower_moment[0]])
+    log_l, boundary = state.log_partition[row], scaled_exp(t * t + measure.log_pdf(t))
+    value, lower = scaled_exp(log_l, [cdf[row], lower_moment[row]])
     return float(value), float(boundary + lower)

@@ -38,7 +38,8 @@ def catalog(std_gaussian, cosine_half, quadratic_one, symmetric_mixture):
 def engine_calls(monkeypatch) -> collections.Counter:
     """Counts, from every module that calls the engine: engine panel passes
     (``"passes"``: ``_TiltPass`` constructions), grid calls (``"tilt_grid"``:
-    ``tilt_grid`` and the scans' and fits' private ``_tilt_grid``),
+    ``tilt_grid`` on other than one tilt, and the scans' and fits' private
+    ``_tilt_grid``; a one-tilt ``tilt_grid`` is a one-tilt request),
     partial-panel evaluations (``"partials"``: ``_TiltPass._partial`` calls,
     each one partial panel per row, for a half-line sum or a Newton step),
     half-line sums that include x = t (``"at_t"``: ``_TiltPass.half_line``
@@ -47,10 +48,13 @@ def engine_calls(monkeypatch) -> collections.Counter:
     ``_TiltPass._running`` calls, one per pass, grid or kept one-tilt pass,
     whose tables a median solve or a half-line sum reads) and node-table
     builds (``"node_tables"``: ``lattice._node_table`` calls that find no
-    table kept on the measure)."""
+    table kept on the measure) and one-tilt requests answered by a row of a
+    kept pass over more than one tilt (``"rows"``: ``_tilt_state`` calls
+    that return such a pass)."""
     calls: collections.Counter = collections.Counter()
     tilt_pass = tm.tilting._TiltPass
     engine = tm.tilting._tilt_grid
+    state_at = tm.tilting._tilt_state
     node_table = tm.lattice._node_table
 
     class CountingPass(tilt_pass):
@@ -70,7 +74,7 @@ def engine_calls(monkeypatch) -> collections.Counter:
             calls["tables"] += 1
             return super()._running(*args)
 
-        def half_line(self, x, rows=0):
+        def half_line(self, x, rows):
             if np.any(np.asarray(x) == self.ts[rows]):
                 calls["at_t"] += 1
             return super().half_line(x, rows)
@@ -78,6 +82,12 @@ def engine_calls(monkeypatch) -> collections.Counter:
     def counting_engine(*args, **kwargs):
         calls["tilt_grid"] += 1
         return engine(*args, **kwargs)
+
+    def counting_state(*args):
+        state, row = state_at(*args)
+        if state.ts.size > 1:
+            calls["rows"] += 1
+        return state, row
 
     def counting_table(measure, *args):
         if measure._node_table is None:
@@ -90,4 +100,6 @@ def engine_calls(monkeypatch) -> collections.Counter:
     for module in (tm.tilting, tm.medianlaw, tm.symmetry):
         if getattr(module, "_tilt_grid", None) is engine:
             monkeypatch.setattr(module, "_tilt_grid", counting_engine)
+        if getattr(module, "_tilt_state", None) is state_at:
+            monkeypatch.setattr(module, "_tilt_state", counting_state)
     return calls

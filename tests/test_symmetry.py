@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -130,6 +131,24 @@ def test_fit_needs_three_distinct_tilts(std_gaussian):
             tm.fit_quadratic_log_partition(std_gaussian, t_grid)
     fit = tm.fit_quadratic_log_partition(std_gaussian, [1.0, 1.0, 2.0, 3.0, 3.0])
     assert abs(fit.quadratic - 0.5) <= 1e-8
+
+
+def test_a_rejected_fit_leaves_the_kept_pass(std_gaussian):
+    # the whole grid is checked before the engine runs, so a rejected fit
+    # keeps the grid whose rows later one-tilt requests read
+    measure = dataclasses.replace(std_gaussian)
+    tm.tilt_grid(measure, np.linspace(-4.0, 4.0, 21))
+    kept = measure._tilt_state
+    for t_grid in (
+        [1.0, 1.0, 2.0, 2.0, 2.0],
+        [0.0, 1.0, 2.0, 3.0],
+        [0.0, 1.0, 2.0, 3.0, math.nan],
+        [0.0, 1.0, 2.0, 3.0, 9.0],
+        np.zeros((5, 2)),
+    ):
+        with pytest.raises(ValueError):
+            tm.fit_quadratic_log_partition(measure, t_grid)
+        assert measure._tilt_state is kept, t_grid
 
 
 def test_symmetry_implies_quadratic_fit(catalog):

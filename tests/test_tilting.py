@@ -66,7 +66,8 @@ def test_tilted_view_requires_finite_normalizer(std_gaussian):
 
 
 def test_one_tilt_requests_share_one_engine_pass(catalog, engine_calls):
-    for measure in catalog:
+    # fresh measures: a catalog measure may keep a grid an earlier test left
+    for measure in map(dataclasses.replace, catalog):
         for t in (-2.5, 0.0, 1.5):
             engine_calls.clear()
             view = tm.tilt(measure, t)
@@ -95,28 +96,43 @@ def test_one_tilt_requests_share_one_engine_pass(catalog, engine_calls):
                 tm.scan(fresh, "deriva", [t]).residuals[0],
             )
             assert got == expected
-            # another tilt is a new pass, which a one-tilt grid at that tilt shares
+            # another tilt is a new pass, which a one-tilt grid at that tilt, a
+            # one-tilt request and no grid call, shares
             engine_calls.clear()
             assert tm.log_partition(measure, t + 0.25) == float(
                 tm.tilt_grid(measure, [t + 0.25]).log_partition[0]
             )
-            assert (engine_calls["passes"], engine_calls["tilt_grid"]) == (1, 1)
+            assert (engine_calls["passes"], engine_calls["tilt_grid"], engine_calls["rows"]) == (
+                1, 0, 0
+            )
 
 
 def test_kept_state_under_concurrent_callers(cosine_half):
     # threads racing on one measure's kept pass may run it again, never mix
-    # rows; past each barrier every thread reads the same new pass, so their
+    # rows; past each barrier every thread reads the same kept pass, so their
     # first reads of its running tables, which are formed in place, race.
     # Two more threads alternate between two grids, whose scans replace the
-    # kept pass under the others and read it in their turn.
+    # kept pass under the others and read it in their turn.  Both grids hold
+    # every tilt read, so a read comes from one of three passes: the one-tilt
+    # pass at t or row t of either grid, and has the exact bits of one of them
     def cdf_off_t(measure, t):
         return tm.tilt(measure, t).cdf(t + 0.4)
 
     measure = tm.build_measure(tm.PerturbedCosine(0.5))
     readers = (tm.median_gap, tm.convolution_residual, cdf_off_t, tm.half_line_mgf)
     tilts = (-1.0, 0.5, 2.0)
-    expected = {(f, t): f(cosine_half, t) for f in readers for t in tilts}
     grids = (np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 2.5, 9))
+
+    def sources(f, t):
+        bits = []
+        for grid in (None,) + grids:
+            fresh = dataclasses.replace(cosine_half)
+            if grid is not None:
+                tm.tilt_grid(fresh, grid)
+            bits.append(f(fresh, t))
+        return bits
+
+    expected = {(f, t): sources(f, t) for f in readers for t in tilts}
     scans = {
         (which, k): repr(tm.scan(tm.build_measure(tm.PerturbedCosine(0.5)), which, grid))
         for which in tm.DIAGNOSTIC_NAMES
@@ -140,12 +156,13 @@ def test_kept_state_under_concurrent_callers(cosine_half):
         try:
             for k in range(120):
                 t = tilts[k % len(tilts)]
-                # a kept pass at t that has formed no running tables yet
+                # a kept pass at t, or a grid holding t, that may have formed no
+                # running tables yet
                 tm.log_partition(measure, t)
                 barrier.wait()
                 for j in range(len(readers)):
                     f = readers[(offset + j) % len(readers)]
-                    if f(measure, t) != expected[f, t]:
+                    if f(measure, t) not in expected[f, t]:
                         mismatches.append((f.__name__, t))
         except Exception as exc:  # a worker that dies must fail the test, not hang the rest
             mismatches.append(repr(exc))
@@ -193,7 +210,7 @@ def test_reads_that_skip_the_sums_at_t_form_none(engine_calls):
 
 
 def test_sums_at_t_are_one_partial_panel_on_the_kept_pass(catalog, engine_calls):
-    for measure in catalog:
+    for measure in map(dataclasses.replace, catalog):
         for t in (-2.5, 0.0, 1.0):
             tm.tilt(measure, t)
             engine_calls.clear()
@@ -393,7 +410,7 @@ def test_cdf_rejects_nan_and_saturates_at_infinities(cosine_half):
 
 
 def test_tilt_median_and_cdf_share_one_engine_pass(catalog, engine_calls):
-    for measure in catalog:
+    for measure in map(dataclasses.replace, catalog):
         engine_calls.clear()
         view = tm.tilt(measure, 0.75)
         median = view.median()
@@ -432,11 +449,13 @@ def test_kept_tables_give_the_same_bits_in_either_read_order(catalog, t):
         "cdf": lambda m: tm.tilt(m, t).cdf(x),
         "half_line_mgf": lambda m: tm.half_line_mgf(m, t),
     }
-    for measure in catalog:
+    for measure in map(dataclasses.replace, catalog):
         fresh = tm.tilt_grid(measure, [t])
         # a request at another tilt replaces the kept state
         tm.log_partition(measure, tm.T_MAX)
-        half_line = tm.tilting._tilt_state(measure, t).half_line([x])
+        state, row = tm.tilting._tilt_state(measure, t)
+        assert (state.ts.size, row) == (1, 0)
+        half_line = state.half_line([x], row)
         got = []
         for order in (list(reads), list(reversed(reads))):
             tm.log_partition(measure, tm.T_MAX)
@@ -444,7 +463,8 @@ def test_kept_tables_give_the_same_bits_in_either_read_order(catalog, t):
             row = tm.tilt_grid(measure, [t])
             for field in dataclasses.fields(row):
                 assert np.array_equal(getattr(row, field.name), getattr(fresh, field.name))
-            for kept, first in zip(tm.tilting._tilt_state(measure, t).half_line([x]), half_line):
+            state, row = tm.tilting._tilt_state(measure, t)
+            for kept, first in zip(state.half_line([x], row), half_line):
                 assert np.array_equal(kept, first)
         assert got[0] == got[1]
         assert got[0]["median"] == fresh.median[0]
@@ -575,8 +595,11 @@ def test_tilt_grid_matches_single_tilts(catalog):
     extra = (tm.GaussianMixture(0.5, -1.0, 0.5, 1.0, 1.5), tm.Gaussian(0.3, 0.05))
     for measure in catalog + tuple(tm.build_measure(spec) for spec in extra):
         grid = tm.tilt_grid(measure, SCAN_GRID)
+        # one-tilt passes: on ``measure`` a one-tilt grid would read the grid's row
+        fresh = dataclasses.replace(measure)
         for k, t in enumerate(SCAN_GRID):
-            single = tm.tilt_grid(measure, [t])
+            single = tm.tilt_grid(fresh, [t])
+            assert single.t_grid.size == fresh._tilt_state.ts.size == 1
             for name in ("log_partition", "mean", "median", "cdf_at_t", "lower_moment_at_t"):
                 value = getattr(single, name)[0]
                 bound = 16.0 * eps * max(1.0, abs(value))
@@ -678,7 +701,7 @@ def test_a_request_on_other_tilts_replaces_the_kept_pass(engine_calls):
         "another grid": lambda: tm.scan(measure, "median_gap", SCAN_GRID[::2]),
         "a grid one tilt shorter": lambda: tm.tilt_grid(measure, SCAN_GRID[:-1]),
         "a fit": lambda: tm.fit_quadratic_log_partition(measure, SCAN_GRID[1:]),
-        "a single tilt": lambda: tm.log_partition(measure, float(SCAN_GRID[0])),
+        "a single tilt off the grid": lambda: tm.log_partition(measure, 0.3),
         "a midpoint": lambda: tm.midpoint_residual(measure, 0.5, 0.25),
     }
     for name, request in in_between.items():
@@ -691,15 +714,95 @@ def test_a_request_on_other_tilts_replaces_the_kept_pass(engine_calls):
         tm.scan(measure, "deriva", signed_zero)
         tm.tilt_grid(measure, list(SCAN_GRID))
         assert engine_calls["passes"] == 2, name
-    # a grid of one tilt and that tilt share one pass, a longer grid
-    # starting at it does not
+    # one-tilt requests at tilts the kept grid holds read its rows, 0.0 and
+    # -0.0 alike, and keep it
     engine_calls.clear()
     tm.tilt(measure, 0.5).median()
     tm.tilt_grid(measure, [0.5])
-    assert engine_calls["passes"] == 1
-    tm.tilt_grid(measure, [0.5, 1.0])
-    tm.tilt(measure, 0.5)
+    tm.asymmetry_score(measure, -0.0)
+    tm.lipschitz_bound(measure, 2.0)
+    tm.scan(measure, "median_gap", SCAN_GRID)
+    assert (engine_calls["passes"], engine_calls["rows"]) == (0, 6)
+    # one at a tilt off the grid replaces it; a grid of one tilt and that
+    # tilt share one pass, a longer grid starting at it does not, and the
+    # tilt then reads its row
+    tm.tilt(measure, 0.3).median()
+    tm.tilt_grid(measure, [0.3])
+    assert (engine_calls["passes"], engine_calls["rows"]) == (1, 6)
+    tm.tilt_grid(measure, [0.3, 1.0])
+    tm.tilt(measure, 0.3)
+    assert (engine_calls["passes"], engine_calls["rows"]) == (2, 7)
+    tm.scan(measure, "median_gap", SCAN_GRID)
     assert engine_calls["passes"] == 3
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS, ids=repr)
+def test_asymmetry_scores_on_a_scanned_grid_read_its_rows(spec, engine_calls):
+    # after a scan, the scores on its grid run no engine pass: each center is
+    # the grid's mean bit for bit, within rounding of a one-tilt pass's
+    eps = np.finfo(float).eps
+    measure = tm.build_measure(spec)
+    one_tilt = dataclasses.replace(measure)
+    tm.scan(measure, "median_gap", SCAN_GRID)
+    engine_calls.clear()
+    reports = [tm.asymmetry_score(measure, float(t)) for t in SCAN_GRID]
+    assert engine_calls == {"rows": SCAN_GRID.size}
+    mean = tm.tilt_grid(measure, SCAN_GRID).mean
+    assert engine_calls["passes"] == 0
+    for k, (t, report) in enumerate(zip(SCAN_GRID, reports)):
+        assert report.center == mean[k], t
+        single = tm.asymmetry_score(one_tilt, float(t))
+        for name in ("center", "asymmetry_score"):
+            value = getattr(single, name)
+            bound = 16.0 * eps * max(1.0, abs(value))
+            assert abs(getattr(report, name) - value) <= bound, (t, name)
+
+
+def test_a_median_at_a_grid_tilt_solves_the_grids_medians_once(engine_calls):
+    measure = tm.build_measure(tm.PerturbedCosine(0.5))
+    tm.scan(measure, "symmetry", SCAN_GRID)
+    engine_calls.clear()
+    medians = [tm.tilt(measure, float(t)).median() for t in SCAN_GRID[::8]]
+    assert (engine_calls["passes"], engine_calls["medians"]) == (0, 1)
+    assert engine_calls["rows"] == 2 * len(medians)
+    assert medians == tm.tilt_grid(measure, SCAN_GRID).median[::8].tolist()
+    assert engine_calls["medians"] == 1
+
+
+def test_a_signed_zero_reads_the_row_of_zero_and_nan_raises(engine_calls):
+    measure = tm.build_measure(tm.PerturbedQuadratic(1.0))
+    grid = tm.tilt_grid(measure, SCAN_GRID)
+    kept = measure._tilt_state
+    engine_calls.clear()
+    report = tm.asymmetry_score(measure, -0.0)
+    assert report.center == grid.mean[SCAN_GRID.size // 2]
+    assert (engine_calls["passes"], engine_calls["rows"]) == (0, 1)
+    for request in (tm.asymmetry_score, tm.log_partition, tm.median_gap, tm.tilt):
+        with pytest.raises(ValueError, match="outside the working range"):
+            request(measure, math.nan)
+    with pytest.raises(ValueError, match="outside the working range"):
+        tm.tilt_grid(measure, [math.nan])
+    assert measure._tilt_state is kept
+
+
+def test_a_sequence_of_requests_gives_the_same_bits_on_a_fresh_measure():
+    # a one-tilt read from a grid row may differ from a one-tilt pass by
+    # rounding, so the contract is on the sequence: replayed on a fresh
+    # measure, it gives the same bits
+    def requests(measure):
+        view = tm.tilt(measure, 1.5)
+        got = [repr(tm.scan(measure, "sign_kernel", SCAN_GRID))]
+        got += [view.mean(), view.median(), view.cdf(0.7), tm.half_line_mgf(measure, 1.5)]
+        got += [tm.asymmetry_score(measure, float(t)) for t in SCAN_GRID[::6]]
+        got += [tm.median_gap(measure, -2.0), tm.convolution_residual(measure, 0.0)]
+        got += [tm.fit_quadratic_log_partition(measure, np.linspace(-4.0, 4.0, 21))]
+        got += [tm.lipschitz_bound(measure, 2.0), tm.tilt(measure, -2.0).median()]
+        got += [tm.monotonicity_check(measure, [-1.0, 0.0, 1.0]), view.cdf(0.7)]
+        grid = tm.tilt_grid(measure, [-2.0])
+        return got + [getattr(grid, field.name).tobytes() for field in dataclasses.fields(grid)]
+
+    for spec in CATALOG_SPECS:
+        assert requests(tm.build_measure(spec)) == requests(tm.build_measure(spec)), spec
 
 
 def test_kept_rows_are_read_only_and_medians_stay_requested():
