@@ -104,13 +104,12 @@ class BaseMeasure:
     further requests on the same tilts share that one panel pass:
     consecutive diagnostics on one grid run one pass, and a single-t
     request at a tilt of the kept grid reads that tilt's row.  Every reader
-    takes the pass itself, which forms its medians and its half-line sums
-    at x = t once each, on first read, for all its tilts: a one-tilt median
-    read from a grid solves the grid's medians, once.  Only one pass is
-    kept: a request on tilts it does not hold releases it before forming
-    its own, and until then it holds its panel-sum table (8.2 MB after a
-    97-tilt scan of ``Gaussian(0, 20)``).  Neither field takes part in
-    ``==``, ``hash`` or ``repr``.
+    takes the pass itself; the ``tilting`` module docstring says what a
+    pass forms and when.  Only one pass is kept: a request on tilts it does
+    not hold releases it before forming its own, and until then it holds
+    its running tables (8.2 MB after a 97-tilt scan of
+    ``Gaussian(0, 20)``).  Neither field takes part in ``==``, ``hash`` or
+    ``repr``.
     """
 
     spec: MeasureSpec

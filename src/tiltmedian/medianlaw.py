@@ -7,11 +7,10 @@ normal; for the perturbed catalog entries they are visibly nonzero at
 ordinary grid resolution.  Each is an evaluator of the measure's kept
 engine pass over a tilt grid (see ``tilting``), the sign-kernel and
 convolution residuals through its half-line sums F_t(t) and
-E_t[X; X <= t] at x = t.  The pass forms its medians and those sums once
-each, when an evaluator first reads them, so consecutive scans on one grid
-share one pass and form each only if one of them reads it; the single-t
-functions read the row of t of the kept pass, a grid's if it holds t, and
-take that row of the evaluator's result.
+E_t[X; X <= t] at x = t.  Consecutive scans on one grid share one pass
+(the ``tilting`` module docstring says what a pass forms and when); the
+single-t functions read the row of t of the kept pass, a grid's if it holds
+t, and take that row of the evaluator's result.
 
 - ``median_gap``: tilted median minus the tilt parameter.
 - ``sign_kernel_residual``: signed Gaussian-kernel integral against the

@@ -16,19 +16,25 @@ widest window out of that table, and ``numerics._panel_sums``, the kernel
 the lattice's probe shares, makes each tilt one shift, one exponential and
 one Kronrod call over its mass and moment node values, stacked in one work
 array.  The panel sums go into one table over the grid, which gives log L(t)
-and the tilted mean.  Turned in place into running tables at the panel
-edges when first read, it gives with one partial panel the half-line sums
-F_t(x) and E_t[X; X <= x] at any x, x = t included, and the median: a
-safeguarded Newton solve on partial panels where the mass table crosses
-1/2, run until its step reaches the rounding of x and reported with the
-error it reached.  A grid's medians and its sums at x = t are solved once
-over all its tilts: ``_CHUNK_ELEMENTS`` bounds only the work array of the
-panel sums.  The pass holds log L, the mean and its error as read-only
-arrays from its construction, and forms its medians and its sums at x = t
-once each, when first read; the passes that read log L and the mean alone
-(the quadratic fit, the midpoint residual, the ``symmetry`` scan, ``tilt``,
-``log_partition``, ``asymmetry_score``) form no running table.  Every error
-estimate is a sum of panel |Kronrod - Gauss| differences.
+and the tilted mean.  The constructor then turns that table in place into
+running tables at the panel edges, which give with one partial panel the
+half-line sums F_t(x) and E_t[X; X <= x] at any x, x = t included, and the
+median: a safeguarded Newton solve on partial panels where the mass table
+crosses 1/2, run until its step reaches the rounding of x and reported with
+the error it reached.  A grid's medians and its sums at x = t are solved
+once over all its tilts: ``_CHUNK_ELEMENTS`` bounds only the work array of
+the panel sums.
+
+A pass is complete when it is built.  It holds its tilts, log L, the mean
+and its error, and the running tables, all read-only arrays, and a map from
+each tilt to its first row, the one lookup of a one-tilt request.  After
+that it changes only when its medians or its sums at x = t are first read:
+each is formed then and kept by one assignment.  They stay lazy because
+each costs about as much as the pass, and the quadratic fit, the midpoint
+residual, the ``symmetry`` scan, ``tilt``, ``log_partition`` and
+``asymmetry_score`` read neither.  Threads racing on a first read at worst
+form the same values twice.  Every error estimate is a sum of panel
+|Kronrod - Gauss| differences.
 
 Windows and tolerances are the fixed constants of ``numerics``.  The base
 measure keeps the pass of its most recent request, single tilt or grid,
@@ -42,7 +48,7 @@ A row's values are within 16 eps max(1, |value|) of a one-tilt pass's (see
 ``tilt_grid``), and a one-tilt median or sum at x = t read from a grid
 solves them for the whole grid, once.  A request on tilts the kept pass
 does not hold replaces it, and the old pass is released before the new one
-is formed; until then it holds its panel-sum table, 8.2 MB after a 97-tilt
+is formed; until then it holds its running tables, 8.2 MB after a 97-tilt
 scan of N(0, 20^2).  Its tilts and every array it hands out are read-only.
 The kept pass holds the base log-density as a callable on ``log_g``, not the
 measure, so a measure is freed as soon as its last reference goes.
@@ -52,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -181,20 +186,18 @@ class _TiltPass:
     shares; each chunk writes its tilts' shift into an array over the grid,
     and the panel sums of its mass, moment and their errors into one
     (4, tilts, panels + 1) table over the grid, whose first column is 0.
-    The totals, log L and the mean are taken from that table at
-    construction, read-only, as ``log_partition``, ``mean`` and
-    ``mean_error``.  The first read of ``below``, by the median solve or a
-    half-line sum, turns the table in place into running tables, the sums
-    over the panels below every edge, so a pass that reads log L and the
-    mean alone forms none.  The medians and the sums at x = t are formed
-    once each, on first read of ``medians`` and ``at_t``; the median solve
-    and the sums at x = t each take their partial panels in one call per
-    step over every tilt.  The pass evaluates the base log-density off the
-    node table through ``log_pdf``, a callable on the measure's ``log_g``
-    that holds no reference to the measure.  It takes ``ts`` as its own and
-    makes it read-only, as it does every array it hands out: a kept pass is
-    keyed on ``ts`` and read by every request on those tilts or on one of
-    them.
+    The constructor takes the totals, log L and the mean from that table
+    as ``log_partition``, ``mean`` and ``mean_error``, then turns the table
+    in place into ``below``, the running tables of the sums over the panels
+    below every edge, and maps each tilt to its first row in ``row_of``
+    (0.0 and -0.0 share a key).  ``medians`` and ``at_t`` are the only
+    state formed later (see the module docstring); the median solve and the
+    sums at x = t each take their partial panels in one call per step over
+    every tilt.  The pass evaluates the base log-density off the node table
+    through ``log_pdf``, a callable on the measure's ``log_g`` that holds
+    no reference to the measure.  It takes ``ts`` as its own and makes it
+    read-only, as it does every array it hands out: a kept pass is keyed on
+    ``ts`` and read by every request on those tilts or on one of them.
     """
 
     def __init__(self, measure: BaseMeasure, ts: np.ndarray) -> None:
@@ -208,14 +211,18 @@ class _TiltPass:
         self.ts = ts
         self.log_pdf = functools.partial(_log_density, measure.log_g)
         self.shift = np.empty(ts.size)
-        self._table = np.zeros((4, ts.size, self.edges.size))
+        table = np.zeros((4, ts.size, self.edges.size))
         step = max(1, _CHUNK_ELEMENTS // xs.size)
         for start in range(0, ts.size, step):
             rows = slice(start, start + step)
-            self.shift[rows] = _panel_sums(ts[rows], xs, half, log_pdf, self._table[:, rows, 1:])[0]
-        self.mass, self.moment, self.mass_err, self.moment_err = self._table[..., 1:].sum(axis=2)
-        self._formed = False
-        self._lock = threading.Lock()
+            self.shift[rows] = _panel_sums(ts[rows], xs, half, log_pdf, table[:, rows, 1:])[0]
+        sums = table[..., 1:]
+        self.mass, self.moment, self.mass_err, self.moment_err = sums.sum(axis=2)
+        sums.cumsum(axis=-1, out=sums)
+        (self.below,) = _read_only(table)
+        self.row_of: dict[float, int] = {}
+        for row, t in enumerate(ts.tolist()):
+            self.row_of.setdefault(t, row)
         with np.errstate(divide="ignore", invalid="ignore"):
             mean = self.moment / self.mass
             self.log_partition, self.mean, self.mean_error = _read_only(
@@ -225,24 +232,6 @@ class _TiltPass:
             )
         self._kept_medians = self._kept_at_t = None
 
-    @property
-    def below(self) -> np.ndarray:
-        """The running tables of the mass, the moment and their errors, shape
-        (4, tilts, edges), formed in place on first read.  Forming them twice
-        would sum them twice, so racing first reads take a lock."""
-        with self._lock:
-            if not self._formed:
-                self._running()
-                self._formed = True
-        return self._table
-
-    def _running(self) -> None:
-        """Turn the table of panel sums into running tables, in place."""
-        sums = self._table[..., 1:]
-        sums.cumsum(axis=-1, out=sums)
-
-    # Racing first reads of ``medians`` or ``at_t`` at worst form the same
-    # values twice: each is kept by one assignment, and no reader sees it unfilled.
     @property
     def medians(self) -> tuple[np.ndarray, np.ndarray]:
         """The median of each tilt and its error, read-only, solved on first read."""
@@ -406,8 +395,8 @@ def _keep(measure: BaseMeasure, ts: np.ndarray) -> _TiltPass:
 
 
 def _tilt_state(measure: BaseMeasure, t: float) -> tuple[_TiltPass, int]:
-    """The measure's kept pass and its row of the single tilt t: a new one-tilt
-    pass, kept, unless the kept pass holds t.
+    """The measure's kept pass and its first row of the single tilt t, read
+    off ``row_of``: a new one-tilt pass, kept, unless the kept pass holds t.
 
     Single-t requests read the row of their fields or ``half_line(x, row)``;
     a one-tilt ``tilt_grid`` at t shares it.  A row of a grid holds the
@@ -420,14 +409,9 @@ def _tilt_state(measure: BaseMeasure, t: float) -> tuple[_TiltPass, int]:
     t = _check_tilt(t)
     state = measure._tilt_state
     # 0.0 and -0.0 share a row: no result depends on the sign of a zero tilt
-    if state is not None:
-        if state.ts.size == 1:
-            if state.ts[0] == t:
-                return state, 0
-        else:
-            rows = np.flatnonzero(state.ts == t)
-            if rows.size:
-                return state, int(rows[0])
+    row = None if state is None else state.row_of.get(t)
+    if row is not None:
+        return state, row
     del state  # the old pass goes before the new one is formed
     return _keep(measure, np.array([t])), 0
 
@@ -448,11 +432,10 @@ class TiltedView:
     """One member of the tilted family, with its normalizer cached.
 
     ``mean()``, ``median()`` and ``cdf()`` read the row of t of the base
-    measure's kept pass (see ``BaseMeasure``): after :func:`tilt`, or any
-    other request on t, a grid holding t included, they run no second
-    engine pass; the median is solved on the kept panel tables once, to the
-    rounding of x (``tilt_grid`` gives its error estimate), for every tilt
-    of a kept grid.
+    measure's kept pass (see the ``tilting`` module docstring for what a
+    pass forms and when): after :func:`tilt`, or any other request on t, a
+    grid holding t included, they run no second engine pass.  The median
+    is solved to the rounding of x; ``tilt_grid`` gives its error estimate.
     """
 
     base: BaseMeasure
@@ -474,7 +457,7 @@ class TiltedView:
         return np.exp(self.log_pdf(x))
 
     def cdf(self, x: float) -> float:
-        """Distribution function F_t(x) from the kept one-tilt pass, clamped to [0, 1]."""
+        """Distribution function F_t(x) from the row of t of the kept pass, clamped to [0, 1]."""
         x = float(x)
         if math.isnan(x):
             raise ValueError("cdf is undefined at nan")

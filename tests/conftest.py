@@ -44,13 +44,12 @@ def engine_calls(monkeypatch) -> collections.Counter:
     each one partial panel per row, for a half-line sum or a Newton step),
     half-line sums that include x = t (``"at_t"``: ``_TiltPass.half_line``
     calls where some x is its row's t), median solves (``"medians"``:
-    ``_TiltPass._medians`` calls), running-table formations (``"tables"``:
-    ``_TiltPass._running`` calls, one per pass, grid or kept one-tilt pass,
-    whose tables a median solve or a half-line sum reads) and node-table
-    builds (``"node_tables"``: ``lattice._node_table`` calls that find no
-    table kept on the measure) and one-tilt requests answered by a row of a
-    kept pass over more than one tilt (``"rows"``: ``_tilt_state`` calls
-    that return such a pass)."""
+    ``_TiltPass._medians`` calls), node-table builds (``"node_tables"``:
+    ``lattice._node_table`` calls that find no table kept on the measure)
+    and one-tilt requests answered by a row of a kept pass over more than
+    one tilt (``"rows"``: ``_tilt_state`` calls that return such a pass).
+    A pass forms its running tables in its constructor, so ``"passes"``
+    counts those too."""
     calls: collections.Counter = collections.Counter()
     tilt_pass = tm.tilting._TiltPass
     engine = tm.tilting._tilt_grid
@@ -69,10 +68,6 @@ def engine_calls(monkeypatch) -> collections.Counter:
         def _medians(self, *args):
             calls["medians"] += 1
             return super()._medians(*args)
-
-        def _running(self, *args):
-            calls["tables"] += 1
-            return super()._running(*args)
 
         def half_line(self, x, rows):
             if np.any(np.asarray(x) == self.ts[rows]):

@@ -114,3 +114,15 @@ def test_choquet_step_multiplies_cosine_by_its_multiplier(omega):
         previous = grid.values[smoothed.window_lo : smoothed.window_hi + 1]
         assert np.max(np.abs(smoothed.window_values() - (1.0 + d * (previous - 1.0)))) <= 1e-13
         grid = smoothed
+
+
+def test_discrete_multiplier_matches_the_kernels():
+    # the centre weight step^2 / 12 restores the Euler-Maclaurin term the
+    # trapezoid rule loses at the kink of |y|: 1.07e-9 with it, 1.07e-5 without
+    setup = tm.ConvolutionSetup()
+    steps = setup.kernel_steps()
+    offsets = setup.step * np.arange(-steps, steps + 1)
+    omegas = np.linspace(0.0, 5.0, 101)
+    discrete = np.cos(np.outer(omegas, offsets)) @ setup.weights()
+    exact = np.array([multiplier(omega) for omega in omegas])
+    assert np.max(np.abs(discrete - exact)) <= 1e-8

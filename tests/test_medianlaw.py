@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -315,6 +316,42 @@ def test_equivalence_chain_on_grid(catalog):
         if sign_report.max_abs_residual <= 2e-8:
             gap_report = tm.scan(measure, "median_gap", grid)
             assert gap_report.max_abs_residual <= 2e-8
+
+
+def _table_and_midpoints(path, knots, ratio):
+    """A ``Tabulated`` measure of ``ratio`` at ``knots``, written to ``path``,
+    and every fifth midpoint between knots with |t| <= 5.5."""
+    path.write_text("".join(f"{x!r} {g!r}\n" for x, g in zip(knots.tolist(), ratio.tolist())))
+    midpoints = 0.5 * (knots[1:] + knots[:-1])
+    return tm.build_measure(tm.Tabulated(str(path))), midpoints[np.abs(midpoints) <= 5.5][::5]
+
+
+def test_sign_kernel_derivative_is_the_convolution_residual(catalog, tmp_path):
+    # the paper's proof chain, with no closed form: d/dy[sign(y) phi(y)] =
+    # 2 phi(0) delta(y) - |y| phi(y) gives S'(t) = sqrt(2/pi) (g - q * g)(t) for
+    # S = sign_kernel_residual, which the engine forms from F_t(t), and
+    # g - q * g = convolution_residual, which it forms from E_t[X; X <= t] and
+    # the mean.  Central differences D(h) carry the two error estimates of S
+    # over 2h and an h^2 term, of which (D(2h) - D(h)) / 3 is the Richardson
+    # estimate; twice it covers the h^4 rest (under 5% of it at h = 1e-2).  A
+    # tabulated S'' jumps at the knots, so its tilts lie midway between them.
+    h = 1e-3
+    sin_knots, quad_knots = np.linspace(-6.0, 6.0, 121), np.linspace(-5.0, 5.0, 101)
+    cases = [(m, np.linspace(-6.0, 6.0, 25) + 0.05) for m in map(dataclasses.replace, catalog)]
+    cases += [
+        _table_and_midpoints(tmp_path / "sin.txt", sin_knots, 1.0 + 0.3 * np.sin(1.3 * sin_knots)),
+        _table_and_midpoints(tmp_path / "quad.txt", quad_knots, 0.5 + quad_knots**2 / 8.0),
+    ]
+    for measure, ts in cases:
+        grid = (ts[:, None] + h * np.arange(-2, 3)).ravel()
+        sign, conv = (tm.scan(measure, which, grid) for which in ("sign_kernel", "deriva"))
+        s, s_err = (np.reshape(v, (-1, 5)) for v in (sign.residuals, sign.error_estimates))
+        c, c_err = (np.reshape(v, (-1, 5))[:, 2] for v in (conv.residuals, conv.error_estimates))
+        d_h = (s[:, 3] - s[:, 1]) / (2.0 * h)
+        d_2h = (s[:, 4] - s[:, 0]) / (4.0 * h)
+        k = math.sqrt(2.0 / math.pi)
+        bound = (s_err[:, 3] + s_err[:, 1]) / (2.0 * h) + k * c_err + 2.0 * np.abs(d_2h - d_h) / 3.0
+        assert np.all(np.abs(d_h - k * c) <= bound), measure.spec
 
 
 def test_separation_on_dense_grid(cosine_half, quadratic_one):

@@ -110,7 +110,7 @@ def test_one_tilt_requests_share_one_engine_pass(catalog, engine_calls):
 def test_kept_state_under_concurrent_callers(cosine_half):
     # threads racing on one measure's kept pass may run it again, never mix
     # rows; past each barrier every thread reads the same kept pass, so their
-    # first reads of its running tables, which are formed in place, race.
+    # first reads of its medians and its sums at x = t race.
     # Two more threads alternate between two grids, whose scans replace the
     # kept pass under the others and read it in their turn.  Both grids hold
     # every tilt read, so a read comes from one of three passes: the one-tilt
@@ -156,8 +156,8 @@ def test_kept_state_under_concurrent_callers(cosine_half):
         try:
             for k in range(120):
                 t = tilts[k % len(tilts)]
-                # a kept pass at t, or a grid holding t, that may have formed no
-                # running tables yet
+                # a kept pass at t, or a grid holding t, that may have formed
+                # neither its medians nor its sums at x = t yet
                 tm.log_partition(measure, t)
                 barrier.wait()
                 for j in range(len(readers)):
@@ -215,13 +215,13 @@ def test_sums_at_t_are_one_partial_panel_on_the_kept_pass(catalog, engine_calls)
             tm.tilt(measure, t)
             engine_calls.clear()
             first = tm.sign_kernel_residual(measure, t)
-            # the first read of the sums forms the kept pass's tables
-            assert engine_calls == {"partials": 1, "at_t": 1, "tables": 1}
+            # the first read of the sums forms them on the kept pass
+            assert engine_calls == {"partials": 1, "at_t": 1}
             # the convolution residual and half_line_mgf read the same sums
             tm.convolution_residual(measure, t)
             tm.half_line_mgf(measure, t)
             assert tm.sign_kernel_residual(measure, t) == first
-            assert engine_calls == {"partials": 1, "at_t": 1, "tables": 1}
+            assert engine_calls == {"partials": 1, "at_t": 1}
 
 
 def test_node_table_is_built_once_per_measure(engine_calls):
@@ -419,7 +419,7 @@ def test_tilt_median_and_cdf_share_one_engine_pass(catalog, engine_calls):
         assert values == sorted(values)
 
 
-def test_running_tables_are_formed_only_where_read(catalog, engine_calls):
+def test_each_request_on_new_tilts_forms_one_pass(catalog, engine_calls):
     ts = np.linspace(-6.0, 6.0, 97)
     for measure in catalog:
         engine_calls.clear()
@@ -431,13 +431,12 @@ def test_running_tables_are_formed_only_where_read(catalog, engine_calls):
         tm.midpoint_residual(measure, 0.5, 0.25)
         tm.scan(measure, "symmetry", ts)
         assert engine_calls["passes"] == 6
-        assert engine_calls["tables"] == 0
         # the grid requests replaced the pass at 2.2: the view's median forms
-        # a new one, which forms its four tables once, when first read
+        # a new one, which its cdf and a second median read
         view.median()
         view.cdf(1.0)
         view.median()
-        assert (engine_calls["passes"], engine_calls["tables"]) == (7, 1)
+        assert engine_calls["passes"] == 7
 
 
 @pytest.mark.parametrize("t", [-6.0, -0.75, 0.0, 2.5])
@@ -628,14 +627,12 @@ def test_a_grid_solves_its_medians_and_sums_at_t_once(engine_calls):
     measure = tm.build_measure(spec)
     engine_calls.clear()
     tm.scan(measure, "median_gap", SCAN_GRID)
-    assert (engine_calls["passes"], engine_calls["tables"]) == (1, 1)
+    assert engine_calls["passes"] == 1
     assert engine_calls["partials"] <= 8 and engine_calls["at_t"] == 0
     measure = tm.build_measure(spec)
     engine_calls.clear()
     tm.scan(measure, "sign_kernel", SCAN_GRID)
     assert (engine_calls["passes"], engine_calls["partials"], engine_calls["at_t"]) == (1, 1, 1)
-    # the running tables are formed once over the grid, not once per chunk
-    assert engine_calls["tables"] == 1
     # scans and fits that read neither medians nor the sums at x = t form
     # no partial panel; the fit on the scan's grid shares its pass
     measure = tm.build_measure(spec)
@@ -658,7 +655,7 @@ def test_consecutive_scans_on_one_grid_share_one_pass(spec, engine_calls):
         engine_calls.clear()
         reports = {which: repr(tm.scan(measure, which, SCAN_GRID)) for which in order}
         assert (engine_calls["passes"], engine_calls["tilt_grid"]) == (1, 5)
-        assert (engine_calls["tables"], engine_calls["at_t"]) == (1, 1)
+        assert engine_calls["at_t"] == 1
         assert reports == expected
 
 
@@ -783,6 +780,56 @@ def test_a_signed_zero_reads_the_row_of_zero_and_nan_raises(engine_calls):
     with pytest.raises(ValueError, match="outside the working range"):
         tm.tilt_grid(measure, [math.nan])
     assert measure._tilt_state is kept
+
+
+def test_a_one_tilt_request_reads_the_first_row_of_its_tilt(engine_calls):
+    # a grid with a repeated tilt and both zeros: each one-tilt request reads
+    # the first row equal to its tilt, as ``np.flatnonzero(ts == t)[0]`` would
+    measure = tm.build_measure(tm.PerturbedCosine(0.5))
+    grid = tm.tilt_grid(measure, [1.0, -0.0, 0.5, 1.0, 0.0, 0.5, -0.0])
+    engine_calls.clear()
+    for t in (1.0, 0.0, -0.0, 0.5):
+        state, row = tm.tilting._tilt_state(measure, t)
+        assert row == np.flatnonzero(state.ts == t)[0]
+        assert tm.log_partition(measure, t) == grid.log_partition[row]
+        assert tm.tilt(measure, t).median() == grid.median[row]
+    assert engine_calls["passes"] == 0
+
+
+def _pass_contents(state) -> dict:
+    """A pass's attributes but its kept medians and sums at x = t, each array
+    as its shape, bytes and writeable flag, each dict as a copy."""
+
+    def content(value):
+        if isinstance(value, np.ndarray):
+            return value.shape, value.tobytes(), value.flags.writeable
+        return dict(value) if isinstance(value, dict) else value
+
+    return {
+        name: content(value)
+        for name, value in vars(state).items()
+        if name not in ("_kept_medians", "_kept_at_t")
+    }
+
+
+@pytest.mark.parametrize("grid", [[0.5], [-2.0, -0.5, 0.5, 2.0]], ids=["one tilt", "grid"])
+def test_a_kept_pass_changes_on_read_only_by_its_medians_and_sums_at_t(catalog, grid):
+    reads = [
+        lambda m: tm.tilt(m, 0.5).cdf(1.0),
+        lambda m: tm.tilt(m, 0.5).median(),
+        lambda m: tm.sign_kernel_residual(m, 0.5),
+    ]
+    if len(grid) > 1:
+        # half-line sums at x = 0 in the grid's rows of the tilts -2 and 2
+        reads.append(lambda m: tm.lipschitz_bound(m, 2.0))
+    for measure in map(dataclasses.replace, catalog):
+        state = tm.tilting._tilt_grid(measure, grid)
+        names, contents = set(vars(state)), _pass_contents(state)
+        for read in reads:
+            read(measure)
+            assert measure._tilt_state is state
+            assert set(vars(state)) == names
+            assert _pass_contents(state) == contents
 
 
 def test_a_sequence_of_requests_gives_the_same_bits_on_a_fresh_measure():
