@@ -15,8 +15,9 @@ families list their ``(log weight, mu, sigma)`` components, and one builder
 and one closed form serve both.  Windows use the fixed constants of
 ``numerics``, so a spec alone determines its measure.  The builder also
 lists the points where the tilt-grid engine's panel lattice must have an
-edge: the knots of a table, and a grid over each normal component too narrow
-for the anchored panels.  Nonnegativity is checked exactly on the parameters
+edge: the knots of a table (for the normalized table, the edges of the raw
+table's lattice), and a grid over each normal component too narrow for the
+anchored panels.  Nonnegativity is checked exactly on the parameters
 (``PerturbedCosine`` needs ``eps <= 1``, tables need values ``>= 0``); the
 unit-mass check and the normalization of tables read log L(0) from the
 engine.
@@ -90,8 +91,9 @@ class BaseMeasure:
     Gaussian envelope of sd ``window_scale`` by that sd squared per unit of t.
 
     ``breakpoints`` are points where the engine's panel lattice has an edge:
-    kinks of the density, or a grid over a peak too narrow for the anchored
-    panels.
+    kinks of the density, a grid over a peak too narrow for the anchored
+    panels, or, for a normalized table, the edges of its raw table's
+    lattice, from which its own bisection starts.
 
     The measure has two engine fields, built on first use.  The node table
     holds the panel lattice's edges, the Kronrod nodes of every panel and
@@ -297,7 +299,11 @@ class Tabulated:
     increasing x, nonnegative values; lines starting with '#' are ignored.
     The ratio is interpolated linearly inside the tabulated range, set to
     zero outside it, and renormalized so the density integrates to one.
-    Integrals are truncated to the table range whatever the tilt.
+    Integrals are truncated to the table range whatever the tilt.  The raw
+    ratio's lattice, on the knots, gives the mass; the normalized measure's
+    lattice is bisected from the raw lattice's edges, like any other.  A
+    constant factor moves no lattice test, so its first round passes the raw
+    lattice's panels: all of them on every table measured.
     """
 
     literal: ClassVar[str] = "tabulated"
@@ -316,8 +322,7 @@ class Tabulated:
             with np.errstate(divide="ignore"):
                 return np.log(vals)
 
-        # tilting and lattice import this module
-        from .lattice import _node_table
+        # tilting imports this module
         from .tilting import log_partition
 
         raw = BaseMeasure(
@@ -327,11 +332,11 @@ class Tabulated:
         mass = float(scaled_exp(log_partition(raw, 0.0)))
         if not mass > 1e-300:
             raise NotNormalizableError("tabulated density has zero total mass")
-        normalized = dataclasses.replace(raw, log_g=functools.partial(log_g, ratio=gs / mass))
-        # the lattice tests in units of the largest node value, so it ignores a
-        # constant factor: the normalized table takes the raw table's edges
-        _node_table(normalized, _node_table(raw)[0])
-        return normalized
+        # the lattice tests in units of each tilt's largest node value, so a
+        # constant factor moves no test: bisected from the raw lattice's edges,
+        # the normalized table passes the raw table's panels in its first round
+        ratio = functools.partial(log_g, ratio=gs / mass)
+        return dataclasses.replace(raw, log_g=ratio, breakpoints=tuple(raw._node_table[0].tolist()))
 
     def closed_form_log_partition(self, t: float) -> None:
         return None

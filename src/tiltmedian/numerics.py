@@ -8,6 +8,8 @@ difference is the panel's error estimate (``_error``, floored at the
 rounding of the sum).  ``_panel_sums`` forms every full-panel sum of the
 tilted integrand e^{tx} f(x) from those: the probe of the panel lattice in
 ``lattice`` and each pass of the tilt-grid engine in ``tilting`` call it.
+``_LEGENDRE_TAIL`` maps a panel's 15 node values to the last three Legendre
+coefficients of their interpolant: the lattice's resolution test.
 
 The quadrature settings are fixed constants: a panel is resolved at an error
 of ``max(ABS_TOL, REL_TOL * |value|)``, and improper integrals are truncated
@@ -65,6 +67,27 @@ _GAUSS_W = np.zeros(15)
 _GAUSS_W[[1, 3, 5, 7, 9, 11, 13]] = [
     _WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0],
 ]
+
+
+def _legendre_tail() -> np.ndarray:
+    """The rows that map a panel's 15 node values to the Legendre coefficients
+    c_12, c_13 and c_14 of their degree-14 interpolant on [-1, 1].
+
+    The Legendre polynomials at the nodes come from the three-term recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}; their 15 x 15 matrix is
+    well conditioned (condition number 6.4), so its inverse is formed
+    directly.  The 7-point Gauss rule is exact through degree 13 and the
+    Kronrod rule integrates the interpolant, so Kronrod - Gauss sees c_14
+    alone; these rows see the last three coefficients.
+    """
+    vander = np.ones((15, 15))
+    vander[:, 1] = _NODES
+    for k in range(1, 14):
+        vander[:, k + 1] = ((2 * k + 1) * _NODES * vander[:, k] - k * vander[:, k - 1]) / (k + 1)
+    return np.linalg.inv(vander)[12:]
+
+
+_LEGENDRE_TAIL = _legendre_tail()
 
 # width of the anchored panels: narrow enough that the 15-point rule is
 # exact to rounding for integrands with unit-or-larger length scale

@@ -100,26 +100,25 @@ class TiltGrid:
     """Tilted-law summaries over a grid of tilts, one entry per tilt.
 
     ``cdf_at_t`` is F_t(t) and ``lower_moment_at_t`` is E_t[X; X <= t].  The
-    ``*_error`` fields are propagated quadrature error estimates; the median
-    fields are None when medians were not requested.  The arrays are
-    read-only: they are the kept pass's, which later requests on the same
-    tilts read.
+    ``*_error`` fields are propagated quadrature error estimates.  The arrays
+    are read-only: they are the kept pass's, which later requests on the
+    same tilts read.
     """
 
     t_grid: np.ndarray
     log_partition: np.ndarray
     mean: np.ndarray
     mean_error: np.ndarray
-    cdf_at_t: np.ndarray | None = None
-    cdf_at_t_error: np.ndarray | None = None
-    lower_moment_at_t: np.ndarray | None = None
-    lower_moment_at_t_error: np.ndarray | None = None
-    median: np.ndarray | None = None
-    median_error: np.ndarray | None = None
+    cdf_at_t: np.ndarray
+    cdf_at_t_error: np.ndarray
+    lower_moment_at_t: np.ndarray
+    lower_moment_at_t_error: np.ndarray
+    median: np.ndarray
+    median_error: np.ndarray
 
 
-def tilt_grid(measure: BaseMeasure, t_grid: Sequence[float], *, median: bool = True) -> TiltGrid:
-    """log L, mean, F_t(t), E_t[X; X <= t] and optionally the median of each tilt-t law.
+def tilt_grid(measure: BaseMeasure, t_grid: Sequence[float]) -> TiltGrid:
+    """log L, mean, F_t(t), E_t[X; X <= t] and the median of each tilt-t law.
 
     The panels are the measure's lattice panels that cover the union of the
     per-tilt truncation windows, and the medians and the sums at x = t take
@@ -135,20 +134,19 @@ def tilt_grid(measure: BaseMeasure, t_grid: Sequence[float], *, median: bool = T
     median.  The call reads the measure's kept pass (see ``BaseMeasure``), so
     a later request on equal tilts, 0.0 and -0.0 alike, runs no second pass
     and gets the same arrays, whose ``t_grid`` keeps the zero of the request
-    that formed the pass; the median fields are None iff ``median`` is False.
-    A one-tilt grid is a one-tilt request: it gets one-element views of the
-    row of t when the kept pass holds t among other tilts.  The arrays of
-    the result are read-only.
+    that formed the pass.  A one-tilt grid is a one-tilt request: it gets
+    one-element views of the row of t when the kept pass holds t among
+    other tilts.  The arrays of the result are read-only, and every field
+    is one: a grid always carries its medians.
     """
     ts = np.array(t_grid, dtype=float)
     if ts.shape == (1,):
-        state, row = _tilt_state(measure, ts[0])
+        kept, row = _tilt_state(measure, ts[0])
     else:
-        state, row = _tilt_grid(measure, ts), None
-    medians = state.medians if median else (None, None)
-    fields = (state.ts, state.log_partition, state.mean, state.mean_error, *state.at_t, *medians)
-    if row is not None and state.ts.size > 1:
-        fields = tuple(None if f is None else f[row : row + 1] for f in fields)
+        kept, row = _tilt_grid(measure, ts), None
+    fields = (kept.ts, kept.log_partition, kept.mean, kept.mean_error) + kept.at_t + kept.medians
+    if row is not None and kept.ts.size > 1:
+        fields = tuple(f[row : row + 1] for f in fields)
     return TiltGrid(*fields)
 
 

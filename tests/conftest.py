@@ -84,10 +84,10 @@ def engine_calls(monkeypatch) -> collections.Counter:
             calls["rows"] += 1
         return state, row
 
-    def counting_table(measure, *args):
+    def counting_table(measure):
         if measure._node_table is None:
             calls["node_tables"] += 1
-        return node_table(measure, *args)
+        return node_table(measure)
 
     monkeypatch.setattr(tm.tilting, "_TiltPass", CountingPass)
     for module in (tm.lattice, tm.tilting):

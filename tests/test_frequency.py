@@ -72,18 +72,21 @@ def test_high_frequency_error_estimates_are_honest(eps, omega):
     assert_residuals_match_closed_forms(eps, omega)
 
 
-# The lattice bisects a panel only where |Kronrod - Gauss| misses tolerance at
-# the tilts -8, 0 and 8, which a panel holding many periods of cos(w x) can pass
-# by accident; ROADMAP item 2 (a Legendre-tail test per panel) is the fix.
-ALIASED = "ROADMAP item 2: the lattice aliases cos(w x); sign_kernel misses its estimate"
-
-
+# A panel holding many periods of cos(w x) can have a small |Kronrod - Gauss|
+# difference by accident, as that difference is its Legendre coefficient c_14
+# alone.  A lattice bisected on that difference at the tilts -8, 0 and 8
+# passes such panels at these frequencies, and sign_kernel then misses its
+# estimate by up to 2.27x; the lattice's tail test, c_12 to c_14 (ROADMAP
+# item 2), resolves them.
 @pytest.mark.parametrize(
     "eps,omega",
     [
-        pytest.param(1e-8, 115.0, marks=pytest.mark.xfail(strict=True, reason=ALIASED)),
-        pytest.param(1e-8, 111.01, marks=pytest.mark.xfail(strict=True, reason=ALIASED)),
+        (1e-8, 115.0),
+        (1e-8, 111.01),
+        (1e-8, 111.0),
         (1e-8, 105.01),
+        (1e-8, 104.6),
+        (1e-8, 104.52),
     ],
 )
 def test_residuals_at_aliasing_frequencies(eps, omega):

@@ -78,7 +78,7 @@ def test_residuals_beyond_float_range_are_infinite_without_warnings():
     measure = tm.build_measure(tm.Gaussian(0.0, 10.0))
     assert tm.sign_kernel_residual(measure, 6.0) == -math.inf
     ts = np.linspace(-6.0, 6.0, 49)
-    grid = tm.tilt_grid(measure, ts, median=False)
+    grid = tm.tilt_grid(measure, ts)
     log_scale = grid.log_partition - 0.5 * ts**2
     spread = grid.mean - ts + 2.0 * (ts * grid.cdf_at_t - grid.lower_moment_at_t)
     factors = {"sign_kernel": 1.0, "deriva": math.sqrt(0.5 * math.pi)}

@@ -17,6 +17,10 @@ import oracles
 from tiltmedian.numerics import (
     ABS_TOL,
     ROUNDING_FLOOR,
+    _GAUSS_W,
+    _KRONROD_W,
+    _LEGENDRE_TAIL,
+    _NODES,
     anchored_edges,
     kronrod_sums,
     panel_nodes,
@@ -108,3 +112,22 @@ def test_scaled_exp_keeps_finite_products_and_overflows_only_beyond_range():
     assert got[4] == 0.0
     assert got[5] == math.inf and got[6] == -math.inf
     assert float(scaled_exp(1.0)) == float(np.exp(1.0))
+
+
+def test_legendre_tail_rows_and_the_kronrod_gauss_difference():
+    # the package forms the rows by the three-term recurrence; numpy's
+    # Legendre module is the independent check, and only the test loads it
+    from numpy.polynomial import legendre
+
+    vander = legendre.legvander(_NODES, 14)
+    assert np.max(np.abs(_LEGENDRE_TAIL - np.linalg.inv(vander)[12:])) <= 1e-14
+    # Gauss 7 is exact through degree 13 and Kronrod 15 integrates the
+    # degree-14 interpolant, so their difference is the c_14 term alone:
+    # -c_14 times the Gauss sum of P_14 (weights rounded to 15 digits)
+    values = np.random.default_rng(28).standard_normal((1000, 15))
+    c_14 = values @ _LEGENDRE_TAIL[2]
+    difference = values @ (_KRONROD_W - _GAUSS_W)
+    assert np.max(np.abs(difference + c_14 * (_GAUSS_W @ vander[:, 14]))) <= 1e-13
+    # a polynomial of degree 11 has no tail
+    coefficients = np.random.default_rng(29).standard_normal(12)
+    assert np.max(np.abs(_LEGENDRE_TAIL @ legendre.legval(_NODES, coefficients))) <= 1e-14

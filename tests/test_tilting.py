@@ -260,30 +260,38 @@ def test_node_table_evaluates_each_node_once():
     # cos(30 x) bisects: the panels split are evaluated too, but no x twice
     log_norm = math.log1p(0.3 * math.exp(-450.0))
     xs, panels = _evaluated_nodes(lambda x: np.log1p(0.3 * np.cos(30.0 * x)) - log_norm)
-    assert panels == 240 and xs.size > 15 * panels
+    assert panels == 426 and xs.size > 15 * panels
     assert np.unique(xs).size == xs.size
 
 
 def test_tabulated_measure_builds_its_own_node_table(engine_calls, monkeypatch, tmp_path):
     # the hat ratio has mass about 1.6 before normalization, so the raw
-    # measure's log_pdf is off from the normalized one's by log(1.6)
-    lattice, bisected = tm.lattice._lattice, []
+    # measure's log_pdf is off from the normalized one's by log(1.6): the
+    # lattice test, in units of each tilt's largest node value, ignores it
+    lattice, panel_nodes, bisected, rounds = tm.lattice._lattice, tm.lattice.panel_nodes, [], []
 
-    def bisecting(measure, edges=None):
-        if edges is None:
-            bisected.append(measure)
-        return lattice(measure, edges)
+    def bisecting(measure):
+        bisected.append(measure)
+        rounds.append(0)
+        return lattice(measure)
+
+    def probing(lo, hi):
+        rounds[-1] += 1
+        return panel_nodes(lo, hi)
 
     monkeypatch.setattr(tm.lattice, "_lattice", bisecting)
+    monkeypatch.setattr(tm.lattice, "panel_nodes", probing)
     path = tmp_path / "hat.txt"
     path.write_text("-4 0\n0 2\n4 0\n")
     measure = tm.build_measure(tm.Tabulated(str(path)))
-    # one table for the raw ratio, whose mass normalizes it, and one of its own
-    # on the raw table's edges: the lattice is built once
+    # one table for the raw ratio, whose mass normalizes it, and one of its
+    # own, bisected from the raw lattice's edges: its first round passes
+    # every panel, so it splits none
     assert engine_calls["node_tables"] == 2
-    [raw] = bisected
+    raw, normalized = bisected
+    assert normalized is measure and rounds[1] == 1
     edges, xs, _, log_pdf = measure._node_table
-    assert edges is raw._node_table[0]
+    assert np.array_equal(edges, raw._node_table[0])
     assert np.array_equal(log_pdf, measure.log_pdf(xs))
     assert abs(tm.log_partition(measure, 0.0)) <= 1e-12
 
@@ -291,8 +299,8 @@ def test_tabulated_measure_builds_its_own_node_table(engine_calls, monkeypatch, 
 def test_measures_are_freed_by_reference_counting(tmp_path):
     # a kept pass that pointed back at its measure would leave the measure to
     # the cyclic collector; with that collector off it must still go at del.
-    # A table's build writes a node table it did not build itself, and its
-    # log_g is a functools.partial.
+    # A table's build reads its raw measure's node table, and its log_g is a
+    # functools.partial.
     table = tmp_path / "ratio.txt"
     xs = np.linspace(-6.0, 6.0, 121)
     table.write_text("\n".join(f"{x} {1.0 + 0.5 * math.cos(x)}" for x in xs) + "\n")
@@ -852,7 +860,7 @@ def test_a_sequence_of_requests_gives_the_same_bits_on_a_fresh_measure():
         assert requests(tm.build_measure(spec)) == requests(tm.build_measure(spec)), spec
 
 
-def test_kept_rows_are_read_only_and_medians_stay_requested():
+def test_kept_rows_are_read_only():
     measure = tm.build_measure(tm.PerturbedQuadratic(1.0))
     ts = SCAN_GRID.copy()
     grid = tm.tilt_grid(measure, ts)
@@ -869,11 +877,6 @@ def test_kept_rows_are_read_only_and_medians_stay_requested():
     for field in dataclasses.fields(grid):
         again = getattr(tm.tilt_grid(measure, SCAN_GRID), field.name)
         assert again.tobytes() == getattr(expected, field.name).tobytes(), field.name
-    # the kept pass has solved its medians; a request without them gets none
-    plain = tm.tilt_grid(measure, SCAN_GRID, median=False)
-    assert plain.median is None and plain.median_error is None
-    assert plain.mean is grid.mean
-    assert tm.tilt_grid(measure, SCAN_GRID).median is grid.median
 
 
 def test_a_new_pass_is_formed_after_the_kept_one_is_released():
@@ -893,11 +896,10 @@ def test_a_new_pass_is_formed_after_the_kept_one_is_released():
     assert two <= one + 1e6
 
 
-def test_tilt_grid_empty_and_without_medians(std_gaussian):
+def test_tilt_grid_empty_and_out_of_range(std_gaussian):
     empty = tm.tilt_grid(std_gaussian, [])
     assert empty.log_partition.size == 0 and empty.median.size == 0
-    grid = tm.tilt_grid(std_gaussian, [1.0, 2.0], median=False)
-    assert grid.median is None and grid.median_error is None
+    grid = tm.tilt_grid(std_gaussian, [1.0, 2.0])
     assert np.all(np.abs(grid.mean - [1.0, 2.0]) <= 1e-12)
     # a grid names its first tilt out of range, or nan, as a one-tilt call does
     for t_grid, first in (
@@ -934,7 +936,7 @@ def test_refined_panel_moment_error_is_honest():
     # error must still cover the error, and so must the half-line sums'
     mu, sigma = 0.1, 0.02
     measure = tm.build_measure(tm.Gaussian(mu, sigma))
-    grid = tm.tilt_grid(measure, [0.0], median=False)
+    grid = tm.tilt_grid(measure, [0.0])
     assert abs(grid.mean[0] - mu) <= grid.mean_error[0]
     z = mu / (sigma * math.sqrt(2.0))
     lower = mu * 0.5 * math.erfc(z) - sigma * math.exp(-z * z) / math.sqrt(2.0 * math.pi)
