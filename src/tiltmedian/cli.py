@@ -9,14 +9,18 @@ Usage::
 
 Commands: median-gap, sign-kernel, deriva, mean-median, symmetry-sweep,
 choquet-iterate, lipschitz, full-report.  Options may also be supplied via
-``--config file.json``; explicit flags win over file values.  Every run
+``--config file.json``; explicit flags win over file values.  Each option is
+defined once, in ``_OPTIONS``: its flag and the commands that take it
+(``--steps`` only choquet-iterate, ``--halfwidth`` only lipschitz), its
+config-file key and json type, and its ``ExperimentConfig`` field.  Every run
 writes one report file (csv by default, or json; ``full-report`` writes json
 only; floats serialized with 17 significant digits so identical runs are
 byte-identical; json writes nan and infinity as null) and prints a one-line
 summary ``max|residual| = <value> at t = <value>`` on stdout.
 
-Exit codes: 0 success, 2 configuration problem, 3 measure construction
-failure, 4 output write failure.
+Exit codes: 0 success, 2 configuration problem (a non-finite t range
+included), 3 measure construction failure (a truncation window past the
+float64 range included), 4 output write failure.
 """
 
 from __future__ import annotations
@@ -63,15 +67,18 @@ FULL_REPORT_DIAGNOSTICS = ("deriva", "mean_median", "median_gap", "sign_kernel")
 _CHOQUET_X_HALFWIDTH = 60.0
 _CHOQUET_STEP = 0.01
 
-# config keys (also argparse dests) that ExperimentConfig defaults when
-# neither a flag nor the file sets them -> (ExperimentConfig field, type)
-_DEFAULTED_OPTIONS = {
-    "t_min": ("t_min", float), "t_max": ("t_max", float), "t_points": ("t_points", int),
-    "format": ("output_format", str), "steps": ("steps", int), "halfwidth": ("halfwidth", float),
-}
-# every config key -> the type its flag takes
-_CONFIG_TYPES = {
-    "measure": str, "out": str, **{key: kind for key, (_, kind) in _DEFAULTED_OPTIONS.items()}
+# every option: config key (also the argparse dest) -> (ExperimentConfig
+# field, type, the one command whose flag it is or None for every command,
+# further argparse keywords)
+_OPTIONS = {
+    "measure": ("measure", str, None, {"help": "measure literal, e.g. 'gaussian(0,1)'"}),
+    "t_min": ("t_min", float, None, {}),
+    "t_max": ("t_max", float, None, {}),
+    "t_points": ("t_points", int, None, {}),
+    "out": ("output_path", str, None, {"help": "report file path"}),
+    "format": ("output_format", str, None, {"choices": ("csv", "json")}),
+    "steps": ("steps", int, "choquet-iterate", {}),
+    "halfwidth": ("halfwidth", float, "lipschitz", {}),
 }
 # the json values a config key of each flag type takes (never a json bool)
 _JSON_TYPES = {int: ("integer", int), float: ("number", (int, float)), str: ("string", str)}
@@ -105,6 +112,10 @@ class ExperimentConfig:
             raise ConfigError("full-report emits a single json document; use --format json")
         if self.t_points < 1:
             raise ConfigError("t_points must be at least 1")
+        # an infinite bound would reach np.linspace, which forms nan tilts from it
+        for name, value in (("t_min", self.t_min), ("t_max", self.t_max)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.t_points == 1:
             if self.t_min > self.t_max:
                 raise ConfigError("t_min must not exceed t_max")
@@ -261,17 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--measure", help="measure literal, e.g. 'gaussian(0,1)'")
-        cmd.add_argument("--t-min", type=float, dest="t_min")
-        cmd.add_argument("--t-max", type=float, dest="t_max")
-        cmd.add_argument("--t-points", type=int, dest="t_points")
-        cmd.add_argument("--out", help="report file path")
-        cmd.add_argument("--format", choices=("csv", "json"), dest="format")
+        for key, (_, kind, only, keywords) in _OPTIONS.items():
+            if only in (None, name):
+                cmd.add_argument("--" + key.replace("_", "-"), type=kind, **keywords)
         cmd.add_argument("--config", help="json file with default option values")
-        if name == "choquet-iterate":
-            cmd.add_argument("--steps", type=int)
-        if name == "lipschitz":
-            cmd.add_argument("--halfwidth", type=float)
     return parser
 
 
@@ -285,11 +289,11 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a json object")
-    unknown = set(data) - set(_CONFIG_TYPES)
+    unknown = set(data) - set(_OPTIONS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
-        name, accepted = _JSON_TYPES[_CONFIG_TYPES[key]]
+        name, accepted = _JSON_TYPES[_OPTIONS[key][1]]
         # json true and false load as Python bools, which are ints
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ConfigError(f"config key {key!r} must be a json {name}, got {json.dumps(value)}")
@@ -297,31 +301,21 @@ def _load_config_file(path: str) -> dict[str, Any]:
 
 
 def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
-    given: dict[str, Any] = {}
-    if args.config is not None:
-        given = _load_config_file(args.config)
+    given = {} if args.config is None else _load_config_file(args.config)
     # explicit flags win over file values
     given.update((key, value) for key, value in vars(args).items() if value is not None)
 
-    measure_text = given.get("measure")
-    if measure_text is None:
+    if "measure" not in given:
         raise ConfigError("a measure is required (--measure or config file)")
-    out = given.get("out")
-    if out is None:
+    if "out" not in given:
         raise ConfigError("an output path is required (--out or config file)")
 
     try:
         options = {
-            field: convert(given[key])
-            for key, (field, convert) in _DEFAULTED_OPTIONS.items()
-            if key in given
+            field: kind(given[key]) for key, (field, kind, _, _) in _OPTIONS.items() if key in given
         }
-        return ExperimentConfig(
-            measure=parse_measure(str(measure_text)),
-            command=args.command,
-            output_path=str(out),
-            **options,
-        )
+        options["measure"] = parse_measure(options["measure"])
+        return ExperimentConfig(command=args.command, **options)
     # a json integer for a float key may pass the float range
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid option value: {exc}") from exc

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .measures import BaseMeasure
+from .measures import BaseMeasure, MeasureError
 from .numerics import (
     ABS_TOL,
     FIXED_PANEL_WIDTH,
@@ -79,9 +79,16 @@ def _lattice(measure: BaseMeasure) -> tuple[np.ndarray, ...]:
     half-widths and log-density of each round's panels are kept where the
     panel passes, and the table is those arrays sorted by left edge.
     Far-out nodes may overflow x^2, and the rounding of their node values
-    with it: neither is a failure, so neither warns.
+    with it: neither is a failure, so neither warns.  A window at ``T_MAX``
+    past the float64 range is a ``MeasureError``.
     """
-    reach = FIXED_PANEL_WIDTH * math.ceil(measure.window_halfwidth(T_MAX) / FIXED_PANEL_WIDTH)
+    try:
+        reach = FIXED_PANEL_WIDTH * math.ceil(measure.window_halfwidth(T_MAX) / FIXED_PANEL_WIDTH)
+    except OverflowError as exc:  # window_scale**2, or ceil of an infinite ratio
+        raise MeasureError(
+            f"the truncation window at t = {T_MAX} (offset {measure.window_offset!r}, "
+            f"scale {measure.window_scale!r}) passes the float64 range"
+        ) from exc
     inside = [x for x in measure.breakpoints if -reach < x < reach]
     # np.sort rather than np.unique, which loads more code on first use
     edges = np.sort(np.concatenate([anchored_edges(-reach, reach), inside]))

@@ -199,8 +199,9 @@ class _TiltPass:
     """
 
     def __init__(self, measure: BaseMeasure, ts: np.ndarray) -> None:
-        reach = measure.window_halfwidth(np.abs(ts).max(initial=0.0))
+        # the lattice first: it rejects a window past the float64 range
         lattice, xs, half, log_pdf = _node_table(measure)
+        reach = measure.window_halfwidth(np.abs(ts).max(initial=0.0))
         first = lattice.searchsorted(-reach, side="right") - 1
         last = lattice.searchsorted(reach, side="left")
         self.edges, panels = lattice[first : last + 1], slice(first, last)

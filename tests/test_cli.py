@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import tiltmedian as tm
-from tiltmedian.cli import EXIT_CONFIG, EXIT_IO, EXIT_MEASURE, EXIT_OK, main, parse_measure
+from tiltmedian.cli import (
+    COMMANDS,
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_MEASURE,
+    EXIT_OK,
+    _build_parser,
+    main,
+    parse_measure,
+)
 
 
 def run_cli(args, capsys):
@@ -375,7 +384,8 @@ def test_exit_code_bad_measure(tmp_path, capsys, text):
 
 def test_exit_code_measure_build_failure(tmp_path, capsys):
     # 1 + eps cos x is negative near every odd multiple of pi for eps > 1
-    for text in ("perturbed_cosine(1.5)", "perturbed_cosine(1.000000001)"):
+    # and a window of sd 1e300 at |t| = 8 passes the float64 range
+    for text in ("perturbed_cosine(1.5)", "perturbed_cosine(1.000000001)", "gaussian(0,1e300)"):
         code, _, err = run_cli(
             ["median-gap", "--measure", text, "--out", str(tmp_path / "x.csv")], capsys
         )
@@ -492,6 +502,13 @@ def test_exit_code_config_integer_beyond_float_range(tmp_path, capsys):
         ),
         (["choquet-iterate", "--steps", "0"], None, "steps must be at least 1"),
         (["lipschitz", "--halfwidth", "0"], None, "halfwidth must be positive"),
+        (
+            ["median-gap", "--t-min", "0", "--t-max", "inf", "--t-points", "2"],
+            None,
+            "t_max must be finite, got inf",
+        ),
+        (["median-gap", "--t-min=-inf", "--t-max=inf"], None, "t_min must be finite, got -inf"),
+        (["median-gap"], '{"t_max": Infinity}', "t_max must be finite, got inf"),
         (["median-gap"], '{"format": "xml"}', "format must be csv or json, got 'xml'"),
         (["median-gap"], "missing", "cannot read config file"),
         (["median-gap"], '["gaussian(0,1)"]', "must hold a json object"),
@@ -509,6 +526,35 @@ def test_exit_code_invalid_options(tmp_path, capsys, args, config, message):
     assert code == EXIT_CONFIG
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_takes_its_flags(command, capsys):
+    argv = [command, "--measure", "gaussian(0,1)", "--t-min", "-1", "--t-max", "1"]
+    argv += ["--t-points", "3", "--out", "x.csv", "--format", "json", "--config", "c.json"]
+    expected = {
+        "command": command, "measure": "gaussian(0,1)", "t_min": -1.0, "t_max": 1.0,
+        "t_points": 3, "out": "x.csv", "format": "json", "config": "c.json",
+    }
+    for key, text, value, only in (
+        ("steps", "4", 4, "choquet-iterate"),
+        ("halfwidth", "1.5", 1.5, "lipschitz"),
+    ):
+        if command == only:
+            argv += [f"--{key}", text]
+            expected[key] = value
+        else:
+            # argparse exits 2 on a flag the command does not take
+            assert main([command, f"--{key}", text]) == EXIT_CONFIG
+            assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+    parsed = vars(_build_parser().parse_args(argv))
+    # repr tells the int 3 from the float 3.0
+    assert {key: repr(value) for key, value in parsed.items()} == {
+        key: repr(value) for key, value in expected.items()
+    }
+    for flag in (["--t-points", "2.5"], ["--t-min", "x"], ["--format", "xml"]):
+        assert main([command, *flag]) == EXIT_CONFIG, flag
+        assert f"argument {flag[0]}: invalid" in capsys.readouterr().err
 
 
 def test_json_determinism_full_report(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The README's library quick start runs and gives the values its comments state,
 every name the package exports resolves, the README's command examples run and
-name every command, and its config-file keys match the CLI."""
+name every command, and its flags and config-file keys match the CLI."""
 
 from __future__ import annotations
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -31,7 +32,22 @@ def test_every_export_resolves():
 def test_readme_lists_the_config_file_keys():
     text = " ".join(README.read_text().split())
     (keys,) = re.findall(r"json config file may carry the same keys \(([^)]*)\)", text)
-    assert set(re.findall(r"`(\w+)`", keys)) == set(cli._CONFIG_TYPES)
+    assert set(re.findall(r"`(\w+)`", keys)) == set(cli._OPTIONS)
+
+
+def test_readme_lists_every_flag():
+    (paragraph,) = re.findall(r"^Flags: (.*?)\n\n", README.read_text(), re.DOTALL | re.MULTILINE)
+    (commands,) = [
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    flags = {
+        flag
+        for parser in commands.choices.values()
+        for action in parser._actions
+        for flag in action.option_strings
+    }
+    assert set(re.findall(r"`(--[\w-]+)", paragraph)) == flags - {"-h", "--help"}
 
 
 def test_readme_shows_every_command():

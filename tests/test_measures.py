@@ -200,6 +200,7 @@ def test_tabulated_requires_increasing_x(tmp_path):
         ("0 1\n1 inf\n2 1\n", tm.MeasureError, "entries must be finite"),
         ("0 1\n2 1\n1 1\n", tm.MeasureError, "x column must be strictly increasing"),
         ("0 1\n2 100\n3 10000\n", tm.TailViolationError, "rises toward the right table edge"),
+        ("-1e308 1\n0 1\n1e308 1\n", tm.MeasureError, "passes the float64 range"),
     ],
 )
 def test_tabulated_file_errors(tmp_path, capsys, rows, error, message):
@@ -241,6 +242,25 @@ def test_very_wide_tables_are_rejected_without_warnings(tmp_path, width):
         warnings.simplefilter("error")
         with pytest.raises(tm.NotNormalizableError, match="zero total mass"):
             tm.build_measure(tm.Tabulated(path))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        tm.Gaussian(0.0, 1e155),
+        tm.Gaussian(0.0, 1e154),
+        tm.Gaussian(1e308, 1.0),
+        tm.Gaussian(9e307, 1.0),
+        tm.GaussianMixture(0.5, 0.0, 1e300, 0.0, 1.0),
+        tm.GaussianMixture(0.5, -1e308, 1.0, 1e308, 1.0),
+    ],
+    ids=repr,
+)
+def test_windows_past_the_float_range_are_rejected(spec):
+    # offset + 12 scale + 8 scale^2, or its count of anchored panels, is not a
+    # float: a failed build, not an OverflowError
+    with pytest.raises(tm.MeasureError, match="truncation window at t = 8.0 .* float64 range"):
+        tm.build_measure(spec)
 
 
 def test_grid_function_validation():
