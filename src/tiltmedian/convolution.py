@@ -28,13 +28,19 @@ direct stencil sum, so every entry keeps the relative accuracy of the direct
 sum even when g spans many decades across the window.  When the window's own
 values say that most points would be recomputed, the transform is skipped.
 
-The direct sums are blocked matrix products (Goto & van de Geijn 2008): each
-stretch of recomputed points is cut into rows of 16 outputs, and the window
-values under each row, taps + 15 of them and a strided view of the window,
-are multiplied by a banded (taps + 15) x 16 kernel matrix, 16 rows per
-product.  The kernel weights and that matrix are formed once per step size
-and kept read-only; at the default 0.01 step (1395 taps) the matrix takes
-0.18 MB.
+The direct sums are block-Toeplitz matrix products (Goto & van de Geijn
+2008): the banded matrix that maps taps + 47 window values to 48 consecutive
+stencil sums is cut into 48 x 48 blocks, 31 of them at the default 0.01 step
+(1395 taps, 0.57 MB).  Each stretch of recomputed points takes rows of 48
+outputs, and the window values from its first point, reshaped into rows of
+48, are multiplied block by block where they lie: no window value is copied
+for a product.  Before the products the window is scaled by the power of two
+that lifts its largest magnitude to just below 2^1000, and the sums are scaled
+back after.  Both scalings are exact, so the sums are those of the unscaled
+window wherever its arithmetic stays normal, and tails that underflow through
+the subnormal floats are summed at full speed.  The kernel weights and the block table are formed
+once per step size, and the weights' spectrum once per FFT length; all are
+kept read-only.
 """
 
 from __future__ import annotations
@@ -134,21 +140,30 @@ class ConvolutionSetup:
         return _kernel_tables(self)[0].copy()
 
 
-# Direct stencil sums come _BLOCK outputs at a time, as rows of _BLOCK + taps - 1
-# window values times the banded kernel matrix, _BLOCK_ROWS rows per product.
-# At the default step one product is 16 x 1410 by 1410 x 16 (361k multiply-adds),
-# which OpenBLAS 0.3.31 runs on one thread; it split products of 1.4M across two.
-_BLOCK = 16
-_BLOCK_ROWS = 16
+# Direct stencil sums come in rows of _BLOCK outputs.  The banded kernel matrix,
+# taps + _BLOCK - 1 rows by _BLOCK, is zero-padded to whole _BLOCK x _BLOCK
+# blocks: at the default step 31 of them (0.57 MB).  BLAS sums each block's
+# _BLOCK products in one chain; 64 ran 6% faster but put one sum of a steep
+# Gaussian tail 8.4 eps from its exact value, 48 keeps them within 5.2 eps.
+_BLOCK = 48
+# The direct sums scale the window by a power of two so that its largest
+# magnitude has this binary exponent: products and sums of values that would
+# underflow into the subnormal floats, which run 1.6-1.8x slower, stay normal,
+# and the largest sum stays far below the float64 limit.
+_TOP_EXPONENT = 1000
 
 
 @functools.lru_cache(maxsize=4)
 def _kernel_tables(setup: ConvolutionSetup) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only kernel weights and banded kernel matrix of one step size.
+    """Read-only kernel weights and block table of one step size.
 
-    Column r of the band holds the reversed weights from row r down, so a row
-    of window values times the band gives the stencil sums at _BLOCK
-    consecutive points, as ``np.convolve(..., mode="valid")`` defines them.
+    Column r of the banded kernel matrix holds the reversed weights from row r
+    down, so window values [i, i + taps + _BLOCK - 1) times the band give the
+    stencil sums at the _BLOCK points from i, as ``np.convolve(...,
+    mode="valid")`` defines them.  The block table is that band, zero-padded
+    to a whole number of rows of _BLOCK and cut into ``(blocks, _BLOCK,
+    _BLOCK)``: block q multiplies the window values [i + q _BLOCK, i + (q + 1)
+    _BLOCK).
     """
     steps = setup.kernel_steps()
     offsets = setup.step * np.arange(-steps, steps + 1)
@@ -159,12 +174,28 @@ def _kernel_tables(setup: ConvolutionSetup) -> tuple[np.ndarray, np.ndarray]:
     # q' jumps by 1 at 0, so the sum is short by step^2 / 12 times g(x)
     w[steps] = setup.step**2 / 12.0
     weights = w / w.sum()
-    band = np.zeros((_BLOCK + weights.size - 1, _BLOCK))
+    count = -(-(weights.size + _BLOCK - 1) // _BLOCK)
+    band = np.zeros((count * _BLOCK, _BLOCK))
     for r in range(_BLOCK):
         band[r : r + weights.size, r] = weights[::-1]
     weights.flags.writeable = False
     band.flags.writeable = False
-    return weights, band
+    return weights, band.reshape(count, _BLOCK, _BLOCK)
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_spectrum(setup: ConvolutionSetup, size: int) -> np.ndarray:
+    """Read-only real FFT of the kernel weights zero-padded to ``size``.
+
+    A window of n points takes the FFT length of n + taps - 1, and each
+    iteration step shrinks the window by the same amount, so the same few
+    lengths recur for every ratio sampled on the same grid.
+    """
+    from numpy import fft
+
+    spectrum = fft.rfft(_kernel_tables(setup)[0], size)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def _fft_length(n: int) -> int:
@@ -181,35 +212,39 @@ def _fft_length(n: int) -> int:
 
 
 def _stencil_sums(
-    window: np.ndarray, direct: np.ndarray, out: np.ndarray, band: np.ndarray
+    window: np.ndarray, direct: np.ndarray, out: np.ndarray, blocks: np.ndarray
 ) -> None:
     """Write the direct stencil sums of ``window`` into ``out`` where ``direct`` is set.
 
-    Each stretch of set points is cut into rows of ``_BLOCK`` outputs.  The
-    overlapping input rows are a strided view of the window; ``_BLOCK_ROWS`` of
-    them at a time are copied into one buffer, which BLAS needs contiguous, and
-    multiplied by the band.  The window is zero-padded so the last row of a
-    stretch may run past it: those zeros feed only outputs beyond the stretch,
-    which are dropped.
+    Each stretch of set points is cut into rows of ``_BLOCK`` outputs; the
+    window values from its first point, reshaped into rows of ``_BLOCK``, are a
+    view P, and the stretch's sums are the sum over q of ``P[q : q + rows] @
+    blocks[q]``.  The window is first scaled by 2^k, the largest power that
+    keeps it below 2^_TOP_EXPONENT (none if k <= 0), and zero-padded, so the
+    last rows of a stretch may run past it: those zeros feed only outputs
+    beyond the stretch, which are dropped, as are the sums in the gaps that
+    join nearby stretches.
     """
     edges = np.flatnonzero(np.diff(direct, prepend=False, append=False))
     if not edges.size:
         return
-    width = band.shape[0]
-    padded = np.zeros(window.size + _BLOCK - 1)
-    padded[: window.size] = window
-    # row i is padded[i : i + width], a view that copies nothing
-    rows = np.ndarray((padded.size - width + 1, width), buffer=padded, strides=padded.strides * 2)
-    chunk = np.empty((_BLOCK_ROWS, width))
-    products = np.empty((_BLOCK_ROWS, _BLOCK))
-    span = _BLOCK_ROWS * _BLOCK
-    for lo, hi in zip(edges[::2], edges[1::2]):
-        for start in range(lo, hi, span):
-            stop = min(start + span, hi)
-            count = -(-(stop - start) // _BLOCK)
-            np.copyto(chunk[:count], rows[start:stop:_BLOCK])
-            np.matmul(chunk[:count], band, out=products[:count])
-            out[start:stop] = products.ravel()[: stop - start]
+    count, size, _ = blocks.shape
+    # a stretch costs count products whatever its length: summing a gap
+    # narrower than the block table's span and dropping it is cheaper
+    apart = edges[2::2] - edges[1:-1:2] >= count * size
+    starts = edges[::2][np.r_[True, apart]]
+    stops = edges[1::2][np.r_[apart, True]]
+    shift = max(_TOP_EXPONENT - int(np.frexp(np.max(np.abs(window)))[1]), 0)
+    padded = np.zeros(window.size + count * size)
+    np.ldexp(window, shift, out=padded[: window.size])
+    for lo, hi in zip(starts, stops):
+        rows = -(-(hi - lo) // size)
+        values = padded[lo : lo + (rows + count - 1) * size].reshape(-1, size)
+        sums = values[:rows] @ blocks[0]
+        part = np.empty_like(sums)
+        for q in range(1, count):
+            sums += np.matmul(values[q : q + rows], blocks[q], out=part)
+        np.copyto(out[lo:hi], np.ldexp(sums.ravel()[: hi - lo], -shift), where=direct[lo:hi])
 
 
 def convolve(grid: GridFunction, setup: ConvolutionSetup) -> GridFunction:
@@ -218,8 +253,8 @@ def convolve(grid: GridFunction, setup: ConvolutionSetup) -> GridFunction:
     The output lives on the same grid; its valid window loses one kernel
     halfwidth on each side.  Entries outside the new window are nan.  Each
     entry is within 1e-12 of the direct stencil sum relative to its own
-    size, or is that sum, formed as a blocked matrix product against the
-    banded kernel matrix of ``setup``'s step (see the module docstring).
+    size, or is that sum, formed by products with the kernel's block table
+    at ``setup``'s step (see the module docstring).
     """
     if abs(grid.step - setup.step) > 1e-12 * max(1.0, setup.step):
         raise ValueError(
@@ -237,26 +272,26 @@ def convolve(grid: GridFunction, setup: ConvolutionSetup) -> GridFunction:
     from numpy import fft
 
     window = grid.window_values()
-    weights, band = _kernel_tables(setup)
+    weights, blocks = _kernel_tables(setup)
     top, bottom = window.max(), window.min()
     # halves first: the sum of two values near the float64 limit would overflow
     centre = 0.5 * top + 0.5 * bottom
     size = _fft_length(window.size + weights.size - 1)
     rounding = _FFT_ROUNDING * math.log2(size) * (0.5 * top - 0.5 * bottom)
-    # the transform costs 0.4-0.6 of a blocked direct pass over the window:
+    # the transform costs 0.4-0.6 of a direct pass over the window:
     # skip it when the window's own values say that most points would be
     # recomputed anyway
     if 2 * np.count_nonzero(_FFT_RTOL * np.abs(window) >= rounding) > window.size:
         # sums of values near the float64 limit may overflow; a non-finite
         # transform value fails the comparison below and is recomputed
         with np.errstate(over="ignore", invalid="ignore"):
-            spectrum = fft.rfft(window - centre, size) * fft.rfft(weights, size)
+            spectrum = fft.rfft(window - centre, size) * _kernel_spectrum(setup, size)
             smoothed = fft.irfft(spectrum, size)[weights.size - 1 : window.size] + centre
         direct = ~(_FFT_RTOL * np.abs(smoothed) >= rounding)
     else:
         smoothed = np.empty(new_hi - new_lo + 1)
         direct = np.ones(smoothed.size, dtype=bool)
-    _stencil_sums(window, direct, smoothed, band)
+    _stencil_sums(window, direct, smoothed, blocks)
     values = np.full(grid.values.size, np.nan)
     values[new_lo : new_hi + 1] = smoothed
     return GridFunction(

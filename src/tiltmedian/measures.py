@@ -352,7 +352,9 @@ class GridFunction:
 
     Entries outside ``[window_lo, window_hi]`` carry no information (they are
     nan-filled after window-shrinking operations); entries inside must be
-    finite.
+    finite.  ``x_min`` must be finite, ``step`` positive and finite, and the
+    window bounds integers; anything else raises ``ValueError`` naming the
+    field.
     """
 
     x_min: float
@@ -365,10 +367,15 @@ class GridFunction:
         values = np.array(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        if not math.isfinite(self.x_min):
+            raise ValueError(f"x_min must be finite, got {self.x_min!r}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step!r}")
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-d sequence")
+        for name in ("window_lo", "window_hi"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0 <= self.window_lo <= self.window_hi < values.size):
             raise ValueError(
                 f"valid window [{self.window_lo}, {self.window_hi}] out of bounds "

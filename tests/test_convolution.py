@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 import oracles
 import tiltmedian as tm
-from tiltmedian.convolution import _BLOCK, _BLOCK_ROWS, _fft_length, _kernel_tables, _stencil_sums
+from tiltmedian.convolution import (
+    _BLOCK,
+    _fft_length,
+    _kernel_spectrum,
+    _kernel_tables,
+    _stencil_sums,
+)
 
 # dense-grid oracle: cosine-frequency damping factor of the kernel,
 # i.e. the integral of kernel(y) * cos(y)
@@ -116,6 +122,17 @@ def test_setup_and_grid_reject_inputs_without_taps_or_values():
     for values in (np.array([]), np.ones((2, 3))):
         with pytest.raises(ValueError, match="nonempty 1-d"):
             tm.GridFunction(x_min=0.0, step=1.0, values=values, window_lo=0, window_hi=0)
+    # non-finite coordinates once gave nan or inf window_x() and nan window
+    # edges from iterate_fixed_point; a float bound failed as a bare TypeError
+    grid = dict(x_min=0.0, step=1.0, values=np.ones(5), window_lo=0, window_hi=4)
+    for field, value in (
+        ("x_min", math.nan), ("x_min", math.inf), ("x_min", -math.inf),
+        ("step", math.inf), ("step", math.nan),
+        ("window_lo", 0.5), ("window_lo", 0.0), ("window_hi", 4.0), ("window_hi", "4"),
+    ):
+        with pytest.raises(ValueError, match=field):
+            tm.GridFunction(**{**grid, field: value})
+    assert tm.GridFunction(**{**grid, "window_lo": np.int64(1)}).window_values().size == 4
 
 
 def _grid(values: np.ndarray, x_min: float, step: float) -> tm.GridFunction:
@@ -395,9 +412,9 @@ def test_transform_runs_where_it_is_accurate(monkeypatch):
     direct_points = []
     stencil_sums = tm.convolution._stencil_sums
 
-    def counting(window, direct, out, band):
+    def counting(window, direct, out, blocks):
         direct_points.append(np.count_nonzero(direct))
-        stencil_sums(window, direct, out, band)
+        stencil_sums(window, direct, out, blocks)
 
     monkeypatch.setattr(tm.convolution, "_stencil_sums", counting)
     setup = tm.ConvolutionSetup(step=0.01)
@@ -418,18 +435,22 @@ _BENCH_MIXTURE = tm.GaussianMixture(
 )
 
 
+# one row of outputs per block of the table at the default step, as a length
+_SPAN = _BLOCK * _kernel_tables(tm.ConvolutionSetup())[1].shape[0]
+
+
 @pytest.mark.parametrize(
     "length",
-    [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK_ROWS * _BLOCK - 1, _BLOCK_ROWS * _BLOCK + 1, None],
+    [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _SPAN - 1, _SPAN + 1, None],
     ids=lambda length: "full" if length is None else str(length),
 )
 @pytest.mark.parametrize("source", ["gaussian(0.3,0.6)", "mixture", "noise"])
 def test_blocked_stencil_sums_match_np_convolve(source, length):
-    # stretches shorter than a row, one row, one chunk and a whole 12001-point
-    # window, at both ends of the window, in its middle and, for the Gaussian,
-    # where its tail underflows through the subnormal floats
+    # stretches shorter than a row, one row, one set of blocks and a whole
+    # 12001-point window, at both ends of the window, in its middle and, for the
+    # Gaussian, where its tail underflows through the subnormal floats
     setup = tm.ConvolutionSetup(step=0.01)
-    weights, band = _kernel_tables(setup)
+    weights, blocks = _kernel_tables(setup)
     if source == "noise":
         values = np.random.default_rng(19).uniform(-1.0, 1.0, 12001)
         tol = np.full(values.size - weights.size + 1, 1e-14 * np.max(np.abs(values)))
@@ -447,15 +468,75 @@ def test_blocked_stencil_sums_match_np_convolve(source, length):
         stretch = np.zeros(direct.size, dtype=bool)
         stretch[lo : lo + length] = True
         out = np.full(direct.size, np.nan)
-        _stencil_sums(values, stretch, out, band)
+        _stencil_sums(values, stretch, out, blocks)
         assert np.all(np.isnan(out[~stretch])), lo
         gap = np.abs(out[stretch] - direct[stretch])
         assert np.all(gap <= tol[stretch]), (lo, np.max(gap))
         # the same stretch as a window of its own, which the last row overruns
         window = values[lo : lo + length + weights.size - 1]
         own = np.full(length, np.nan)
-        _stencil_sums(window, np.ones(length, dtype=bool), own, band)
+        _stencil_sums(window, np.ones(length, dtype=bool), own, blocks)
         assert np.array_equal(own, out[stretch]), lo
+
+
+def test_scattered_direct_points_take_their_own_sums():
+    # stretches closer than the blocks' span are summed as one; the sums
+    # between them must not reach ``out``
+    weights, blocks = _kernel_tables(tm.ConvolutionSetup())
+    values = np.random.default_rng(23).uniform(-1.0, 1.0, 12001)
+    expected = np.convolve(values, weights, mode="valid")
+    direct = np.random.default_rng(29).random(expected.size) < 0.3
+    direct[4000:7000] = False
+    out = np.full(expected.size, np.nan)
+    _stencil_sums(values, direct, out, blocks)
+    assert np.all(np.isnan(out[~direct]))
+    assert np.max(np.abs(out[direct] - expected[direct])) <= 1e-14 * np.max(np.abs(values))
+
+
+def _direct_sums(values: np.ndarray) -> np.ndarray:
+    weights, blocks = _kernel_tables(tm.ConvolutionSetup())
+    out = np.full(values.size - weights.size + 1, np.nan)
+    _stencil_sums(values, np.ones(out.size, dtype=bool), out, blocks)
+    return out
+
+
+@pytest.mark.parametrize("spec", [tm.Gaussian(0.3, 0.6), _BENCH_MIXTURE], ids=repr)
+def test_direct_sums_commute_with_powers_of_two(spec):
+    # the window is scaled by a power of two before the products, so an input
+    # scaled by 2^-k gives the same bits scaled back wherever its output is
+    # normal, also where the Gaussian's tail underflows through the subnormals
+    # (a k near 1000 rounds the mixture's own inputs, which the sums then show)
+    values = _ratio_grid(spec).window_values()
+    out = _direct_sums(values)
+    for k in (1, 60, 600):
+        scaled = _direct_sums(np.ldexp(values, -k))
+        normal = np.abs(scaled) >= np.finfo(float).tiny
+        assert np.any(normal), k
+        assert np.array_equal(np.ldexp(scaled[normal], k), out[normal]), k
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [tm.Gaussian(0.3, 0.6), _BENCH_MIXTURE, tm.Gaussian(0.44, 0.918), tm.PerturbedQuadratic(1.0)],
+    ids=repr,
+)
+def test_direct_sums_are_within_8_eps_of_exact_sums(spec):
+    # reference: math.fsum of the float64 products, formed on the window scaled
+    # by a power of two so that none of them is subnormal
+    values = _ratio_grid(spec).window_values()
+    out = _direct_sums(values)
+    weights = tm.ConvolutionSetup().weights()
+    shift = 1000 - math.frexp(float(np.max(values)))[1]
+    rows = np.lib.stride_tricks.sliding_window_view(np.ldexp(values, shift), weights.size)
+    exact = np.empty(out.size)
+    for lo in range(0, out.size, 1024):
+        products = rows[lo : lo + 1024] * weights[::-1]
+        exact[lo : lo + 1024] = [math.fsum(row.data) for row in products]
+    exact = np.ldexp(exact, -shift)
+    normal = exact >= np.finfo(float).tiny
+    assert np.count_nonzero(normal) > out.size // 2
+    error = np.abs(out[normal] - exact[normal]) / exact[normal]
+    assert np.max(error) <= 8 * np.finfo(float).eps, np.max(error) / np.finfo(float).eps
 
 
 def test_kernel_tables_are_shared_read_only(tmp_path):
@@ -466,7 +547,13 @@ def test_kernel_tables_are_shared_read_only(tmp_path):
     returned *= 2.0
     assert np.array_equal(tm.convolve(grid, setup).values, before.values, equal_nan=True)
     assert np.array_equal(setup.weights(), returned / 2.0)
-    for table in _kernel_tables(tm.ConvolutionSetup(step=0.01)):
+    # the weights, the block table and every kept kernel spectrum are shared
+    # and refuse writes
+    tables = _kernel_tables(tm.ConvolutionSetup(step=0.01))
+    spectra = [_kernel_spectrum(setup, size) for size in (13500, _fft_length(8000))]
+    assert _kernel_tables(tm.ConvolutionSetup(step=0.01)) is tables
+    assert _kernel_spectrum(tm.ConvolutionSetup(step=0.01), 13500) is spectra[0]
+    for table in (*tables, *spectra):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 1.0
@@ -474,12 +561,19 @@ def test_kernel_tables_are_shared_read_only(tmp_path):
     src = str(pathlib.Path(tm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    path = tmp_path / "fresh.npy"
+    path = tmp_path / "fresh.npz"
     code = (
         "import sys, numpy as np, tiltmedian as tm\n"
+        "from tiltmedian.convolution import _kernel_spectrum, _kernel_tables\n"
         "m = tm.build_measure(tm.PerturbedQuadratic(1.0))\n"
         "grid = tm.sample_to_grid(m, -60.0, 60.0, 12001)\n"
-        "np.save(sys.argv[1], tm.convolve(grid, tm.ConvolutionSetup(step=0.01)).values)\n"
+        "setup = tm.ConvolutionSetup(step=0.01)\n"
+        "values = tm.convolve(grid, setup).values\n"
+        "np.savez(sys.argv[1], values=values, blocks=_kernel_tables(setup)[1],\n"
+        "         spectrum=_kernel_spectrum(setup, 13500))\n"
     )
     subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
-    assert np.load(path).tobytes() == before.values.tobytes()
+    fresh = np.load(path)
+    assert fresh["values"].tobytes() == before.values.tobytes()
+    assert fresh["blocks"].tobytes() == tables[1].tobytes()
+    assert fresh["spectrum"].tobytes() == spectra[0].tobytes()

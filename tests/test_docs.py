@@ -1,6 +1,7 @@
 """The README's library quick start runs and gives the values its comments state,
 every name the package exports resolves, the README's command examples run and
-name every command, and its flags and config-file keys match the CLI."""
+name every command, its flags and config-file keys match the CLI, and the
+convolution's block table has the shape and size it states."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import tiltmedian as tm
 from tiltmedian import cli
+from tiltmedian.convolution import _kernel_tables
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,3 +76,11 @@ def test_readme_names_resolve():
     assert named
     missing = [f"{module}.{name}" for module, name in named if not hasattr(modules[module], name)]
     assert missing == []
+
+
+def test_readme_block_table_shape():
+    text = " ".join(README.read_text().split())
+    (shape,) = re.findall(r"cut into (\d+) blocks of (\d+) x (\d+) \(([\d.]+) MB", text)
+    blocks = _kernel_tables(tm.ConvolutionSetup())[1]
+    assert tuple(map(int, shape[:3])) == blocks.shape
+    assert float(shape[3]) == round(blocks.nbytes / 1e6, 2)
